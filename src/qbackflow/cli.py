@@ -22,11 +22,11 @@ import os
 import sys
 from dataclasses import dataclass
 
+from . import __version__
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PIPELINE = 3
-
-__version__ = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -41,9 +41,12 @@ def _get(cfg: dict, key: str, kind, where: str, default=None, required=True):
     value = cfg[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
         raise ConfigError(f"{where}.{key}: expected {kind.__name__}, "
                           f"got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}: must be finite, got {value}")
     return value
 
 
@@ -216,13 +219,16 @@ class PipelineContext:
 
 
 def build_trajectories(sc: Scenario):
+    from itertools import chain
+
+    import numpy as np
     from .kinematics import ArmTrajectory
     free = ArmTrajectory.launch(sc.params, sc.env, sc.transition)
-    pulsed = ArmTrajectory.launch(sc.params, sc.env, sc.transition)
+    pulses = np.fromiter(chain((sc.split_time, sc.split_sign, sc.split_phase),
+                               *sc.pulse_events), float).reshape(-1, 3)
     k = sc.transition.wavevector_magnitude
-    pulsed = pulsed.kick(sc.split_time, sc.split_sign * k, sc.split_phase)
-    for time, sign, phase in sc.pulse_events:
-        pulsed = pulsed.kick(time, sign * k, phase)
+    pulsed = ArmTrajectory.launch(sc.params, sc.env, sc.transition).kicks(
+        pulses[:, 0], pulses[:, 1] * k, pulses[:, 2])
     return free, pulsed
 
 
@@ -493,7 +499,7 @@ def oracle_arm_field(ctx: PipelineContext, trajectory, grid,
         trap_frequency=sc.params.trap_frequency)
     initial = gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,
-        center=trajectory.segments[0].start_position, mass=sc.params.mass,
+        center=trajectory.segment(0).start_position, mass=sc.params.mass,
         hbar=sc.env.hbar)
     out = propagate(initial, config, t_f)
     # The internal-state energy is the one scalar the propagator does

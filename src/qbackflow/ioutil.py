@@ -7,12 +7,19 @@ import tempfile
 
 
 def atomic_write_bytes(path: str, writer) -> None:
-    """Call writer(binary_file) on a temp file, then rename into place."""
+    """Call writer(binary_file) on a temp file, then rename into place.
+
+    mkstemp creates the temp file as 0600; it is given the mode a plain
+    open() would, 0666 less the umask, before it replaces path.
+    """
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
             writer(fh)
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(fh.fileno(), 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

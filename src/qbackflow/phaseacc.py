@@ -8,11 +8,19 @@ unevaluated double-double pairs (hi, lo) with hi + lo exact to ~1e-32
 relative, built from the classic error-free transformations (two_sum,
 Dekker split / two_prod).  Reduction mod 2 pi happens only at the very
 end, when a phase becomes the argument of a complex exponential.
+
+The error-free transformations and the DoubleDouble arithmetic are
+branch-free, so hi and lo may also be numpy arrays of one shape: every
+operation except ``mod_two_pi`` then acts elementwise, with the same
+rounding as the scalar code.  kinematics evaluates a whole pulse
+array's segment phases this way and reduces each ledger with
+:func:`fsum_dd`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -124,38 +132,13 @@ def product(*factors: float) -> DoubleDouble:
     return acc
 
 
-class PhaseAccumulator:
-    """Compensated running sum of phase terms, in radians.
+def fsum_dd(terms: list[float]) -> DoubleDouble:
+    """Double-double sum of many floats, accurate to ~2**-106 relative.
 
-    Terms may be plain floats or DoubleDouble values.  The running total
-    is held unreduced; call ``reduced()`` only when the phase feeds a
-    complex exponential, and take differences before any reduction.
+    math.fsum rounds the exact sum once; a second pass with that total
+    subtracted returns the remainder, itself correctly rounded.  This is
+    an accurate sum in twice the working precision in the sense of
+    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).
     """
-
-    __slots__ = ("_acc",)
-
-    def __init__(self, start: DoubleDouble | float = 0.0):
-        self._acc = start if isinstance(start, DoubleDouble) else DoubleDouble(float(start))
-
-    def add(self, term) -> "PhaseAccumulator":
-        if isinstance(term, DoubleDouble):
-            self._acc = self._acc.add(term)
-        else:
-            self._acc = self._acc.add_float(float(term))
-        return self
-
-    def add_product(self, *factors: float) -> "PhaseAccumulator":
-        self._acc = self._acc.add(product(*factors))
-        return self
-
-    def copy(self) -> "PhaseAccumulator":
-        return PhaseAccumulator(self._acc)
-
-    def total(self) -> DoubleDouble:
-        return self._acc
-
-    def value(self) -> float:
-        return self._acc.value()
-
-    def reduced(self) -> float:
-        return self._acc.mod_two_pi()
+    hi = math.fsum(terms)
+    return DoubleDouble(hi, math.fsum(chain(terms, (-hi,))))

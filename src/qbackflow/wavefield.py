@@ -260,9 +260,9 @@ def encounter_state(grid: Grid, free_arm: ArmTrajectory,
 
     # q must equal (m/hbar)(v_N + g T_N - v_0): the velocity the last
     # pulse left the arm with, corrected for the shared free fall.
-    last = pulsed_arm.segments[-1]
+    last = pulsed_arm.segment(-1)
     q_def = m * (last.start_velocity + env.gravity * last.start_time
-                 - free_arm.segments[0].start_velocity) / hbar
+                 - free_arm.segment(0).start_velocity) / hbar
     if abs(q - q_def) > 1e-12 * max(abs(q), abs(q_def), 1.0):
         raise DomainError(
             f"inconsistent beat wavenumber: {q} vs definition {q_def}")

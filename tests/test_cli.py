@@ -186,6 +186,24 @@ def test_main_invalid_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, index, key, value", [
+    ("pulse_arrays", 1, "start_s", math.nan),
+    ("environment", None, "gravity_m_per_s2", math.inf),
+    ("pulse_arrays", 0, "count", True),
+])
+def test_main_rejects_nonfinite_and_bool_values(tmp_path, capsys, section,
+                                                index, key, value):
+    # json writes these as NaN / Infinity / true, which json.load accepts
+    cfg = reduced_scale_config()
+    target = cfg[section] if index is None else cfg[section][index]
+    target[key] = value
+    path = _write_config(tmp_path, cfg)
+    code = main(["run", "--config", path, "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    where = section if index is None else f"{section}[{index}]"
+    assert f"{where}.{key}" in capsys.readouterr().err
+
+
 def test_main_unreadable_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.json")])
     assert code == EXIT_VALIDATION
