@@ -33,27 +33,41 @@ class ConfigError(ValueError):
     """A configuration document failed validation."""
 
 
-def _get(cfg: dict, key: str, kind, where: str, default=None, required=True):
+def _get(cfg: dict, key: str, kind, where: str, default=None, required=True,
+         positive=False):
     if key not in cfg:
         if not required:
             return default
         raise ConfigError(f"{where}: missing required key {key!r}")
-    value = cfg[key]
+    return _typed(cfg[key], kind, f"{where}.{key}", positive)
+
+
+def _typed(value, kind, path: str, positive=False):
+    """`value` as `kind`: ints widen to float, bools pass only as bool,
+    floats must be finite and, if `positive`, numbers > 0."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or (isinstance(value, bool)
                                        and kind is not bool):
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}, "
+        raise ConfigError(f"{path}: expected {kind.__name__}, "
                           f"got {type(value).__name__}")
     if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{where}.{key}: must be finite, got {value}")
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    if positive and not value > 0:
+        raise ConfigError(f"{path}: must be positive, got {value}")
     return value
 
 
-def _positive(value: float, where: str) -> float:
-    if not value > 0.0:
-        raise ConfigError(f"{where}: must be positive, got {value}")
-    return value
+#: Keys of the optional sections; numbers must be positive.  `grid` holds
+#: the sizing knobs of `Grid.auto`, or an explicit grid (`half_width_m`
+#: with `n_points`).
+_SECTION_KEYS = {
+    "grid": (("half_width_factor", float), ("envelope_samples", int),
+             ("fringe_samples", int), ("half_width_m", float),
+             ("n_points", int)),
+    "spectrum": (("enabled", bool), ("half_width_factor", float)),
+    "output": (("profile_window_m", float), ("wavefield_dump", bool)),
+}
 
 
 @dataclass(frozen=True)
@@ -70,7 +84,7 @@ class Scenario:
     pulse_events: tuple       # ((time_s, sign, laser_phase_rad), ...)
     encounter_auto: bool
     encounter_time: float | None
-    grid_cfg: dict
+    grid_cfg: dict            # the validated keys of each section
     spectrum_cfg: dict
     output_cfg: dict
     sweep_spec: object | None  # SweepSpec
@@ -102,11 +116,9 @@ def _parse_config(cfg: dict) -> Scenario:
                                  "condensate", default=0.2, required=False))
     else:
         params = CondensateParams(
-            mass=_positive(_get(cond, "mass_kg", float, "condensate"),
-                           "condensate.mass_kg"),
-            trap_frequency=_positive(
-                _get(cond, "trap_frequency_rad_per_s", float, "condensate"),
-                "condensate.trap_frequency_rad_per_s"),
+            mass=_get(cond, "mass_kg", float, "condensate", positive=True),
+            trap_frequency=_get(cond, "trap_frequency_rad_per_s", float,
+                                "condensate", positive=True),
             launch_velocity=_get(cond, "launch_velocity_m_per_s", float,
                                  "condensate"))
 
@@ -116,8 +128,8 @@ def _parse_config(cfg: dict) -> Scenario:
 
     tr_cfg = _get(cfg, "transition", dict, "config")
     transition = TransitionParams(
-        wavelength=_positive(_get(tr_cfg, "wavelength_m", float, "transition"),
-                             "transition.wavelength_m"))
+        wavelength=_get(tr_cfg, "wavelength_m", float, "transition",
+                        positive=True))
 
     sp = _get(cfg, "splitting_pulse", dict, "config")
     split_time = _get(sp, "time_s", float, "splitting_pulse")
@@ -153,8 +165,7 @@ def _parse_config(cfg: dict) -> Scenario:
         if count < 1:
             raise ConfigError(f"{where}.count: must be >= 1")
         start = _get(arr, "start_s", float, where)
-        interval = _positive(_get(arr, "interval_s", float, where),
-                             f"{where}.interval_s")
+        interval = _get(arr, "interval_s", float, where, positive=True)
         sign = _get(arr, "sign", int, where)
         if sign not in (1, -1):
             raise ConfigError(f"{where}.sign: must be 1 or -1")
@@ -172,18 +183,23 @@ def _parse_config(cfg: dict) -> Scenario:
 
     enc = _get(cfg, "encounter", dict, "config", default={"auto": True},
                required=False)
-    auto = bool(enc.get("auto", "time_s" not in enc))
+    auto = _get(enc, "auto", bool, "encounter", default="time_s" not in enc,
+                required=False)
     enc_time = None
     if not auto:
         enc_time = _get(enc, "time_s", float, "encounter")
         if enc_time <= times[-1]:
             raise ConfigError("encounter.time_s: must follow the last pulse")
 
-    grid_cfg = _get(cfg, "grid", dict, "config", default={}, required=False)
-    spectrum_cfg = _get(cfg, "spectrum", dict, "config",
-                        default={"enabled": False}, required=False)
-    output_cfg = _get(cfg, "output", dict, "config", default={},
-                      required=False)
+    sections = {}
+    for name, keys in _SECTION_KEYS.items():
+        given = _get(cfg, name, dict, "config", default={}, required=False)
+        sections[name] = {key: _get(given, key, kind, name,
+                                    positive=kind is not bool)
+                          for key, kind in keys if key in given}
+    n_points = sections["grid"].get("n_points", 3)
+    if n_points < 3 or n_points % 2 == 0:
+        raise ConfigError("grid.n_points: must be odd and >= 3")
 
     sweep_spec = None
     if "sweep" in cfg:
@@ -191,18 +207,20 @@ def _parse_config(cfg: dict) -> Scenario:
         rng = _get(sw, "range", list, "sweep")
         if len(rng) != 2:
             raise ConfigError("sweep.range: expected [lo, hi]")
+        lo, hi = (_typed(v, float, f"sweep.range[{i}]")
+                  for i, v in enumerate(rng))
         try:
             sweep_spec = SweepSpec(
                 variable=_get(sw, "variable", str, "sweep"),
-                lo=float(rng[0]), hi=float(rng[1]),
+                lo=lo, hi=hi,
                 n_samples=_get(sw, "n_samples", int, "sweep"))
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
 
     return Scenario(params, env, transition, split_time, split_area,
                     split_phase, split_sign, mode, real_cb, tuple(events),
-                    auto, enc_time, grid_cfg, spectrum_cfg, output_cfg,
-                    sweep_spec, cfg)
+                    auto, enc_time, sections["grid"], sections["spectrum"],
+                    sections["output"], sweep_spec, cfg)
 
 
 # -- pipeline -------------------------------------------------------------
@@ -254,21 +272,13 @@ def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
     from .wavefield import Grid
     g = sc.grid_cfg
     if "half_width_m" in g and "n_points" in g:
-        grid = Grid(center=center,
-                    half_width=_positive(float(g["half_width_m"]),
-                                         "grid.half_width_m"),
-                    n_points=int(g["n_points"]))
+        grid = Grid(center=center, half_width=g["half_width_m"],
+                    n_points=g["n_points"])
     else:
         sigma = sc.params.oscillator_length * expansion_rate(
             t_f, sc.params.trap_frequency)
-        factor = float(g.get("half_width_factor", 8.0))
-        env_samples = int(g.get("envelope_samples", 50))
-        fringe_samples = int(g.get("fringe_samples", 20))
-        spacing = sigma / env_samples
-        if q != 0.0:
-            spacing = min(spacing, 2.0 * math.pi / abs(q) / fringe_samples)
-        grid = Grid.auto(center, sigma, beat_wavenumber=None,
-                         half_width_factor=factor, max_spacing=spacing)
+        grid = Grid.auto(center, sigma, beat_wavenumber=q, **{
+            k: v for k, v in g.items() if k not in ("half_width_m", "n_points")})
     if grid_points is not None:
         grid = Grid(center=grid.center, half_width=grid.half_width,
                     n_points=grid_points)
@@ -301,7 +311,7 @@ def spectrum_state(ctx: PipelineContext):
     t_f = ctx.encounter_time
     sigma = sc.params.oscillator_length * expansion_rate(
         t_f, sc.params.trap_frequency)
-    factor = float(scfg.get("half_width_factor", 6.0))
+    factor = scfg.get("half_width_factor", 6.0)
     half_width = factor * sigma
     m_over_h = sc.params.mass / sc.env.hbar
     b = expansion_rate(t_f, sc.params.trap_frequency)
@@ -341,6 +351,14 @@ def _spectrum_block(ctx: PipelineContext) -> dict | None:
     }
 
 
+def _provenance(ctx: PipelineContext) -> dict:
+    return {"package_version": __version__, "config": ctx.scenario.raw,
+            "grid": {"center_m": ctx.grid.center,
+                     "half_width_m": ctx.grid.half_width,
+                     "n_points": ctx.grid.n_points,
+                     "spacing_m": ctx.grid.spacing}}
+
+
 def run_scenario(cfg: dict, out_dir: str | None = None,
                  grid_points: int | None = None):
     """Full run: report + optional spectrum (+ artifacts when out_dir given)."""
@@ -374,14 +392,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
             "spreading_ratio": check.spreading_ratio,
             "passed": check.passed,
         },
-        "provenance": {
-            "package_version": __version__,
-            "config": ctx.scenario.raw,
-            "grid": {"center_m": ctx.grid.center,
-                     "half_width_m": ctx.grid.half_width,
-                     "n_points": ctx.grid.n_points,
-                     "spacing_m": ctx.grid.spacing},
-        },
+        "provenance": _provenance(ctx),
     }
     if spec_block is not None:
         spectrum = spec_block.pop("_spectrum")
@@ -391,8 +402,8 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
         os.makedirs(out_dir, exist_ok=True)
         atomic_write_text(os.path.join(out_dir, "report.json"),
                           json.dumps(doc, indent=2) + "\n")
-        window = float(ctx.scenario.output_cfg.get(
-            "profile_window_m", ctx.grid.half_width))
+        window = ctx.scenario.output_cfg.get("profile_window_m",
+                                             ctx.grid.half_width)
         u = ctx.grid.offsets()
         sel = np.abs(u) <= window
         rows = np.column_stack([
@@ -437,14 +448,7 @@ def run_sweep(cfg: dict, out_dir: str | None = None,
         os.makedirs(out_dir, exist_ok=True)
         result.to_csv(os.path.join(out_dir, "sweep.csv"))
         summary = result.summary()
-        summary["provenance"] = {
-            "package_version": __version__,
-            "config": ctx.scenario.raw,
-            "grid": {"center_m": ctx.grid.center,
-                     "half_width_m": ctx.grid.half_width,
-                     "n_points": ctx.grid.n_points,
-                     "spacing_m": ctx.grid.spacing},
-        }
+        summary["provenance"] = _provenance(ctx)
         atomic_write_text(os.path.join(out_dir, "sweep.json"),
                           json.dumps(summary, indent=2) + "\n")
     return result, ctx
@@ -586,16 +590,6 @@ def _load_config(args) -> dict:
     raise ConfigError("provide --config PATH or --preset NAME")
 
 
-def _apply_threads(threads: int | None) -> None:
-    if threads is None:
-        return
-    if threads < 1:
-        raise ConfigError("--threads must be >= 1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(threads)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qbackflow",
@@ -609,8 +603,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out-dir", default=".", help="artifact directory")
         p.add_argument("--grid-points", type=int,
                        help="override the grid point count (odd)")
-        p.add_argument("--threads", type=int,
-                       help="cap data-parallel worker threads")
 
     common(sub.add_parser("run", help="run one scenario"))
     common(sub.add_parser("sweep", help="run a parameter sweep"))
@@ -637,7 +629,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return EXIT_OK if run_validation() else EXIT_PIPELINE
 
-        _apply_threads(args.threads)
         cfg = _load_config(args)
         if args.grid_points is not None and (
                 args.grid_points < 3 or args.grid_points % 2 == 0):

@@ -312,15 +312,6 @@ class ArmTrajectory:
         return a.add(l).add(i)
 
 
-def apply_momentum_kick(trajectory: ArmTrajectory, pulse_time: float,
-                        signed_k: float, mass: float | None = None,
-                        laser_phase: float = 0.0) -> ArmTrajectory:
-    """Spec-surface alias for :meth:`ArmTrajectory.kick`."""
-    if mass is not None and mass != trajectory.params.mass:
-        raise DomainError("kick mass must match the trajectory's condensate mass")
-    return trajectory.kick(pulse_time, signed_k, laser_phase)
-
-
 def solve_encounter(free_arm: ArmTrajectory, pulsed_arm: ArmTrajectory,
                     after_time: float, *, position_tol: float = 0.0) -> float:
     """Earliest time >= after_time at which the arm COMs coincide.

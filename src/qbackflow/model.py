@@ -110,13 +110,6 @@ class TransitionParams:
         raise DomainError(f"internal_state must be +1 or -1, got {internal_state}")
 
 
-@dataclass(frozen=True)
-class ReferenceConstants:
-    """Documentation-only reference values."""
-
-    bracken_melloy_bound: float = BRACKEN_MELLOY_BOUND
-
-
 def sr88_params(launch_velocity: float = 0.2,
                 trap_frequency: float = 2.0 * math.pi * 70.0) -> CondensateParams:
     """The 88Sr condensate used throughout: 88 u, 2 pi x 70 rad/s trap, 0.2 m/s launch."""

@@ -1,24 +1,48 @@
 """Flux, critical density, backflow rate and momentum-space diagnostics.
 
-All profile functions evaluate the factored encounter form: with the
-free arm written as R e^{i theta} and the beat wavenumber q, the
-combined density and flux are
+The weight-linear kernel
+------------------------
+With the free arm written as R e^{i theta}, the beat wavenumber q and
+the beat phase phi = q u + (theta_b - theta_f), u = x - x_c, the
+combined state c_f Psi_f + c_b Psi_b has
 
-    |Psi|^2      = R^2 |c_f + c_b e^{i(qu + dtheta)}|^2
+    |Psi|^2      = R^2 |c_f + c_b e^{i phi}|^2
     (m/hbar) J   = grad(theta) |Psi|^2 + q R^2 |c_b|^2
-                   + q R^2 Re[ c_f* c_b e^{i(qu + dtheta)} ]
+                   + q R^2 Re[ w e^{i phi} ],        w = c_f* c_b.
 
-with u = x - x_c and dtheta = theta_b - theta_f.  The critical density
+Since |c_f + c_b e^{i phi}|^2 = n + 2 Re[w e^{i phi}] with
+n = |c_f|^2 + |c_b|^2 (1 for normalized weights, but kept explicit),
+both are linear in a few weight-independent profiles:
+
+    (m/hbar) J = n grad(theta) R^2 + |c_b|^2 q R^2
+                 + Re(w) (2 grad(theta) + q) R^2 cos(phi)
+                 - Im(w) (2 grad(theta) + q) R^2 sin(phi)
+    |Psi|^2    = n R^2 + 2 Re(w) R^2 cos(phi) - 2 Im(w) R^2 sin(phi)
+
+The critical density (Palmero et al., PRA 87, 053618 (2013))
 
     rho_crit = q / (q + 2 grad(theta)) * R^2 * (|c_f|^2 - |c_b|^2)
 
 is the threshold below which a measured density dip signals backflow;
-it is negative (backflow impossible) when the free arm is the weaker one.
+it is negative (backflow impossible) when the free arm is the weaker
+one.  Its maximum over the envelope support is the contrast
+|c_f|^2 - |c_b|^2 times the maximum (contrast >= 0) or the minimum
+(contrast < 0) of the base profile q / (q + 2 grad(theta)) R^2.
+
+:class:`WeightKernel` stores these eight profiles as the rows of one
+basis B (flux rows times hbar/m).  A batch of weights is a coefficient
+matrix C with one row per weight pair,
+
+    (n, |c_b|^2, Re w, -Im w | n, 2 Re w, -2 Im w | |c_f|^2 - |c_b|^2),
+
+and a block of profiles of the whole batch is C @ B over that block's
+columns and rows.  :func:`report` is the one-row case.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +59,12 @@ SUPPORT_DENSITY_FRACTION = 1e-6
 #: Window half-width, in fringe wavelengths, for the reported density
 #: minimum near the encounter center.
 DENSITY_MIN_WINDOW_FRINGES = 2.0
+
+#: Column blocks of the coefficient matrix, and row blocks of the kernel
+#: basis: flux (1/s), density (1/m) and critical density (1/m).
+FLUX = slice(0, 4)
+DENSITY = slice(4, 7)
+RHO_CRIT = slice(7, 8)
 
 
 @dataclass(frozen=True)
@@ -101,49 +131,141 @@ class ClassicalBackflowCheck:
             and self.spreading_ratio <= self.spreading_threshold)
 
 
-def _beat(state: EncounterState, weights: ArmAmplitudes) -> np.ndarray:
-    u = state.grid.offsets()
-    return weights.c_f + weights.c_b * np.exp(
-        1j * (state.q * u + state.delta_theta))
+def weight_coefficients(weights: Sequence[ArmAmplitudes]) -> np.ndarray:
+    """Coefficient matrix of a batch of weights, one row per pair."""
+    c_f, c_b = np.array([(w.c_f, w.c_b) for w in weights], dtype=complex).T
+    w = np.conj(c_f) * c_b
+    f2 = np.abs(c_f) ** 2
+    b2 = np.abs(c_b) ** 2
+    n = f2 + b2
+    return np.array([n, b2, w.real, -w.imag,
+                     n, 2.0 * w.real, -2.0 * w.imag, f2 - b2]).T
+
+
+@dataclass(frozen=True)
+class WeightKernel:
+    """Weight-independent basis of one encounter (see module docstring)."""
+
+    basis: np.ndarray     # (8, n_points): FLUX, DENSITY, RHO_CRIT rows
+    rho_base_max: float   # extrema of the critical-density base over the
+    rho_base_min: float   # envelope support (NaN if the support is empty)
+    window: slice         # +-DENSITY_MIN_WINDOW_FRINGES about x_c
+    spacing: float        # m
+
+    @classmethod
+    def from_state(cls, state: EncounterState) -> "WeightKernel":
+        grid = state.grid
+        r2 = state.R_profile ** 2
+        gt = state.theta_gradient_profile
+        q = state.q
+        hbar_over_m = state.hbar / state.mass
+        basis = np.empty((8, grid.n_points))
+        basis[0] = hbar_over_m * gt * r2
+        basis[1] = hbar_over_m * q * r2
+        basis[4] = r2
+        phase = q * grid.offsets() + state.delta_theta
+        np.cos(phase, out=basis[5])
+        np.sin(phase, out=basis[6])
+        basis[5:7] *= r2
+        denom = q + 2.0 * gt
+        np.multiply(hbar_over_m * denom, basis[5:7], out=basis[2:4])
+        # Singular points (q + 2 grad(theta) = 0) are NaN; the far tails
+        # are left out of the extrema, where the prefactor can blow up.
+        singular = denom == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(q, denom, out=basis[7])
+            basis[7] *= r2
+        basis[7][singular] = np.nan
+        support = r2 >= SUPPORT_DENSITY_FRACTION * float(r2.max())
+        base = basis[7][support & ~singular]
+        extrema = ((float(base.max()), float(base.min())) if base.size
+                   else (math.nan, math.nan))
+
+        # The zoomed-in dip the critical density is compared against:
+        # the density minimum nearest x_c, within a few fringes.
+        reach = (DENSITY_MIN_WINDOW_FRINGES * 2.0 * math.pi / abs(q)
+                 if q != 0.0 else grid.half_width)
+        bins = min(grid.n_points // 2, max(1, int(reach / grid.spacing)))
+        center = grid.n_points // 2
+        return cls(basis, *extrema, slice(center - bins, center + bins + 1),
+                   grid.spacing)
+
+    def profile(self, coefficients: np.ndarray, block: slice,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """One profile per coefficient row, for one block of the basis."""
+        return np.matmul(coefficients[:, block], self.basis[block], out=out)
+
+    def metrics(self, coefficients: np.ndarray,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """(flux, density, backflow rate, rho_crit max fraction, density
+        min fraction) of every coefficient row.  `out` (3, rows, n_points)
+        receives the flux, the density and min(flux, 0); sweeps reuse one
+        such array, since a fresh one costs a page fault per 4 KiB."""
+        flux, density, negative = (None,) * 3 if out is None else out
+        flux = self.profile(coefficients, FLUX, flux)
+        density = self.profile(coefficients, DENSITY, density)
+        peak = density.max(axis=1)
+        if not (peak > 0.0).all():
+            raise DomainError("combined density vanishes everywhere")
+        contrast = coefficients[:, RHO_CRIT.start]
+        rho_max = contrast * np.where(contrast >= 0.0, self.rho_base_max,
+                                      self.rho_base_min)
+        return (flux, density, _backflow_rates(flux, self.spacing, negative),
+                rho_max / peak, self._density_min(density) / peak)
+
+    def _density_min(self, density: np.ndarray) -> np.ndarray:
+        """Interior density minimum nearest x_c in the window, per row;
+        the window minimum where the window has no interior minimum."""
+        local = density[:, self.window]
+        width = local.shape[1]
+        mid = local[:, 1:-1]
+        inner = (mid < local[:, :-2]) & (mid <= local[:, 2:])
+        distance = np.abs(np.arange(1, width - 1) - width // 2)
+        nearest = np.argmin(np.where(inner, distance, width), axis=1) + 1
+        rows = np.arange(len(local))
+        return np.where(inner.any(axis=1), local[rows, nearest],
+                        local.min(axis=1))
+
+
+def _profile(state: EncounterState, weights: ArmAmplitudes | None,
+             block: slice) -> np.ndarray:
+    weights = state.weights if weights is None else weights
+    return WeightKernel.from_state(state).profile(
+        weight_coefficients([weights]), block)[0]
 
 
 def density_profile(state: EncounterState,
                     weights: ArmAmplitudes | None = None) -> np.ndarray:
-    weights = state.weights if weights is None else weights
-    return state.R_profile ** 2 * np.abs(_beat(state, weights)) ** 2
+    return _profile(state, weights, DENSITY)
 
 
 def flux_profile(state: EncounterState,
                  weights: ArmAmplitudes | None = None) -> np.ndarray:
     """Probability flux J(x) of the combined state, in 1/s."""
-    weights = state.weights if weights is None else weights
-    r2 = state.R_profile ** 2
-    beat = _beat(state, weights)
-    psi2 = r2 * np.abs(beat) ** 2
-    cross = np.conj(weights.c_f) * weights.c_b * np.exp(
-        1j * (state.q * state.grid.offsets() + state.delta_theta))
-    j = (state.theta_gradient_profile * psi2
-         + state.q * r2 * abs(weights.c_b) ** 2
-         + state.q * r2 * cross.real)
-    return (state.hbar / state.mass) * j
+    return _profile(state, weights, FLUX)
 
 
 def critical_density_profile(state: EncounterState,
                              weights: ArmAmplitudes | None = None
                              ) -> np.ndarray:
     """rho_crit(x); NaN marks singular points where q + 2 grad(theta) = 0."""
-    weights = state.weights if weights is None else weights
-    denom = state.q + 2.0 * state.theta_gradient_profile
-    contrast = abs(weights.c_f) ** 2 - abs(weights.c_b) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(denom == 0.0, np.nan,
-                       state.q / denom * state.R_profile ** 2 * contrast)
-    return rho
+    return _profile(state, weights, RHO_CRIT)
+
+
+def _trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoid rule along the last axis: sum minus half the end points."""
+    return dx * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
+
+
+def _backflow_rates(flux: np.ndarray, dx: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    # 0.0 - x rather than -x: a profile without backflow gives +0.0
+    return 0.0 - _trapezoid(np.minimum(flux, 0.0, out=out), dx)
 
 
 def backflow_rate(flux: np.ndarray, grid: Grid) -> float:
     """Area of the flux profile below zero (trapezoidal), in m/s."""
-    return float(np.trapezoid(np.maximum(-flux, 0.0), dx=grid.spacing))
+    return float(_backflow_rates(flux, grid.spacing))
 
 
 def flux_finite_difference(field: WaveField, mass: float,
@@ -229,55 +351,24 @@ def report(state: EncounterState,
            weights: ArmAmplitudes | None = None) -> BackflowReport:
     """Populate every backflow observable for one encounter."""
     weights = state.weights if weights is None else weights
-    flux = flux_profile(state, weights)
-    density = density_profile(state, weights)
-    rho = critical_density_profile(state, weights)
-    grid = state.grid
-
-    peak = float(density.max())
-    if peak <= 0.0:
-        raise DomainError("combined density vanishes everywhere")
-
-    rate = backflow_rate(flux, grid)
-    total = float(np.trapezoid(np.abs(flux), dx=grid.spacing))
-    fraction = rate / total if total > 0.0 else 0.0
+    kernel = WeightKernel.from_state(state)
+    coefficients = weight_coefficients([weights])
+    flux, density, rate, rho_max, density_min = (
+        row[0] for row in kernel.metrics(coefficients))
+    rho = kernel.profile(coefficients, RHO_CRIT)[0]
+    rate = float(rate)
+    total = float(_trapezoid(np.abs(flux), kernel.spacing))
     neg = flux < 0.0
-    max_negative = float(flux.min()) if neg.any() else 0.0
-
-    singular = np.isnan(rho)
-    support = state.R_profile ** 2 >= (
-        SUPPORT_DENSITY_FRACTION * float((state.R_profile ** 2).max()))
-    valid = support & ~singular
-    rho_max = float(np.nanmax(rho[valid])) if valid.any() else float("nan")
-
-    # Density minimum nearest the encounter center, within a window of
-    # a few fringes (the zoomed-in dip the critical density is compared
-    # against).
-    if state.q != 0.0:
-        window = DENSITY_MIN_WINDOW_FRINGES * 2.0 * math.pi / abs(state.q)
-    else:
-        window = grid.half_width
-    half_bins = min(grid.n_points // 2, max(1, int(window / grid.spacing)))
-    center = grid.n_points // 2
-    local = density[center - half_bins:center + half_bins + 1]
-    inner = (local[1:-1] < local[:-2]) & (local[1:-1] <= local[2:])
-    minima = np.flatnonzero(inner) + 1
-    if len(minima):
-        nearest = minima[np.argmin(np.abs(minima - half_bins))]
-        density_min = float(local[nearest])
-    else:
-        density_min = float(local.min())
-
     return BackflowReport(
         flux_profile=flux,
         density_profile=density,
         critical_density_profile=rho,
         backflow_rate=rate,
-        backflow_fraction=fraction,
+        backflow_fraction=rate / total if total > 0.0 else 0.0,
         backflow_interval_count=_interval_count(neg),
-        max_negative_flux=max_negative,
-        rho_crit_max_fraction=rho_max / peak,
-        density_min_fraction=density_min / peak,
-        fringe_wavelength=_measure_fringe_wavelength(density, grid),
-        singular_point_count=int(np.count_nonzero(singular)),
+        max_negative_flux=float(flux.min()) if neg.any() else 0.0,
+        rho_crit_max_fraction=float(rho_max),
+        density_min_fraction=float(density_min),
+        fringe_wavelength=_measure_fringe_wavelength(density, state.grid),
+        singular_point_count=int(np.count_nonzero(np.isnan(rho))),
     )

@@ -1,14 +1,11 @@
 """Parameter sweeps over splitting-pulse area and real arm weights.
 
 The expensive grid work (envelope R, phase gradient grad(theta), beat
-fringes) is weight-independent, so one EncounterState is precomputed and
-every sample only recombines a handful of large arrays:
-
-    (m/hbar) J = K0 + |c_b|^2 Kq + Re(w) K2 - Im(w) K3,
-    w = c_f* c_b  (the beat phase theta_b - theta_f is folded into K2/K3)
-
-with K0 = grad(theta) R^2, Kq = q R^2, K2 = (2 grad(theta) + q) R^2 cos,
-K3 = (2 grad(theta) + q) R^2 sin.
+fringes) is weight-independent: :class:`SweepEngine` builds the
+encounter's :class:`~qbackflow.observables.WeightKernel` once, and the
+samples of a sweep become rows of one coefficient matrix, evaluated in
+chunks of at most ``CHUNK_ELEMENTS`` samples x grid points (the kernel
+is derived in the :mod:`qbackflow.observables` docstring).
 
 Phase convention for the pulse-area sweep: the splitting pulse's laser
 phase is a free experimental knob that only offsets the beat fringe, so
@@ -27,12 +24,16 @@ import numpy as np
 
 from .ioutil import atomic_write_text
 from .model import DomainError
+from .observables import WeightKernel, weight_coefficients
 from .pulses import ArmAmplitudes, real_weights
 from .wavefield import EncounterState
 
 #: Golden-section refinement stops when the bracket shrinks below this
 #: fraction of the sweep range.
 REFINE_FRACTION = 1e-4
+
+#: Largest number of samples x grid points evaluated in one kernel product.
+CHUNK_ELEMENTS = 2 ** 16
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -115,118 +116,47 @@ def canonical_pulse_area_weights(pulse_area: float) -> ArmAmplitudes:
 
 
 class SweepEngine:
-    """Weight-independent precompute plus cheap per-sample evaluation."""
+    """Weight-independent kernel plus batched per-sample evaluation."""
 
-    def __init__(self, state: EncounterState, *,
-                 center_window_fringes: float = 4.0):
+    def __init__(self, state: EncounterState):
         self.state = state
-        grid = state.grid
-        r2 = state.R_profile ** 2
-        gt = state.theta_gradient_profile
-        q = state.q
-        u = grid.offsets()
-        phase = q * u + state.delta_theta
-        cos_p = np.cos(phase)
-        sin_p = np.sin(phase)
-        big = (2.0 * gt + q) * r2
-        self._k0 = gt * r2
-        self._kq = q * r2
-        self._k2 = big * cos_p
-        self._k3 = big * sin_p
-        self._dx = grid.spacing
-        self._ht_over_m = state.hbar / state.mass
-        self._work = np.empty_like(r2)
+        self.kernel = WeightKernel.from_state(state)
+        chunk = max(1, CHUNK_ELEMENTS // state.grid.n_points)
+        self._work = np.empty((3, chunk, state.grid.n_points))
 
-        # Critical-density base profile q/(q+2 grad theta) R^2, restricted
-        # to where the envelope carries weight (tails excluded as in
-        # observables.report).
-        from .observables import SUPPORT_DENSITY_FRACTION
-        denom = q + 2.0 * gt
-        support = (denom != 0.0) & (r2 >= SUPPORT_DENSITY_FRACTION * r2.max())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            base = np.where(denom == 0.0, np.nan, q / denom * r2)
-        valid = base[support]
-        self._rho_base_max = float(valid.max()) if valid.size else float("nan")
-        self._rho_base_min = float(valid.min()) if valid.size else float("nan")
-
-        # Central window (a few fringes around x_c) for the density
-        # extrema; the envelope is flat there so the window maximum is
-        # the global density maximum to high accuracy.
-        if q != 0.0:
-            window = center_window_fringes * 2.0 * math.pi / abs(q)
-        else:
-            window = grid.half_width
-        half_bins = min(grid.n_points // 2,
-                        max(1, int(window / grid.spacing)))
-        c = grid.n_points // 2
-        sl = slice(c - half_bins, c + half_bins + 1)
-        self._r2_win = r2[sl]
-        self._p_win = (r2 * cos_p)[sl]
-        self._q_win = (r2 * sin_p)[sl]
-        # Inner window: the dip nearest x_c is searched over +-2 fringes,
-        # matching observables.report.
-        inner_bins = max(1, half_bins // 2)
-        isl = slice(half_bins - inner_bins, half_bins + inner_bins + 1)
-        self._inner = isl
-
-    # -- per-sample metrics -------------------------------------------
+    def samples(self, values, weights_of) -> tuple[SweepSample, ...]:
+        """One sample per value, at weights_of(value), evaluated in chunks."""
+        values = [float(v) for v in values]
+        chunk = self._work.shape[1]
+        out = []
+        for i in range(0, len(values), chunk):
+            part = values[i:i + chunk]
+            coefficients = weight_coefficients([weights_of(v) for v in part])
+            _, _, rate, rho_max, density_min = self.kernel.metrics(
+                coefficients, self._work[:, :len(part)])
+            out.extend(map(SweepSample, part, rate.tolist(), rho_max.tolist(),
+                           density_min.tolist()))
+        return tuple(out)
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
-        w = np.conj(weights.c_f) * weights.c_b
-        cb2 = abs(weights.c_b) ** 2
-        work = self._work
-        np.multiply(self._kq, cb2, out=work)
-        work += self._k0
-        if w.real != 0.0:
-            work += w.real * self._k2
-        if w.imag != 0.0:
-            work -= w.imag * self._k3
-        np.negative(work, out=work)
-        np.maximum(work, 0.0, out=work)
-        total = float(work.sum()) - 0.5 * float(work[0] + work[-1])
-        return self._ht_over_m * self._dx * total
-
-    def density_metrics(self, weights: ArmAmplitudes) -> tuple[float, float]:
-        """(rho_crit_max_fraction, density_min_fraction) for one sample."""
-        w = np.conj(weights.c_f) * weights.c_b
-        psi2 = self._r2_win + 2.0 * (w.real * self._p_win - w.imag * self._q_win)
-        peak = float(psi2.max())
-        contrast = abs(weights.c_f) ** 2 - abs(weights.c_b) ** 2
-        rho_max = contrast * (self._rho_base_max if contrast >= 0.0
-                              else self._rho_base_min)
-        inner = psi2[self._inner]
-        mins = np.flatnonzero((inner[1:-1] < inner[:-2])
-                              & (inner[1:-1] <= inner[2:])) + 1
-        if len(mins):
-            mid = (len(inner) - 1) // 2
-            density_min = float(inner[mins[np.argmin(np.abs(mins - mid))]])
-        else:
-            density_min = float(inner.min())
-        return rho_max / peak, density_min / peak
-
-    def sample(self, value: float, weights: ArmAmplitudes) -> SweepSample:
-        rho_frac, dmin_frac = self.density_metrics(weights)
-        return SweepSample(value, self.backflow_rate(weights),
-                           rho_frac, dmin_frac)
+        return self.samples([0.0], lambda _: weights)[0].backflow_rate
 
     # -- sweeps ---------------------------------------------------------
 
     def _run(self, spec: SweepSpec, weights_of) -> SweepResult:
-        samples = tuple(self.sample(float(v), weights_of(float(v)))
-                        for v in spec.values())
+        samples = self.samples(spec.values(), weights_of)
         rates = np.array([s.backflow_rate for s in samples])
         idx = int(np.argmax(rates))  # first occurrence -> smaller value on ties
         argmax_value = samples[idx].value
         max_rate = samples[idx].backflow_rate
+        r_val, r_rate = argmax_value, max_rate
         if max_rate > 0.0:
             lo = samples[max(idx - 1, 0)].value
             hi = samples[min(idx + 1, len(samples) - 1)].value
-            r_val, r_rate = self._golden_section(
+            val, rate = self._golden_section(
                 lo, hi, spec.hi - spec.lo, weights_of)
-            if r_rate < max_rate:
-                r_val, r_rate = argmax_value, max_rate
-        else:
-            r_val, r_rate = argmax_value, max_rate
+            if rate >= max_rate:
+                r_val, r_rate = val, rate
         return SweepResult(spec, samples, argmax_value, max_rate, r_val, r_rate)
 
     def _golden_section(self, lo: float, hi: float, full_range: float,

@@ -79,20 +79,22 @@ class Grid:
     def auto(center: float, envelope_width: float,
              beat_wavenumber: float | None = None,
              half_width_factor: float = DEFAULT_HALF_WIDTH_FACTOR,
-             max_spacing: float | None = None) -> "Grid":
+             max_spacing: float | None = None,
+             envelope_samples: int = ENVELOPE_SAMPLES,
+             fringe_samples: int = FRINGE_SAMPLES) -> "Grid":
         """Grid sized to resolve both the envelope and the beat fringes.
 
         half_width = half_width_factor * envelope_width; spacing at most
-        envelope_width / 50 and, when a beat wavenumber is given, at most
-        one twentieth of the fringe wavelength 2 pi / q.
+        envelope_width / envelope_samples and, when a beat wavenumber is
+        given, at most the fringe wavelength 2 pi / q over fringe_samples.
         """
         if envelope_width <= 0.0:
             raise DomainError("envelope_width must be positive")
         half_width = half_width_factor * envelope_width
-        target = envelope_width / ENVELOPE_SAMPLES
+        target = envelope_width / envelope_samples
         if beat_wavenumber:
             target = min(target,
-                         (2.0 * math.pi / abs(beat_wavenumber)) / FRINGE_SAMPLES)
+                         (2.0 * math.pi / abs(beat_wavenumber)) / fringe_samples)
         if max_spacing is not None:
             target = min(target, max_spacing)
         n = int(math.ceil(2.0 * half_width / target)) + 1

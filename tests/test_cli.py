@@ -158,7 +158,7 @@ def _write_config(tmp_path, cfg):
 def test_main_run_ok(tmp_path, capsys):
     path = _write_config(tmp_path, reduced_scale_config())
     code = main(["run", "--config", path, "--out-dir",
-                 str(tmp_path / "out"), "--threads", "1"])
+                 str(tmp_path / "out")])
     assert code == EXIT_OK
     captured = capsys.readouterr()
     assert "backflow rate" in captured.out
@@ -202,6 +202,34 @@ def test_main_rejects_nonfinite_and_bool_values(tmp_path, capsys, section,
     assert code == EXIT_VALIDATION
     where = section if index is None else f"{section}[{index}]"
     assert f"{where}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("grid.half_width_factor", math.nan),
+    ("grid.envelope_samples", 0),
+    ("spectrum.half_width_factor", math.inf),
+    ("grid.n_points", 2.5),
+    ("output.profile_window_m", None),
+    ("sweep.range[0]", None),
+    ("grid.fringe_samples", True),
+    ("grid.fringe_samples", "20"),
+    ("sweep.range[0]", True),
+    ("encounter.auto", "no"),
+])
+def test_main_rejects_bad_optional_keys(tmp_path, capsys, path, value):
+    cfg = reduced_scale_config()
+    cfg["sweep"] = {"variable": "real_cb", "range": [0.0, 1.0],
+                    "n_samples": 5}
+    cfg["encounter"]["time_s"] = 1e-3
+    section, key = path.split(".")
+    if key.startswith("range["):
+        cfg[section]["range"][int(key[6])] = value
+    else:
+        cfg[section][key] = value
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert path in capsys.readouterr().err
 
 
 def test_main_unreadable_config_exits_2(tmp_path, capsys):

@@ -13,7 +13,6 @@ from qbackflow.kinematics import (
     OrderingError,
     action_phase,
     action_phase_dd,
-    apply_momentum_kick,
     free_fall_step,
     internal_phase,
     internal_phase_dd,
@@ -161,16 +160,6 @@ def test_phases_at_incremental_consistency():
     expected_laser = GROUND * phi + k * x_c - 0.5 * math.pi
     assert kicked.laser_phase_total.value() == pytest.approx(
         expected_laser, rel=1e-12)
-
-
-def test_apply_momentum_kick_alias():
-    params, _, tr, _, pulsed = _arms()
-    k = tr.wavevector_magnitude
-    a = apply_momentum_kick(pulsed, 1e-3, k, mass=params.mass)
-    b = pulsed.kick(1e-3, k)
-    assert a.velocity(2e-3) == b.velocity(2e-3)
-    with pytest.raises(DomainError):
-        apply_momentum_kick(pulsed, 1e-3, k, mass=2.0 * params.mass)
 
 
 def test_solve_encounter_exact_linear_root():

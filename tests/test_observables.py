@@ -163,3 +163,13 @@ def test_report_density_min_is_local_minimum(reduced_ctx):
     minima = d[1:-1][is_min]
     assert minima.size > 0
     assert float(np.min(np.abs(minima - target))) <= 1e-12 * peak
+
+
+def test_report_density_min_is_nearest_central_minimum(reduced_ctx):
+    # The reported dip is the interior density minimum nearest x_c (ties
+    # to the left), as a fraction of the global density peak.
+    rep = report(reduced_ctx.state)
+    d = rep.density_profile
+    minima = np.flatnonzero((d[1:-1] < d[:-2]) & (d[1:-1] <= d[2:])) + 1
+    nearest = minima[np.argmin(np.abs(minima - len(d) // 2))]
+    assert rep.density_min_fraction == d[nearest] / d.max()

@@ -1,12 +1,14 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbackflow.model import DomainError
 from qbackflow.observables import backflow_rate, flux_profile, report
-from qbackflow.pulses import real_weights
+from qbackflow.pulses import ArmAmplitudes, real_weights
 from qbackflow.sweep import (
     SweepEngine,
     SweepSpec,
@@ -56,14 +58,27 @@ def test_engine_matches_direct_evaluation(reduced_ctx):
             direct, rel=1e-12, abs=1e-300)
 
 
-def test_engine_density_metrics_match_report(reduced_ctx):
-    state = reduced_ctx.state
-    engine = SweepEngine(state)
-    w = state.weights
-    rho_frac, dmin_frac = engine.density_metrics(w)
-    rep = report(state, w)
-    assert rho_frac == pytest.approx(rep.rho_crit_max_fraction, rel=1e-9)
-    assert dmin_frac == pytest.approx(rep.density_min_fraction, rel=1e-9)
+_phase = st.floats(0.0, 2.0 * math.pi)
+_weights = st.builds(
+    lambda cb, a, b: ArmAmplitudes(
+        cb * cmath.exp(1j * a),
+        math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b)),
+    st.floats(0.0, 1.0), _phase, _phase)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_weights, min_size=1, max_size=11))
+def test_engine_samples_match_report(sweep_engine, batch):
+    # The batched kernel rows agree with the one-row report() for any
+    # normalized complex weights; batches of up to 11 cross the chunk
+    # boundaries of the fig8 grid (4 samples per chunk).
+    samples = sweep_engine.samples(range(len(batch)), lambda i: batch[int(i)])
+    for sample, w in zip(samples, batch):
+        rep = report(sweep_engine.state, w)
+        for name in ("backflow_rate", "rho_crit_max_fraction",
+                     "density_min_fraction"):
+            assert getattr(sample, name) == pytest.approx(
+                getattr(rep, name), rel=1e-12, abs=1e-15), name
 
 
 def test_sweep_result_shape_and_refinement(reduced_ctx):
