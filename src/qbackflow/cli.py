@@ -75,15 +75,10 @@ class Scenario:
     params: object            # CondensateParams
     env: object               # Environment
     transition: object        # TransitionParams
-    split_time: float
-    split_area: float
-    split_phase: float
-    split_sign: int
-    weights_mode: str         # "splitting_pulse" | "real_cb"
-    real_cb: float | None
-    pulse_events: tuple       # ((time_s, sign, laser_phase_rad), ...)
-    encounter_auto: bool
-    encounter_time: float | None
+    pulses: object            # (n, 3) float array of (time_s, sign,
+                              # laser_phase_rad), splitting pulse first
+    weights: object           # ArmAmplitudes
+    encounter_time: float | None  # None: the first meeting after the pulses
     grid_cfg: dict            # the validated keys of each section
     spectrum_cfg: dict
     output_cfg: dict
@@ -101,7 +96,9 @@ def parse_config(cfg: dict) -> Scenario:
 
 
 def _parse_config(cfg: dict) -> Scenario:
+    import numpy as np
     from .model import CondensateParams, Environment, TransitionParams, sr88_params
+    from .pulses import PulseSpec, real_weights, splitting_weights
     from .sweep import SweepSpec
 
     if not isinstance(cfg, dict):
@@ -146,15 +143,21 @@ def _parse_config(cfg: dict) -> Scenario:
     w_cfg = _get(cfg, "weights", dict, "config",
                  default={"mode": "splitting_pulse"}, required=False)
     mode = _get(w_cfg, "mode", str, "weights")
-    real_cb = None
     if mode == "real_cb":
         real_cb = _get(w_cfg, "cb", float, "weights")
         if not 0.0 <= real_cb <= 1.0:
             raise ConfigError("weights.cb: must lie in [0, 1]")
-    elif mode != "splitting_pulse":
+        weights = real_weights(real_cb)
+    elif mode == "splitting_pulse":
+        weights = splitting_weights(PulseSpec(split_time, split_area,
+                                              split_phase, split_sign))
+    else:
         raise ConfigError(f"weights.mode: unknown {mode!r}")
 
-    events = []
+    # Pulse j of an array lands at start + j * interval; the splitting
+    # pulse is a one-pulse array.
+    heads = [(split_time, split_sign, split_phase, 0.0)]
+    counts = [1]
     arrays = _get(cfg, "pulse_arrays", list, "config", default=[],
                   required=False)
     for i, arr in enumerate(arrays):
@@ -169,13 +172,14 @@ def _parse_config(cfg: dict) -> Scenario:
         sign = _get(arr, "sign", int, where)
         if sign not in (1, -1):
             raise ConfigError(f"{where}.sign: must be 1 or -1")
-        phase = _get(arr, "laser_phase_rad", float, where, default=0.0,
-                     required=False)
-        events.extend((start + j * interval, sign, phase)
-                      for j in range(count))
-
-    times = [split_time] + [t for t, _, _ in events]
-    if any(b <= a for a, b in zip(times, times[1:])):
+        heads.append((start, sign, _get(arr, "laser_phase_rad", float, where,
+                                        default=0.0, required=False), interval))
+        counts.append(count)
+    rows = np.repeat(np.array(heads), counts, axis=0)
+    j = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pulses = rows[:, :3]
+    pulses[:, 0] += j * rows[:, 3]
+    if not np.all(np.diff(pulses[:, 0]) > 0.0):
         raise ConfigError("pulse times must be strictly increasing "
                           "(splitting pulse first)")
     if split_time < 0.0:
@@ -183,12 +187,11 @@ def _parse_config(cfg: dict) -> Scenario:
 
     enc = _get(cfg, "encounter", dict, "config", default={"auto": True},
                required=False)
-    auto = _get(enc, "auto", bool, "encounter", default="time_s" not in enc,
-                required=False)
     enc_time = None
-    if not auto:
+    if not _get(enc, "auto", bool, "encounter", default="time_s" not in enc,
+                required=False):
         enc_time = _get(enc, "time_s", float, "encounter")
-        if enc_time <= times[-1]:
+        if enc_time <= pulses[-1, 0]:
             raise ConfigError("encounter.time_s: must follow the last pulse")
 
     sections = {}
@@ -217,10 +220,9 @@ def _parse_config(cfg: dict) -> Scenario:
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
 
-    return Scenario(params, env, transition, split_time, split_area,
-                    split_phase, split_sign, mode, real_cb, tuple(events),
-                    auto, enc_time, sections["grid"], sections["spectrum"],
-                    sections["output"], sweep_spec, cfg)
+    return Scenario(params, env, transition, pulses, weights, enc_time,
+                    sections["grid"], sections["spectrum"], sections["output"],
+                    sweep_spec, cfg)
 
 
 # -- pipeline -------------------------------------------------------------
@@ -237,51 +239,41 @@ class PipelineContext:
 
 
 def build_trajectories(sc: Scenario):
-    from itertools import chain
-
-    import numpy as np
     from .kinematics import ArmTrajectory
     free = ArmTrajectory.launch(sc.params, sc.env, sc.transition)
-    pulses = np.fromiter(chain((sc.split_time, sc.split_sign, sc.split_phase),
-                               *sc.pulse_events), float).reshape(-1, 3)
-    k = sc.transition.wavevector_magnitude
-    pulsed = ArmTrajectory.launch(sc.params, sc.env, sc.transition).kicks(
-        pulses[:, 0], pulses[:, 1] * k, pulses[:, 2])
+    times, signs, phases = sc.pulses.T
+    pulsed = free.kicks(times, signs * sc.transition.wavevector_magnitude,
+                        phases)
     return free, pulsed
 
 
 def resolve_encounter(sc: Scenario, free, pulsed) -> float:
-    if not sc.encounter_auto:
+    if sc.encounter_time is not None:
         return sc.encounter_time
     from .kinematics import solve_encounter
     return solve_encounter(free, pulsed, pulsed.end_time)
 
 
-def make_weights(sc: Scenario):
-    from .pulses import PulseSpec, real_weights, splitting_weights
-    if sc.weights_mode == "real_cb":
-        return real_weights(sc.real_cb)
-    return splitting_weights(PulseSpec(
-        time=sc.split_time, pulse_area=sc.split_area,
-        laser_phase=sc.split_phase, wavevector_sign=sc.split_sign))
-
-
 def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
                grid_points: int | None):
-    from .model import expansion_rate
+    from .model import DomainError, expansion_rate
     from .wavefield import Grid
     g = sc.grid_cfg
-    if "half_width_m" in g and "n_points" in g:
-        grid = Grid(center=center, half_width=g["half_width_m"],
-                    n_points=g["n_points"])
-    else:
-        sigma = sc.params.oscillator_length * expansion_rate(
-            t_f, sc.params.trap_frequency)
-        grid = Grid.auto(center, sigma, beat_wavenumber=q, **{
-            k: v for k, v in g.items() if k not in ("half_width_m", "n_points")})
-    if grid_points is not None:
-        grid = Grid(center=grid.center, half_width=grid.half_width,
-                    n_points=grid_points)
+    sigma = sc.params.oscillator_length * expansion_rate(
+        t_f, sc.params.trap_frequency)
+    try:
+        if "half_width_m" in g and "n_points" in g:
+            grid = Grid(center=center, half_width=g["half_width_m"],
+                        n_points=g["n_points"])
+        else:
+            grid = Grid.auto(center, sigma, beat_wavenumber=q, **{
+                k: v for k, v in g.items()
+                if k not in ("half_width_m", "n_points")})
+        if grid_points is not None:
+            grid = Grid(center=grid.center, half_width=grid.half_width,
+                        n_points=grid_points)
+    except DomainError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     return grid
 
 
@@ -291,18 +283,17 @@ def build_state(cfg: dict, grid_points: int | None = None) -> PipelineContext:
     sc = parse_config(cfg)
     free, pulsed = build_trajectories(sc)
     t_f = resolve_encounter(sc, free, pulsed)
-    weights = make_weights(sc)
     center = free.position(t_f)
     q = sc.params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / sc.env.hbar
     grid = _auto_grid(sc, center, t_f, q, grid_points)
-    state = encounter_state(grid, free, pulsed, t_f, weights, sc.params,
+    state = encounter_state(grid, free, pulsed, t_f, sc.weights, sc.params,
                             sc.env, sc.transition)
-    return PipelineContext(sc, free, pulsed, t_f, weights, grid, state)
+    return PipelineContext(sc, free, pulsed, t_f, sc.weights, grid, state)
 
 
 def spectrum_state(ctx: PipelineContext):
     """Encounter state on a wider, spectrum-safe grid (or None)."""
-    from .model import expansion_rate, expansion_rate_derivative
+    from .model import DomainError, expansion_rate, expansion_rate_derivative
     from .wavefield import Grid, encounter_state
     scfg = ctx.scenario.spectrum_cfg
     if not scfg.get("enabled", False):
@@ -320,8 +311,11 @@ def spectrum_state(ctx: PipelineContext):
                              abs(ctx.pulsed_arm.velocity(t_f)))
               + 8.0 / sigma + m_over_h * (bdot / b) * half_width)
     spacing = math.pi / (1.5 * k_need)
-    grid = Grid.auto(ctx.grid.center, sigma, half_width_factor=factor,
-                     max_spacing=spacing)
+    try:
+        grid = Grid.auto(ctx.grid.center, sigma, half_width_factor=factor,
+                         max_spacing=spacing)
+    except DomainError as exc:
+        raise ConfigError(f"spectrum: {exc}") from exc
     return encounter_state(grid, ctx.free_arm, ctx.pulsed_arm, t_f,
                            ctx.weights, sc.params, sc.env, sc.transition)
 
@@ -485,21 +479,18 @@ def oracle_arm_field(ctx: PipelineContext, trajectory, grid,
     from .wavefield import WaveField
     sc = ctx.scenario
     t_f = ctx.encounter_time
-    k = sc.transition.wavevector_magnitude
     # Pulses act as -i e^{i mu phi_L} e^{i s k x}; mu is the internal
     # state before the pulse, which toggles from ground at launch.
-    kicks = []
+    kicks = ()
     if trajectory.kick_count:
-        pulses = [(sc.split_time, sc.split_sign, sc.split_phase)]
-        pulses += list(sc.pulse_events)
-        mu = +1
-        for time, sign, phase in pulses:
-            kicks.append(KickEvent(time, sign * k, mu * phase))
-            mu = -mu
+        times, signs, phases = sc.pulses.T
+        kicks = tuple(map(
+            KickEvent, times.tolist(),
+            (signs * sc.transition.wavevector_magnitude).tolist(),
+            (np.resize([1, -1], len(times)) * phases).tolist()))
     config = PropagatorConfig(
         time_step=time_step, grid=grid, mass=sc.params.mass,
-        potential="linear_gravity", gravity=sc.env.gravity,
-        kick_events=tuple(kicks), hbar=sc.env.hbar,
+        gravity=sc.env.gravity, kick_events=kicks, hbar=sc.env.hbar,
         trap_frequency=sc.params.trap_frequency)
     initial = gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,
@@ -520,7 +511,7 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
 
     Returns per-field (max relative amplitude error, phase spread) pairs.
     """
-    from .oracle import compare_fields
+    from .oracle import SNAP_TOLERANCE, compare_fields
     from .wavefield import (WaveField, combine, free_arm_wavefunction,
                             pulsed_arm_wavefunction)
 
@@ -528,7 +519,7 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
     sc = ctx.scenario
     t_f = ctx.encounter_time
     n = round(t_f / time_step)
-    if abs(n * time_step - t_f) > 1e-12:
+    if abs(n * time_step - t_f) > SNAP_TOLERANCE:
         raise ConfigError("encounter time is not a multiple of time_step; "
                           "pick a scenario with commensurate pulse timing")
     grid = oracle_grid_for(ctx, oracle_points)
@@ -555,7 +546,7 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
     }
 
 
-def run_validation(verbose: bool = True) -> bool:
+def run_validation() -> bool:
     from .presets import reduced_scale_config
     results = oracle_cross_check(reduced_scale_config())
     ok = True
@@ -563,10 +554,9 @@ def run_validation(verbose: bool = True) -> bool:
         amp, phase = results[name]
         passed = amp <= 1e-5 and phase <= 1e-5
         ok = ok and passed
-        if verbose:
-            print(f"{name}: max amplitude error {amp:.3e}, "
-                  f"phase spread {phase:.3e} rad "
-                  f"[{'ok' if passed else 'FAIL'}]")
+        print(f"{name}: max amplitude error {amp:.3e}, "
+              f"phase spread {phase:.3e} rad "
+              f"[{'ok' if passed else 'FAIL'}]")
     return ok
 
 

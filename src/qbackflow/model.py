@@ -31,21 +31,35 @@ def derive_oscillator_length(mass: float, trap_frequency: float) -> float:
         raise DomainError(f"mass must be positive, got {mass}")
     if trap_frequency <= 0.0:
         raise DomainError(f"trap_frequency must be positive, got {trap_frequency}")
-    return math.sqrt(HBAR / (mass * trap_frequency))
+    product = mass * trap_frequency
+    length = math.sqrt(HBAR / product) if product > 0.0 else math.inf
+    if not 0.0 < length < math.inf:
+        raise DomainError(f"oscillator length sqrt(hbar / (m omega)) is {length} "
+                          f"for m = {mass} kg, omega = {trap_frequency} rad/s")
+    return length
 
 
 def expansion_rate(t: float, trap_frequency: float) -> float:
     """Width growth factor b(t) = sqrt(1 + omega^2 t^2) after trap release."""
     if t < 0.0:
         raise DomainError("time must be nonnegative (sequences only move forward)")
-    return math.sqrt(1.0 + (trap_frequency * t) ** 2)
+    try:
+        return math.sqrt(1.0 + (trap_frequency * t) ** 2)
+    except OverflowError:
+        raise DomainError(f"expansion rate b(t) overflows at omega = "
+                          f"{trap_frequency} rad/s, t = {t} s") from None
 
 
 def expansion_rate_derivative(t: float, trap_frequency: float) -> float:
     """db/dt = omega^2 t / b(t)."""
     if t < 0.0:
         raise DomainError("time must be nonnegative")
-    return trap_frequency ** 2 * t / math.sqrt(1.0 + (trap_frequency * t) ** 2)
+    try:
+        return (trap_frequency ** 2 * t
+                / math.sqrt(1.0 + (trap_frequency * t) ** 2))
+    except OverflowError:
+        raise DomainError(f"expansion rate db/dt overflows at omega = "
+                          f"{trap_frequency} rad/s, t = {t} s") from None
 
 
 @dataclass(frozen=True)

@@ -227,31 +227,6 @@ class WeightKernel:
                         local.min(axis=1))
 
 
-def _profile(state: EncounterState, weights: ArmAmplitudes | None,
-             block: slice) -> np.ndarray:
-    weights = state.weights if weights is None else weights
-    return WeightKernel.from_state(state).profile(
-        weight_coefficients([weights]), block)[0]
-
-
-def density_profile(state: EncounterState,
-                    weights: ArmAmplitudes | None = None) -> np.ndarray:
-    return _profile(state, weights, DENSITY)
-
-
-def flux_profile(state: EncounterState,
-                 weights: ArmAmplitudes | None = None) -> np.ndarray:
-    """Probability flux J(x) of the combined state, in 1/s."""
-    return _profile(state, weights, FLUX)
-
-
-def critical_density_profile(state: EncounterState,
-                             weights: ArmAmplitudes | None = None
-                             ) -> np.ndarray:
-    """rho_crit(x); NaN marks singular points where q + 2 grad(theta) = 0."""
-    return _profile(state, weights, RHO_CRIT)
-
-
 def _trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     """Trapezoid rule along the last axis: sum minus half the end points."""
     return dx * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))

@@ -11,7 +11,7 @@ numerical solution of the time-dependent Schrödinger equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,10 @@ EDGE_DENSITY_LIMIT = 1e-12
 #: Spectral weight within the outer 2% of wavenumbers above this
 #: fraction aborts a propagation (momentum reached the Nyquist edge).
 ALIAS_WEIGHT_LIMIT = 1e-9
+
+#: Largest distance, in seconds, of a kick or final time from a time-step
+#: multiple.
+SNAP_TOLERANCE = 1e-12
 
 
 class PropagationError(RuntimeError):
@@ -45,19 +49,14 @@ class PropagatorConfig:
     time_step: float
     grid: Grid
     mass: float
-    potential: str = "linear_gravity"   # "none" | "linear_gravity"
-    gravity: float = 9.81
+    gravity: float = 9.81               # 0.0 for a free particle
     kick_events: tuple[KickEvent, ...] = ()
     hbar: float = HBAR
     trap_frequency: float | None = None  # enables the 1/(50 omega) step check
-    snap_tolerance: float = 1e-12
-    max_snap_distance: float = field(init=False)
 
     def __post_init__(self):
         if self.time_step <= 0.0:
             raise DomainError("time_step must be positive")
-        if self.potential not in ("none", "linear_gravity"):
-            raise DomainError(f"unknown potential {self.potential!r}")
         if self.trap_frequency is not None:
             limit = 1.0 / (50.0 * self.trap_frequency)
             if self.time_step > limit:
@@ -69,29 +68,28 @@ class PropagatorConfig:
             raise DomainError(
                 f"kinetic phase per step at Nyquist is {phase:.3f} rad "
                 ">= pi/4; shrink time_step or coarsen the grid")
-        snapped = []
-        worst = 0.0
-        for ev in sorted(self.kick_events, key=lambda e: e.time):
-            n = round(ev.time / self.time_step)
-            dist = abs(ev.time - n * self.time_step)
-            if dist > self.snap_tolerance:
+        for ev in self.kick_events:
+            dist = abs(ev.time - round(ev.time / self.time_step)
+                       * self.time_step)
+            if dist > SNAP_TOLERANCE:
                 raise DomainError(
                     f"kick at t={ev.time} is {dist:.3e} s from a time-step "
                     "multiple; align pulse times with time_step")
-            worst = max(worst, dist)
-            snapped.append(KickEvent(n * self.time_step, ev.signed_k, ev.phase))
-        object.__setattr__(self, "kick_events", tuple(snapped))
-        object.__setattr__(self, "max_snap_distance", worst)
+
+
+def _pulse_factor(grid: Grid, signed_k: float, phase: float) -> np.ndarray:
+    """-i e^{i phase} e^{i signed_k x} on the grid, below Nyquist."""
+    k_nyquist = math.pi / grid.spacing
+    if abs(signed_k) >= k_nyquist:
+        raise DomainError(
+            f"kick wavenumber {signed_k:.3e} reaches Nyquist {k_nyquist:.3e}")
+    return -1j * np.exp(1j * (phase + signed_k * grid.positions()))
 
 
 def kick(fld: WaveField, signed_k: float, phase: float = 0.0) -> WaveField:
     """Apply -i e^{i phase} e^{i signed_k x}; norm is unchanged."""
-    k_nyquist = math.pi / fld.grid.spacing
-    if abs(signed_k) >= k_nyquist:
-        raise DomainError(
-            f"kick wavenumber {signed_k:.3e} reaches Nyquist {k_nyquist:.3e}")
-    factor = -1j * np.exp(1j * (phase + signed_k * fld.grid.positions()))
-    return WaveField(fld.grid, fld.amplitudes * factor, fld.time)
+    return WaveField(fld.grid, fld.amplitudes * _pulse_factor(
+        fld.grid, signed_k, phase), fld.time)
 
 
 def gaussian_packet(grid: Grid, width: float, velocity: float = 0.0,
@@ -142,52 +140,36 @@ def propagate(initial: WaveField, config: PropagatorConfig,
         raise DomainError("initial field and config use different grids")
     dt = config.time_step
     n_steps = round((t_final - initial.time) / dt)
-    if abs(initial.time + n_steps * dt - t_final) > config.snap_tolerance:
+    if abs(initial.time + n_steps * dt - t_final) > SNAP_TOLERANCE:
         raise DomainError(
             f"t_final - t_initial = {t_final - initial.time} is not a "
             f"multiple of time_step {dt}")
+    kicks_by_step: dict[int, list[KickEvent]] = {}
     for ev in config.kick_events:
-        if ev.time < initial.time - config.snap_tolerance or \
-           ev.time > t_final + config.snap_tolerance:
+        if ev.time < initial.time - SNAP_TOLERANCE or \
+           ev.time > t_final + SNAP_TOLERANCE:
             raise DomainError(f"kick at t={ev.time} outside [{initial.time}, {t_final}]")
+        step = round((ev.time - initial.time) / dt)
+        kicks_by_step.setdefault(step, []).append(ev)
 
     hbar = config.hbar
     m = config.mass
     x = grid.positions()
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
     kinetic_full = np.exp(-1j * hbar * k * k / (2.0 * m) * dt)
-    if config.potential == "linear_gravity":
-        v_half = np.exp(-1j * (m * config.gravity / hbar) * x * (0.5 * dt))
-    else:
-        v_half = None
-
-    kicks_by_step: dict[int, list[KickEvent]] = {}
-    for ev in config.kick_events:
-        step = round((ev.time - initial.time) / dt)
-        kicks_by_step.setdefault(step, []).append(ev)
+    v_half = np.exp(-1j * (m * config.gravity / hbar) * x * (0.5 * dt))
 
     psi = initial.amplitudes.astype(complex, copy=True)
-
-    def apply_kicks(step: int) -> None:
-        nonlocal psi
-        for ev in kicks_by_step.get(step, ()):
-            k_nyq = math.pi / grid.spacing
-            if abs(ev.signed_k) >= k_nyq:
-                raise DomainError(
-                    f"kick wavenumber {ev.signed_k:.3e} reaches Nyquist")
-            psi *= -1j * np.exp(1j * (ev.phase + ev.signed_k * x))
-
     guard_every = max(1, n_steps // 20)
-    apply_kicks(0)
-    for step in range(n_steps):
-        if v_half is not None:
+    for step in range(n_steps + 1):
+        if step:
             psi *= v_half
-        psi = np.fft.ifft(kinetic_full * np.fft.fft(psi))
-        if v_half is not None:
+            psi = np.fft.ifft(kinetic_full * np.fft.fft(psi))
             psi *= v_half
-        apply_kicks(step + 1)
-        if (step + 1) % guard_every == 0 or (step + 1) in kicks_by_step:
-            _guard(psi, grid, initial.time + (step + 1) * dt)
+        for ev in kicks_by_step.get(step, ()):
+            psi *= _pulse_factor(grid, ev.signed_k, ev.phase)
+        if step and (step % guard_every == 0 or step in kicks_by_step):
+            _guard(psi, grid, initial.time + step * dt)
     _guard(psi, grid, t_final)
     out = WaveField(grid, psi, t_final)
     if abs(out.norm() - initial.norm()) > 1e-10:
@@ -224,12 +206,9 @@ def energy_expectation(fld: WaveField, config: PropagatorConfig) -> float:
     spec = np.fft.fft(psi)
     kinetic = np.sum(config.hbar ** 2 * k * k / (2.0 * config.mass)
                      * np.abs(spec) ** 2) / np.sum(np.abs(spec) ** 2)
-    if config.potential == "linear_gravity":
-        d = np.abs(psi) ** 2
-        pot = (config.mass * config.gravity
-               * np.sum(fld.grid.positions() * d) / np.sum(d))
-    else:
-        pot = 0.0
+    d = np.abs(psi) ** 2
+    pot = (config.mass * config.gravity
+           * np.sum(fld.grid.positions() * d) / np.sum(d))
     return float(kinetic + pot)
 
 

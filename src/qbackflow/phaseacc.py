@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from itertools import chain
 
+from .model import DomainError
+
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 # 2*pi to double-double precision.
@@ -99,6 +101,8 @@ class DoubleDouble:
 
     def mod_two_pi(self) -> float:
         """Reduce to (-pi, pi]; exact up to ~1e-18 rad for |phase| < 1e15."""
+        if not math.isfinite(self.value()):
+            raise DomainError(f"phase {self.value()} rad is not finite")
         n = round(self.value() / TWO_PI_HI)
         if n == 0:
             return self.value()

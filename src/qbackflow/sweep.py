@@ -16,7 +16,6 @@ exact function of the populations, symmetric about A = pi to rounding.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -102,9 +101,6 @@ class SweepResult:
             "refined_argmax_value": self.refined_argmax_value,
             "refined_max_backflow_rate_m_per_s": self.refined_max_backflow_rate,
         }
-
-    def to_json(self, path: str) -> None:
-        atomic_write_text(path, json.dumps(self.summary(), indent=2) + "\n")
 
 
 def canonical_pulse_area_weights(pulse_area: float) -> ArmAmplitudes:

@@ -40,6 +40,10 @@ DEFAULT_HALF_WIDTH_FACTOR = 8.0
 ENVELOPE_SAMPLES = 50
 FRINGE_SAMPLES = 20
 
+#: Largest grid accepted, refused before anything is allocated: a run
+#: holds about 120 bytes of working arrays per point, so ~0.5 GB here.
+MAX_GRID_POINTS = 4_000_001
+
 _BINARY_MAGIC = b"QBWF\x00\x01\x00\x00"
 
 
@@ -63,6 +67,9 @@ class Grid:
     def __post_init__(self):
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise DomainError("n_points must be odd and >= 3")
+        if self.n_points > MAX_GRID_POINTS:
+            raise DomainError(f"{self.n_points} grid points exceed the "
+                              f"limit of {MAX_GRID_POINTS}")
         if self.half_width <= 0.0:
             raise DomainError("half_width must be positive")
         object.__setattr__(self, "spacing",
@@ -97,7 +104,11 @@ class Grid:
                          (2.0 * math.pi / abs(beat_wavenumber)) / fringe_samples)
         if max_spacing is not None:
             target = min(target, max_spacing)
-        n = int(math.ceil(2.0 * half_width / target)) + 1
+        intervals = 2.0 * half_width / target
+        if not intervals < MAX_GRID_POINTS:  # NaN too
+            raise DomainError(f"{intervals + 1:.4g} grid points exceed the "
+                              f"limit of {MAX_GRID_POINTS}")
+        n = int(math.ceil(intervals)) + 1
         if n % 2 == 0:
             n += 1
         return Grid(center=center, half_width=half_width, n_points=max(n, 3))

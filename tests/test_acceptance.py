@@ -85,7 +85,7 @@ def _random_meeting_arms(rng):
 
 
 def test_criterion_1_flux_identity_oracle():
-    from qbackflow.observables import flux_finite_difference, flux_profile
+    from qbackflow.observables import flux_finite_difference, report
 
     rng = np.random.default_rng(20240817)
     n_cases = 24
@@ -112,7 +112,7 @@ def test_criterion_1_flux_identity_oracle():
 
         state = encounter_state(grid, free, pulsed, t_f, weights,
                                 params, env, tr)
-        analytic = flux_profile(state)
+        analytic = report(state).flux_profile
         fd = flux_finite_difference(combined_from_state(state),
                                     state.mass, state.hbar)
         scale = float(np.max(np.abs(analytic)))
@@ -176,7 +176,7 @@ def test_criterion_2_full_reference_oracle_nightly():
 
     # largest time step aligning every pulse time within the 1e-12 s
     # snap tolerance (the calibrated array start defeats any coarse one)
-    times = [sc.split_time] + [t for t, _, _ in sc.pulse_events]
+    times = sc.pulses[:, 0].tolist()
     dt = dt_nyquist
     while any(abs(t - round(t / dt) * dt) > 1e-12 for t in times):
         dt /= 2.0
@@ -205,7 +205,6 @@ def test_criterion_2_full_reference_oracle_nightly():
              f"worst deviation {worst:.3e}")
 
 
-@pytest.mark.nightly
 def test_criterion_2_midscale_reference_oracle_nightly():
     """Feasible stand-in for the full sequence: same atom, line, gravity
     and pulse pattern shape, shortened to commensurate timing."""
@@ -234,7 +233,7 @@ def test_criterion_2_midscale_reference_oracle_nightly():
     worst_phase = max(results[n][1] for n in ("free_arm", "pulsed_arm",
                                               "combined"))
     ok = worst_amp <= 1e-5 and worst_phase <= 1e-5
-    _verdict(2, "midscale reference propagation (nightly)", ok,
+    _verdict(2, "midscale reference propagation", ok,
              f"max amplitude error {worst_amp:.3e}, phase spread "
              f"{worst_phase:.3e} rad (limits 1e-5)")
 
@@ -404,8 +403,7 @@ def test_criterion_6_momentum_spectra_of_presets():
 def test_criterion_7_property_suite(ref_ctx_06):
     from qbackflow.kinematics import action_phase_dd, free_fall_step
     from qbackflow.model import HBAR, sr88_params
-    from qbackflow.observables import (backflow_rate, critical_density_profile,
-                                       flux_profile)
+    from qbackflow.observables import report
     from qbackflow.oracle import PropagatorConfig, gaussian_packet, propagate
     from qbackflow.pulses import real_weights, transition_matrix
     from qbackflow.wavefield import free_arm_wavefunction
@@ -478,13 +476,15 @@ def test_criterion_7_property_suite(ref_ctx_06):
     # rho_crit sign rule: sign follows |c_f|^2 - |c_b|^2
     state = ref_ctx_06.state
     checks["rho_crit sign rule"] = bool(
-        np.all(critical_density_profile(state, real_weights(0.3)) >= 0.0)
-        and np.all(critical_density_profile(state, real_weights(0.9)) <= 0.0))
+        np.all(report(state, real_weights(0.3)).critical_density_profile
+               >= 0.0)
+        and np.all(report(state, real_weights(0.9)).critical_density_profile
+                   <= 0.0))
 
     # backflow requires interference: rate is exactly zero for
     # single-arm weights
     checks["backflow needs interference"] = all(
-        backflow_rate(flux_profile(state, w), state.grid) == 0.0
+        report(state, w).backflow_rate == 0.0
         for w in (real_weights(0.0), real_weights(1.0)))
 
     ok = all(checks.values())

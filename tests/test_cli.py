@@ -22,9 +22,12 @@ from qbackflow.presets import PRESETS, preset_config, reduced_scale_config
 
 def test_parse_config_roundtrip():
     sc = parse_config(reduced_scale_config())
-    assert sc.weights_mode == "splitting_pulse"
-    assert len(sc.pulse_events) == 8
-    assert sc.encounter_auto
+    assert sc.weights.c_b == math.cos(0.3 * math.pi)
+    assert sc.pulses.tolist() == [
+        [0.0, 1.0, 0.0], [2e-4, -1.0, 0.0], [2e-4 + 5e-5, -1.0, 0.0],
+        [2e-4 + 2 * 5e-5, -1.0, 0.0]] + [
+        [5e-4 + j * 5e-5, 1.0, 0.0] for j in range(5)]
+    assert sc.encounter_time is None
     assert sc.raw == reduced_scale_config()
 
 
@@ -252,6 +255,22 @@ def test_main_bad_grid_points_exits_2(tmp_path):
     path = _write_config(tmp_path, reduced_scale_config())
     assert main(["run", "--config", path, "--grid-points", "100"]) == \
         EXIT_VALIDATION
+
+
+def test_main_refuses_oversized_grids(tmp_path, capsys):
+    # A 2.5 kg atom passes validation but its spectrum grid would need
+    # 2.1e14 points; the count is refused before anything is allocated.
+    cfg = reduced_scale_config()
+    cfg["condensate"]["mass_kg"] = 2.5
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert "spectrum: 2.063e+14 grid points exceed" in capsys.readouterr().err
+    code = main(["run", "--config", _write_config(tmp_path,
+                                                  reduced_scale_config()),
+                 "--out-dir", str(tmp_path / "o"), "--grid-points", "99999999"])
+    assert code == EXIT_VALIDATION
+    assert "grid: 99999999 grid points exceed" in capsys.readouterr().err
 
 
 def test_main_presets_listing(capsys):

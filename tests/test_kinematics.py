@@ -369,8 +369,7 @@ def test_long_shuttle_sequence_matches_scalar_ledger():
     assert dv == pytest.approx(REFERENCE_RECOIL_COUNT * v_r, rel=1e-9)
 
     k = sc.transition.wavevector_magnitude
-    seq = [(sc.split_time, sc.split_sign * k, sc.split_phase)]
-    seq += [(t, s * k, phi) for t, s, phi in sc.pulse_events]
+    seq = [(t, s * k, phi) for t, s, phi in sc.pulses.tolist()]
     args = (sc.params, sc.env, sc.transition)
     ref_pulsed = _scalar_total_phase_at(_scalar_ledger(*args, seq), *args, t_f)
     ref_free = _scalar_total_phase_at(_scalar_ledger(*args, []), *args, t_f)

@@ -38,6 +38,11 @@ def test_oscillator_length_domain():
         derive_oscillator_length(0.0, 1.0)
     with pytest.raises(DomainError):
         derive_oscillator_length(1.0, -2.0)
+    # m omega underflows to 0, or overflows so that the length is 0
+    with pytest.raises(DomainError, match="oscillator length"):
+        derive_oscillator_length(1.46e-25, 1e-300)
+    with pytest.raises(DomainError, match="oscillator length"):
+        derive_oscillator_length(1e300, 1e300)
 
 
 def test_expansion_rate_limits():
@@ -50,6 +55,10 @@ def test_expansion_rate_limits():
     assert expansion_rate_derivative(t, omega) == pytest.approx(omega, rel=1e-6)
     with pytest.raises(DomainError):
         expansion_rate(-1e-9, omega)
+    with pytest.raises(DomainError, match="b\\(t\\) overflows"):
+        expansion_rate(1e-3, 1e300)
+    with pytest.raises(DomainError, match="db/dt overflows"):
+        expansion_rate_derivative(1e-3, 1e300)
 
 
 @given(st.floats(1e-6, 1e3), st.floats(1.0, 1e4))

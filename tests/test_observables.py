@@ -8,10 +8,7 @@ from qbackflow.observables import (
     BackflowReport,
     backflow_rate,
     classical_backflow_check,
-    critical_density_profile,
-    density_profile,
     flux_finite_difference,
-    flux_profile,
     momentum_spectrum,
     report,
 )
@@ -26,7 +23,7 @@ def test_flux_identity_on_reduced_state():
     from qbackflow.cli import build_state
     from qbackflow.presets import reduced_scale_config
     state = build_state(reduced_scale_config(), grid_points=16385).state
-    analytic = flux_profile(state)
+    analytic = report(state).flux_profile
     field = combined_from_state(state)
     fd = flux_finite_difference(field, state.mass, state.hbar)
     inner = slice(2, -2)
@@ -36,7 +33,7 @@ def test_flux_identity_on_reduced_state():
 
 def test_density_is_flux_weight(reduced_ctx):
     state = reduced_ctx.state
-    d = density_profile(state)
+    d = report(state).density_profile
     assert np.all(d >= 0.0)
     field = combined_from_state(state)
     assert float(np.max(np.abs(d - field.density()))) <= 1e-12 * float(d.max())
@@ -48,11 +45,12 @@ def test_critical_density_sign_rule(reduced_ctx):
     state = reduced_ctx.state
     denom = state.q + 2.0 * state.theta_gradient_profile
     assert np.all(denom > 0.0)
-    strong_free = critical_density_profile(state, real_weights(0.3))
-    weak_free = critical_density_profile(state, real_weights(0.9))
+    strong_free = report(state, real_weights(0.3)).critical_density_profile
+    weak_free = report(state, real_weights(0.9)).critical_density_profile
     assert np.all(strong_free >= 0.0)
     assert np.all(weak_free <= 0.0)
-    balanced = critical_density_profile(state, real_weights(math.sqrt(0.5)))
+    balanced = report(state,
+                      real_weights(math.sqrt(0.5))).critical_density_profile
     assert float(np.max(np.abs(balanced))) <= 1e-15 * float(
         (state.R_profile ** 2).max())
 
@@ -62,7 +60,7 @@ def test_backflow_requires_interference(ref_ctx_06):
     # everywhere and the backflow rate is exactly zero.
     state = ref_ctx_06.state
     for w in (real_weights(0.0), real_weights(1.0)):
-        flux = flux_profile(state, w)
+        flux = report(state, w).flux_profile
         assert np.all(flux > 0.0)
         assert backflow_rate(flux, state.grid) == 0.0
 

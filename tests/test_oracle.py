@@ -30,8 +30,6 @@ def test_config_validation():
     g = _grid()
     with pytest.raises(DomainError):
         PropagatorConfig(time_step=-1e-6, grid=g, mass=MASS)
-    with pytest.raises(DomainError):
-        PropagatorConfig(time_step=1e-6, grid=g, mass=MASS, potential="trap")
     # Nyquist kinetic-phase guard
     fine = Grid(center=0.0, half_width=4e-5, n_points=65537)
     with pytest.raises(DomainError, match="Nyquist"):
@@ -56,7 +54,7 @@ def test_free_expansion_matches_scaling_law():
     psi0 = gaussian_packet(g, a, mass=params.mass, hbar=HBAR)
     t = 4e-3
     cfg = PropagatorConfig(time_step=2e-6, grid=g, mass=params.mass,
-                           potential="none", hbar=HBAR)
+                           gravity=0.0, hbar=HBAR)
     out = propagate(psi0, cfg, t)
     b = math.sqrt(1.0 + (omega * t) ** 2)
     assert position_spread(out) == pytest.approx(a * b / math.sqrt(2.0),
@@ -144,7 +142,7 @@ def test_edge_guard_trips():
     g = _grid(half_width=6.0 * a, n=129)   # far too narrow for expansion
     psi0 = gaussian_packet(g, a, mass=params.mass)
     cfg = PropagatorConfig(time_step=2e-6, grid=g, mass=params.mass,
-                           potential="none")
+                           gravity=0.0)
     with pytest.raises(PropagationError, match="edge"):
         propagate(psi0, cfg, 2e-2)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from qbackflow.model import DomainError
 from qbackflow.phaseacc import (
     TWO_PI_HI,
     TWO_PI_LO,
@@ -120,6 +121,13 @@ def test_mod_two_pi_huge_phase():
     n = 1.0e12
     phase = product(n, TWO_PI_HI).add(product(n, TWO_PI_LO)).add_float(0.3)
     assert phase.mod_two_pi() == pytest.approx(0.3, abs=1e-9)
+
+
+@pytest.mark.parametrize("hi, lo", [(math.inf, 0.0), (math.inf, -math.inf),
+                                    (math.nan, 0.0)])
+def test_mod_two_pi_rejects_nonfinite_phase(hi, lo):
+    with pytest.raises(DomainError, match="not finite"):
+        DoubleDouble(hi, lo).mod_two_pi()
 
 
 def test_ledger_difference_before_reduction():

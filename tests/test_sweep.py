@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbackflow.model import DomainError
-from qbackflow.observables import backflow_rate, flux_profile, report
+from qbackflow.observables import backflow_rate, report
 from qbackflow.pulses import ArmAmplitudes, real_weights
 from qbackflow.sweep import (
     SweepEngine,
@@ -53,7 +53,7 @@ def test_engine_matches_direct_evaluation(reduced_ctx):
     engine = SweepEngine(state)
     for w in (canonical_pulse_area_weights(0.75 * math.pi),
               real_weights(0.3), real_weights(0.9), state.weights):
-        direct = backflow_rate(flux_profile(state, w), state.grid)
+        direct = backflow_rate(report(state, w).flux_profile, state.grid)
         assert engine.backflow_rate(w) == pytest.approx(
             direct, rel=1e-12, abs=1e-300)
 
@@ -112,13 +112,11 @@ def test_csv_and_json_outputs(tmp_path, reduced_ctx):
     res = sweep_real_weights(reduced_ctx.state,
                              SweepSpec("real_cb", 0.0, 1.0, 5))
     csv_path = tmp_path / "sweep.csv"
-    json_path = tmp_path / "sweep.json"
     res.to_csv(str(csv_path))
-    res.to_json(str(json_path))
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "value,backflow_rate_m_per_s,rho_crit_max,density_min"
     assert len(lines) == 6
-    doc = json.loads(json_path.read_text())
+    doc = json.loads(json.dumps(res.summary()))
     assert doc["variable"] == "real_cb"
     assert doc["n_samples"] == 5
     assert doc["max_backflow_rate_m_per_s"] == res.max_backflow_rate

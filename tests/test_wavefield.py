@@ -13,6 +13,7 @@ from qbackflow.model import (
 )
 from qbackflow.pulses import ArmAmplitudes
 from qbackflow.wavefield import (
+    MAX_GRID_POINTS,
     EnvelopeMismatchError,
     Grid,
     GridMismatchError,
@@ -48,6 +49,21 @@ def test_grid_auto_resolves_envelope_and_fringe():
     assert g.spacing <= sigma / 50.0 + 1e-18
     assert g.spacing <= (2.0 * math.pi / q) / 20.0 + 1e-18
     assert g.n_points % 2 == 1
+
+
+def test_grid_refuses_oversized_requests():
+    # Construction allocates nothing, so these cost no memory.  The first
+    # request is the 4.3e8-point spectrum grid of the reduced-scale config
+    # with its second pulse array started at 2.5 s.
+    with pytest.raises(DomainError, match=r"4\.288e\+08 grid points exceed"):
+        Grid.auto(0.0, 1e-3, half_width_factor=6.0,
+                  max_spacing=1.2e-2 / (4.288e8 - 1.0))
+    for width, spacing in ((1.0, 1e-320), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(DomainError, match="grid points exceed"):
+            Grid.auto(0.0, width, max_spacing=spacing)
+    assert Grid(0.0, 1.0, MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
+    with pytest.raises(DomainError, match=f"{MAX_GRID_POINTS + 2} grid"):
+        Grid(0.0, 1.0, MAX_GRID_POINTS + 2)
 
 
 def test_com_wavefunction_norm_and_width():
