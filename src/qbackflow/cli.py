@@ -250,7 +250,12 @@ def build_trajectories(sc: Scenario):
 def resolve_encounter(sc: Scenario, free, pulsed) -> float:
     if sc.encounter_time is not None:
         return sc.encounter_time
-    from .kinematics import solve_encounter
+    from .kinematics import NoEncounterError, solve_encounter
+    if len(sc.pulses) == 1:
+        raise NoEncounterError(
+            "the splitting pulse is the only pulse, so the arms separate "
+            "from it and never re-meet; add pulse_arrays that turn the "
+            "pulsed arm back", 0.0)
     return solve_encounter(free, pulsed, pulsed.end_time)
 
 
@@ -292,56 +297,29 @@ def build_state(cfg: dict, grid_points: int | None = None) -> PipelineContext:
 
 
 def spectrum_state(ctx: PipelineContext):
-    """Encounter state on a wider, spectrum-safe grid (or None)."""
-    from .model import DomainError, expansion_rate, expansion_rate_derivative
-    from .wavefield import Grid, encounter_state
+    """Closed-form momentum-space description of the encounter (or None)."""
+    from .model import DomainError
+    from .observables import MomentumState
     scfg = ctx.scenario.spectrum_cfg
     if not scfg.get("enabled", False):
         return None
-    sc = ctx.scenario
-    t_f = ctx.encounter_time
-    sigma = sc.params.oscillator_length * expansion_rate(
-        t_f, sc.params.trap_frequency)
-    factor = scfg.get("half_width_factor", 6.0)
-    half_width = factor * sigma
-    m_over_h = sc.params.mass / sc.env.hbar
-    b = expansion_rate(t_f, sc.params.trap_frequency)
-    bdot = expansion_rate_derivative(t_f, sc.params.trap_frequency)
-    k_need = (m_over_h * max(abs(ctx.free_arm.velocity(t_f)),
-                             abs(ctx.pulsed_arm.velocity(t_f)))
-              + 8.0 / sigma + m_over_h * (bdot / b) * half_width)
-    spacing = math.pi / (1.5 * k_need)
     try:
-        grid = Grid.auto(ctx.grid.center, sigma, half_width_factor=factor,
-                         max_spacing=spacing)
+        return MomentumState.from_encounter(
+            ctx.state, ctx.scenario.params, scfg.get("half_width_factor", 6.0))
     except DomainError as exc:
         raise ConfigError(f"spectrum: {exc}") from exc
-    return encounter_state(grid, ctx.free_arm, ctx.pulsed_arm, t_f,
-                           ctx.weights, sc.params, sc.env, sc.transition)
 
 
 def _spectrum_block(ctx: PipelineContext) -> dict | None:
-    import numpy as np
     from .observables import momentum_spectrum
-    from .wavefield import combined_from_state
-    st = spectrum_state(ctx)
-    if st is None:
+    ms = spectrum_state(ctx)
+    if ms is None:
         return None
-    spec = momentum_spectrum(combined_from_state(st))
-    d = spec.spectral_density
-    floor = 1e-3 * float(d.max())
-    peaks = np.flatnonzero((d[1:-1] > d[:-2]) & (d[1:-1] >= d[2:])
-                           & (d[1:-1] > floor)) + 1
-    top = peaks[np.argsort(d[peaks])[::-1][:2]]
-    m_over_h = ctx.scenario.params.mass / ctx.scenario.env.hbar
     return {
-        "negative_weight": spec.negative_weight,
-        "wavenumber_bin_per_m": float(spec.wavenumbers[1] - spec.wavenumbers[0]),
-        "peak_wavenumbers_per_m": sorted(float(spec.wavenumbers[i]) for i in top),
-        "expected_peak_wavenumbers_per_m": sorted([
-            m_over_h * ctx.free_arm.velocity(ctx.encounter_time),
-            m_over_h * ctx.pulsed_arm.velocity(ctx.encounter_time)]),
-        "_spectrum": spec,
+        "negative_weight": ms.negative_weight,
+        "peak_wavenumbers_per_m": sorted([ms.k_f, ms.k_f + ms.q]),
+        "cross_term_bound": ms.cross_term_bound,
+        "_spectrum": (ms.grid.positions(), momentum_spectrum(ms)),
     }
 
 
@@ -389,7 +367,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
         "provenance": _provenance(ctx),
     }
     if spec_block is not None:
-        spectrum = spec_block.pop("_spectrum")
+        k, density = spec_block.pop("_spectrum")
         doc["momentum_spectrum"] = spec_block
 
     if out_dir is not None:
@@ -409,13 +387,12 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
         atomic_write_text(os.path.join(out_dir, "profiles.csv"),
                           "\n".join(buf) + "\n")
         if spec_block is not None:
-            # only bins carrying weight; the empty far tails would bloat
-            # the CSV by orders of magnitude
-            keep = spectrum.spectral_density > 1e-15 * spectrum.spectral_density.max()
+            # only samples carrying weight; the empty tails between and
+            # beyond the arms would bloat the CSV
+            keep = density > 1e-15 * density.max()
             srows = ["k_per_m,density"]
-            srows.extend(f"{k:.17g},{v:.17g}" for k, v in
-                         zip(spectrum.wavenumbers[keep],
-                             spectrum.spectral_density[keep]))
+            srows.extend(f"{a:.17g},{b:.17g}"
+                         for a, b in zip(k[keep], density[keep]))
             atomic_write_text(os.path.join(out_dir, "spectrum.csv"),
                               "\n".join(srows) + "\n")
         if ctx.scenario.output_cfg.get("wavefield_dump", False):

@@ -218,6 +218,9 @@ class ArmTrajectory:
         """
         return self.kicks([pulse_time], [signed_k], [laser_phase])
 
+    # Extreme inputs overflow to inf or NaN here; a non-finite phase is
+    # refused, with its value, when it is reduced mod 2 pi.
+    @np.errstate(over="ignore", invalid="ignore")
     def kicks(self, pulse_times, signed_ks, laser_phases=0.0) -> "ArmTrajectory":
         """Apply a time-ordered pulse array in one pass.
 

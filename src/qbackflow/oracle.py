@@ -22,8 +22,8 @@ from .wavefield import Grid, WaveField
 #: (the packet reached the periodic boundary).
 EDGE_DENSITY_LIMIT = 1e-12
 
-#: Spectral weight within the outer 2% of wavenumbers above this
-#: fraction aborts a propagation (momentum reached the Nyquist edge).
+#: Spectral weight next to the Nyquist wavenumber above this fraction
+#: aborts a propagation or an FFT spectrum (momentum reached the edge).
 ALIAS_WEIGHT_LIMIT = 1e-9
 
 #: Largest distance, in seconds, of a kick or final time from a time-step
@@ -191,24 +191,41 @@ def position_spread(fld: WaveField) -> float:
     return math.sqrt(float(np.sum((x - mean) ** 2 * d) / np.sum(d)))
 
 
-def momentum_expectation(fld: WaveField, hbar: float = HBAR) -> float:
+def momentum_spectrum_fft(fld: WaveField) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending wavenumbers, |<k|Psi>|^2 normalized to unit integral):
+    the numerical reference for the closed-form momentum spectrum.
+
+    Raises on a field whose norm is off by more than 1e-3 and on
+    aliasing: more than ALIAS_WEIGHT_LIMIT within 2% of the Nyquist
+    wavenumber.
+    """
     n = fld.grid.n_points
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=fld.grid.spacing)
-    spec = np.abs(np.fft.fft(fld.amplitudes)) ** 2
-    return float(hbar * np.sum(k * spec) / np.sum(spec))
+    if abs(fld.norm() - 1.0) > 1e-3:
+        raise DomainError(f"field norm {fld.norm()} is not 1")
+    k = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, d=fld.grid.spacing))
+    density = np.abs(np.fft.fftshift(np.fft.fft(fld.amplitudes))) ** 2
+    dk = k[1] - k[0]
+    density /= density.sum() * dk
+    guard = max(2, int(0.02 * n))
+    edge = float((density[:guard].sum() + density[-guard:].sum()) * dk)
+    if edge > ALIAS_WEIGHT_LIMIT:
+        raise DomainError(
+            f"aliasing: spectral weight {edge:.3e} within 2% of the Nyquist "
+            f"wavenumber {k[-1]:.3e} 1/m; refine the grid spacing")
+    return k, density
+
+
+def momentum_expectation(fld: WaveField, hbar: float = HBAR) -> float:
+    k, spec = momentum_spectrum_fft(fld)
+    return float(hbar * np.sum(k * spec) * (k[1] - k[0]))
 
 
 def energy_expectation(fld: WaveField, config: PropagatorConfig) -> float:
     """<H> for the config's Hamiltonian (diagnostic for drift checks)."""
-    psi = fld.amplitudes
-    n = fld.grid.n_points
-    k = 2.0 * math.pi * np.fft.fftfreq(n, d=fld.grid.spacing)
-    spec = np.fft.fft(psi)
-    kinetic = np.sum(config.hbar ** 2 * k * k / (2.0 * config.mass)
-                     * np.abs(spec) ** 2) / np.sum(np.abs(spec) ** 2)
-    d = np.abs(psi) ** 2
-    pot = (config.mass * config.gravity
-           * np.sum(fld.grid.positions() * d) / np.sum(d))
+    k, spec = momentum_spectrum_fft(fld)
+    kinetic = (config.hbar ** 2 / (2.0 * config.mass)
+               * np.sum(k * k * spec) * (k[1] - k[0]))
+    pot = config.mass * config.gravity * position_expectation(fld)
     return float(kinetic + pot)
 
 

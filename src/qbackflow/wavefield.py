@@ -57,12 +57,12 @@ class EnvelopeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform symmetric 1-D grid about a center point."""
+    """Uniform symmetric 1-D grid about a center point (m; 1/m in k)."""
 
-    center: float        # m
-    half_width: float    # m
+    center: float
+    half_width: float
     n_points: int
-    spacing: float = field(init=False)  # m
+    spacing: float = field(init=False)
 
     def __post_init__(self):
         if self.n_points < 3 or self.n_points % 2 == 0:
@@ -86,7 +86,6 @@ class Grid:
     def auto(center: float, envelope_width: float,
              beat_wavenumber: float | None = None,
              half_width_factor: float = DEFAULT_HALF_WIDTH_FACTOR,
-             max_spacing: float | None = None,
              envelope_samples: int = ENVELOPE_SAMPLES,
              fringe_samples: int = FRINGE_SAMPLES) -> "Grid":
         """Grid sized to resolve both the envelope and the beat fringes.
@@ -102,8 +101,6 @@ class Grid:
         if beat_wavenumber:
             target = min(target,
                          (2.0 * math.pi / abs(beat_wavenumber)) / fringe_samples)
-        if max_spacing is not None:
-            target = min(target, max_spacing)
         intervals = 2.0 * half_width / target
         if not intervals < MAX_GRID_POINTS:  # NaN too
             raise DomainError(f"{intervals + 1:.4g} grid points exceed the "

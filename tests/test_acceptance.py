@@ -25,7 +25,12 @@ from qbackflow.model import (
     expansion_rate_derivative,
 )
 from qbackflow.pulses import PulseSpec, splitting_weights
-from qbackflow.wavefield import Grid, combined_from_state, encounter_state
+from qbackflow.wavefield import (
+    ENVELOPE_SAMPLES,
+    Grid,
+    combined_from_state,
+    encounter_state,
+)
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -107,8 +112,9 @@ def test_criterion_1_flux_identity_oracle():
         # truncation error: (k dx)^4 / 30 <= 2.6e-7 at 130 samples
         k_total = (abs(q) + m_over_h * abs(free.velocity(t_f))
                    + m_over_h * (bdot / b) * half_width + 4.0 / sigma)
+        samples = math.ceil(sigma * k_total * 130.0 / (2.0 * math.pi))
         grid = Grid.auto(free.position(t_f), sigma, half_width_factor=5.0,
-                         max_spacing=2.0 * math.pi / k_total / 130.0)
+                         envelope_samples=max(ENVELOPE_SAMPLES, samples))
 
         state = encounter_state(grid, free, pulsed, t_f, weights,
                                 params, env, tr)
@@ -373,7 +379,7 @@ def test_criterion_5_real_weight_sweep(fig8b_result):
 
 # -- criterion 6: classical-backflow exclusion -------------------------------
 
-def test_criterion_6_momentum_spectra_of_presets():
+def test_criterion_6_momentum_spectra_of_presets(fft_spectrum):
     from qbackflow.cli import _spectrum_block, build_state
     from qbackflow.presets import PRESETS, preset_config
 
@@ -381,19 +387,34 @@ def test_criterion_6_momentum_spectra_of_presets():
     ok = True
     for name in sorted(PRESETS):
         ctx = build_state(preset_config(name))
-        block = _spectrum_block(ctx)
-        assert block is not None
-        block.pop("_spectrum", None)
-        neg = block["negative_weight"]
-        bin_width = block["wavenumber_bin_per_m"]
-        got = block["peak_wavenumbers_per_m"]
-        expected = block["expected_peak_wavenumbers_per_m"]
+        t_f = ctx.encounter_time
+        m_over_h = ctx.scenario.params.mass / ctx.scenario.env.hbar
+        expected = sorted([m_over_h * ctx.free_arm.velocity(t_f),
+                           m_over_h * ctx.pulsed_arm.velocity(t_f)])
+
+        # numerical reference: FFT of the analytic state
+        k, d = fft_spectrum(ctx, ctx.scenario.spectrum_cfg["half_width_factor"])
+        bin_width = k[1] - k[0]
+        neg = float(d[k < 0.0].sum() * bin_width)
+        peaks = np.flatnonzero((d[1:-1] > d[:-2]) & (d[1:-1] >= d[2:])
+                               & (d[1:-1] > 1e-3 * float(d.max()))) + 1
+        got = sorted(k[peaks[np.argsort(d[peaks])[::-1][:2]]])
         peaks_ok = (len(got) == 2 and
                     all(abs(g - e) <= bin_width
                         for g, e in zip(got, expected)))
-        good = neg < 1e-6 and peaks_ok
+
+        # closed form, as run writes it
+        block = _spectrum_block(ctx)
+        assert block is not None
+        block.pop("_spectrum")
+        block_ok = (block["negative_weight"] < 1e-6
+                    and block["cross_term_bound"] < 1e-6
+                    and block["peak_wavenumbers_per_m"]
+                    == pytest.approx(expected, rel=1e-12))
+        good = neg < 1e-6 and peaks_ok and block_ok
         ok = ok and good
-        details.append(f"{name}: negative weight {neg:.2e}, "
+        details.append(f"{name}: negative weight {neg:.2e} (FFT), "
+                       f"{block['negative_weight']:.2e} (closed form), "
                        f"peaks within one bin: {peaks_ok}")
     _verdict(6, "classical-backflow exclusion", ok, "; ".join(details))
 

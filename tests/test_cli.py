@@ -114,6 +114,18 @@ def test_run_scenario_artifacts(tmp_path):
     assert not os.path.exists(os.path.join(out, "wavefield.bin"))
 
 
+def test_run_scenario_builds_one_encounter_state(monkeypatch):
+    # The momentum spectrum is closed-form: it needs no second state.
+    import qbackflow.wavefield as wavefield
+    calls = []
+    build = wavefield.encounter_state
+    monkeypatch.setattr(wavefield, "encounter_state",
+                        lambda *a, **k: calls.append(1) or build(*a, **k))
+    doc, _, _ = run_scenario(reduced_scale_config())
+    assert "momentum_spectrum" in doc
+    assert len(calls) == 1
+
+
 def test_run_scenario_wavefield_dump(tmp_path):
     from qbackflow.wavefield import wavefield_from_binary
     cfg = reduced_scale_config()
@@ -248,7 +260,11 @@ def test_main_no_encounter_exits_3(tmp_path, capsys):
     path = _write_config(tmp_path, cfg)
     code = main(["run", "--config", path, "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_PIPELINE
-    assert "error" in capsys.readouterr().err
+    # the cause, not a symptom such as a norm check on the t = 0 "meeting"
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: the splitting pulse is the only "
+                          "pulse")
+    assert "never re-meet" in err
 
 
 def test_main_bad_grid_points_exits_2(tmp_path):
@@ -258,14 +274,15 @@ def test_main_bad_grid_points_exits_2(tmp_path):
 
 
 def test_main_refuses_oversized_grids(tmp_path, capsys):
-    # A 2.5 kg atom passes validation but its spectrum grid would need
-    # 2.1e14 points; the count is refused before anything is allocated.
+    # A billion samples per fringe passes validation but the grid would
+    # need 2.6e10 points; the count is refused before anything is
+    # allocated.
     cfg = reduced_scale_config()
-    cfg["condensate"]["mass_kg"] = 2.5
+    cfg["grid"]["fringe_samples"] = 10 ** 9
     code = main(["run", "--config", _write_config(tmp_path, cfg),
                  "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
-    assert "spectrum: 2.063e+14 grid points exceed" in capsys.readouterr().err
+    assert "grid: 2.572e+10 grid points exceed" in capsys.readouterr().err
     code = main(["run", "--config", _write_config(tmp_path,
                                                   reduced_scale_config()),
                  "--out-dir", str(tmp_path / "o"), "--grid-points", "99999999"])

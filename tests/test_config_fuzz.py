@@ -1,12 +1,14 @@
 """Fuzzing the config boundary with extreme and ill-typed leaf values.
 
 Every mutated config must end in a clean outcome: ``main()`` returns 0,
-2 or 3, and ``run_scenario`` raises nothing but the package's own
-configuration, domain and no-encounter errors.
+2 or 3, ``run_scenario`` raises nothing but the package's own
+configuration, domain and no-encounter errors, and neither emits a
+numpy ``RuntimeWarning``.
 """
 
 import json
 import math
+import warnings
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -61,12 +63,17 @@ def _mutated(changes) -> dict:
 @example([(("condensate", "trap_frequency_rad_per_s"), 1e300)])
 def test_mutated_config_fails_cleanly(tmp_path, changes):
     cfg = _mutated(changes)
-    try:
-        run_scenario(cfg)
-    except (ConfigError, DomainError, NoEncounterError):
-        pass
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    code = main(["run", "--config", str(path),
-                 "--out-dir", str(tmp_path / "out")])
+    # Record every warning, so none is raised or printed before the error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run_scenario(cfg)
+        except (ConfigError, DomainError, NoEncounterError):
+            pass
+        code = main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")])
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PIPELINE)
+    assert not [f"{w.filename}:{w.lineno}: {w.message}" for w in caught
+                if issubclass(w.category, RuntimeWarning)]

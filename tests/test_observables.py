@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,36 +87,98 @@ def test_flux_finite_difference_plane_wave():
 
 
 def test_momentum_spectrum_gaussian():
-    from qbackflow.oracle import gaussian_packet
+    from qbackflow.oracle import gaussian_packet, momentum_spectrum_fft
     g = Grid(center=0.0, half_width=5e-5, n_points=8193)
     width, v, m, hbar = 1e-6, 5e-3, 1.46e-25, 1.054571817e-34
     f = gaussian_packet(g, width, velocity=v, mass=m, hbar=hbar)
-    spec = momentum_spectrum(f)
-    dk = spec.wavenumbers[1] - spec.wavenumbers[0]
-    assert float(spec.spectral_density.sum() * dk) == pytest.approx(
-        1.0, abs=1e-9)
+    k, density = momentum_spectrum_fft(f)
+    dk = k[1] - k[0]
+    assert float(density.sum() * dk) == pytest.approx(1.0, abs=1e-9)
     k0 = m * v / hbar
-    peak = spec.wavenumbers[int(np.argmax(spec.spectral_density))]
-    assert abs(peak - k0) <= dk
+    assert abs(k[int(np.argmax(density))] - k0) <= dk
     # k0 * width = 6.9 standard deviations: negative weight is negligible
-    assert spec.negative_weight < 1e-6
+    assert float(density[k < 0.0].sum() * dk) < 1e-6
 
 
 def test_momentum_spectrum_rejects_unnormalized():
+    from qbackflow.oracle import momentum_spectrum_fft
     g = Grid(center=0.0, half_width=1.0, n_points=129)
     f = WaveField(g, np.full(129, 10.0 + 0j), 0.0)
     with pytest.raises(DomainError):
-        momentum_spectrum(f)
+        momentum_spectrum_fft(f)
 
 
 def test_momentum_spectrum_aliasing_guard():
     # A plane wave at the Nyquist edge must be rejected, not folded.
+    from qbackflow.oracle import momentum_spectrum_fft
     g = Grid(center=0.0, half_width=1.0, n_points=257)
     k_nyq = math.pi / g.spacing
     psi = np.exp(1j * 0.99 * k_nyq * g.positions()) / math.sqrt(
         g.n_points * g.spacing)
     with pytest.raises(DomainError, match="aliasing"):
-        momentum_spectrum(WaveField(g, psi, 0.0))
+        momentum_spectrum_fft(WaveField(g, psi, 0.0))
+
+
+SPECTRUM_CASES = ("paper-0.6pi", "paper-0.75pi", "paper-fig8a",
+                  "paper-fig8b", "reduced")
+
+
+def _spectrum_ctx(name):
+    from qbackflow.cli import build_state
+    from qbackflow.presets import preset_config, reduced_scale_config
+    return build_state(reduced_scale_config() if name == "reduced"
+                       else preset_config(name))
+
+
+@pytest.mark.parametrize("name", SPECTRUM_CASES)
+def test_closed_form_spectrum_matches_fft(name, fft_spectrum):
+    from qbackflow.cli import spectrum_state
+    ctx = _spectrum_ctx(name)
+    ms = spectrum_state(ctx)
+    density = momentum_spectrum(ms)
+    peak = float(density.max())
+    k, fft_density = fft_spectrum(ctx)
+    # An odd-length FFT axis is a grid symmetric about k = 0.
+    on_bins = momentum_spectrum(replace(ms, grid=Grid(0.0, float(k[-1]),
+                                                      len(k))))
+    assert float(np.max(np.abs(on_bins - fft_density))) <= 1e-9 * peak
+
+    # The window holds the whole spectrum: it integrates to the weights'
+    # norm and peaks within one sample of each arm wavenumber.
+    w = ms.weights
+    dk = ms.grid.spacing
+    assert float(density.sum() * dk) == pytest.approx(
+        abs(w.c_f) ** 2 + abs(w.c_b) ** 2, abs=1e-9)
+    d = density
+    inner = np.flatnonzero((d[1:-1] > d[:-2]) & (d[1:-1] >= d[2:])
+                           & (d[1:-1] > 1e-3 * peak)) + 1
+    assert len(inner) == 2
+    assert np.all(np.abs(ms.grid.positions()[inner]
+                         - [ms.k_f, ms.k_f + ms.q]) <= dk)
+
+
+@pytest.mark.parametrize("name", SPECTRUM_CASES)
+def test_closed_form_negative_weight(name):
+    from qbackflow.cli import spectrum_state
+    ms = spectrum_state(_spectrum_ctx(name))
+    w, a = ms.weights, ms.oscillator_length
+    erfc_sum = 0.5 * (abs(w.c_f) ** 2 * math.erfc(a * ms.k_f)
+                      + abs(w.c_b) ** 2 * math.erfc(a * (ms.k_f + ms.q)))
+    assert ms.negative_weight == pytest.approx(erfc_sum, rel=1e-15)
+    # Independently: the density integrated over 4 / a_x below k = 0.
+    below = Grid(-2.0 / a, 2.0 / a, 4001)
+    d = momentum_spectrum(replace(ms, grid=below))
+    integral = below.spacing * (d.sum() - 0.5 * (d[0] + d[-1]))
+    assert integral == pytest.approx(ms.negative_weight, rel=1e-6)
+    # The cross term, the density minus the two arm Gaussians, stays
+    # within its bound in units of the peak a_x / sqrt(pi).
+    k = ms.grid.positions()
+    unit = a / math.sqrt(math.pi)
+    arms = unit * sum(abs(c) ** 2 * np.exp(-(a * (k - k_arm)) ** 2)
+                      for c, k_arm in ((w.c_f, ms.k_f),
+                                       (w.c_b, ms.k_f + ms.q)))
+    cross = float(np.max(np.abs(momentum_spectrum(ms) - arms))) / unit
+    assert cross <= ms.cross_term_bound + 1e-14
 
 
 def test_classical_backflow_check_reference():

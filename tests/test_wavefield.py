@@ -52,15 +52,15 @@ def test_grid_auto_resolves_envelope_and_fringe():
 
 
 def test_grid_refuses_oversized_requests():
-    # Construction allocates nothing, so these cost no memory.  The first
-    # request is the 4.3e8-point spectrum grid of the reduced-scale config
-    # with its second pulse array started at 2.5 s.
+    # Construction allocates nothing, so these cost no memory.
     with pytest.raises(DomainError, match=r"4\.288e\+08 grid points exceed"):
         Grid.auto(0.0, 1e-3, half_width_factor=6.0,
-                  max_spacing=1.2e-2 / (4.288e8 - 1.0))
-    for width, spacing in ((1.0, 1e-320), (math.nan, 1.0), (math.inf, 1.0)):
+                  envelope_samples=35_733_333)
+    for width, factor in ((1.0, 1e300), (math.nan, 8.0), (math.inf, 8.0)):
         with pytest.raises(DomainError, match="grid points exceed"):
-            Grid.auto(0.0, width, max_spacing=spacing)
+            Grid.auto(0.0, width, half_width_factor=factor)
+    with pytest.raises(DomainError, match="grid points exceed"):
+        Grid.auto(0.0, 1.0, beat_wavenumber=1e300)
     assert Grid(0.0, 1.0, MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
     with pytest.raises(DomainError, match=f"{MAX_GRID_POINTS + 2} grid"):
         Grid(0.0, 1.0, MAX_GRID_POINTS + 2)
