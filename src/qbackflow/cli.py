@@ -284,15 +284,15 @@ def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
 
 def build_state(cfg: dict, grid_points: int | None = None) -> PipelineContext:
     """Run the scenario pipeline up to the analytic encounter state."""
+    from .model import HBAR
     from .wavefield import encounter_state
     sc = parse_config(cfg)
     free, pulsed = build_trajectories(sc)
     t_f = resolve_encounter(sc, free, pulsed)
     center = free.position(t_f)
-    q = sc.params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / sc.env.hbar
+    q = sc.params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / HBAR
     grid = _auto_grid(sc, center, t_f, q, grid_points)
-    state = encounter_state(grid, free, pulsed, t_f, sc.weights, sc.params,
-                            sc.env, sc.transition)
+    state = encounter_state(grid, free, pulsed, t_f, sc.weights)
     return PipelineContext(sc, free, pulsed, t_f, sc.weights, grid, state)
 
 
@@ -467,12 +467,11 @@ def oracle_arm_field(ctx: PipelineContext, trajectory, grid,
             (np.resize([1, -1], len(times)) * phases).tolist()))
     config = PropagatorConfig(
         time_step=time_step, grid=grid, mass=sc.params.mass,
-        gravity=sc.env.gravity, kick_events=kicks, hbar=sc.env.hbar,
+        gravity=sc.env.gravity, kick_events=kicks,
         trap_frequency=sc.params.trap_frequency)
     initial = gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,
-        center=trajectory.segment(0).start_position, mass=sc.params.mass,
-        hbar=sc.env.hbar)
+        center=trajectory.segment(0).start_position, mass=sc.params.mass)
     out = propagate(initial, config, t_f)
     # The internal-state energy is the one scalar the propagator does
     # not model; it differs between the arms, so fold it in exactly.
@@ -493,7 +492,6 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
                             pulsed_arm_wavefunction)
 
     ctx = build_state(cfg)
-    sc = ctx.scenario
     t_f = ctx.encounter_time
     n = round(t_f / time_step)
     if abs(n * time_step - t_f) > SNAP_TOLERANCE:
@@ -501,11 +499,8 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
                           "pick a scenario with commensurate pulse timing")
     grid = oracle_grid_for(ctx, oracle_points)
 
-    analytic_free = free_arm_wavefunction(grid, t_f, sc.params, sc.env,
-                                          sc.transition,
-                                          trajectory=ctx.free_arm)
-    analytic_pulsed = pulsed_arm_wavefunction(grid, ctx.pulsed_arm, t_f,
-                                              sc.params, sc.env, sc.transition)
+    analytic_free = free_arm_wavefunction(grid, ctx.free_arm, t_f)
+    analytic_pulsed = pulsed_arm_wavefunction(grid, ctx.pulsed_arm, t_f)
     analytic_combined = combine(analytic_free, analytic_pulsed, ctx.weights)
 
     numeric_free = oracle_arm_field(ctx, ctx.free_arm, grid, time_step)

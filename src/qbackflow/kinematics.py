@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CondensateParams, DomainError, Environment, TransitionParams
+from .model import HBAR, CondensateParams, DomainError, Environment, TransitionParams
 from .phaseacc import DoubleDouble, fsum_dd, product, two_prod
 
 GROUND = +1
@@ -74,19 +74,18 @@ def free_fall_step(position: float, velocity: float, dt: float,
 
 
 def action_phase(momentum_after_pulse: float, position_after_pulse: float,
-                 dt: float, mass: float, g: float,
-                 hbar: float | None = None) -> float:
+                 dt: float, mass: float, g: float) -> float:
     """COM action between pulses divided by hbar.
 
     (1/hbar) [ (P^2/2m - m g x) dt - P g dt^2 + (1/3) m g^2 dt^3 ]
     for an arm that leaves a pulse with momentum P at height x.
     """
     return action_phase_dd(momentum_after_pulse, position_after_pulse,
-                           dt, mass, g, hbar).value()
+                           dt, mass, g).value()
 
 
-def action_phase_dd(P: float, x: float, dt: float, mass: float, g: float,
-                    hbar: float | None = None) -> DoubleDouble:
+def action_phase_dd(P: float, x: float, dt: float, mass: float,
+                    g: float) -> DoubleDouble:
     """Double-double version of :func:`action_phase`.
 
     P, x and dt may also be arrays of one shape: the terms are then
@@ -94,29 +93,24 @@ def action_phase_dd(P: float, x: float, dt: float, mass: float, g: float,
     """
     if np.any(np.less(dt, 0.0)):
         raise DomainError("dt must be nonnegative")
-    if hbar is None:
-        from .model import HBAR as hbar  # noqa: F811
     acc = product(P, P).div_float(2.0 * mass).mul_float(dt)
     acc = acc.add(product(mass, g, x, dt).neg())
     acc = acc.add(product(P, g, dt, dt).neg())
     acc = acc.add(product(mass, g, g, dt, dt, dt).div_float(3.0))
-    return acc.div_float(hbar)
+    return acc.div_float(HBAR)
 
 
-def internal_phase(energy: float, dt: float, hbar: float | None = None) -> float:
+def internal_phase(energy: float, dt: float) -> float:
     """Phase -E dt / hbar accumulated by an internal state over dt."""
-    return internal_phase_dd(energy, dt, hbar).value()
+    return internal_phase_dd(energy, dt).value()
 
 
-def internal_phase_dd(energy: float, dt: float,
-                      hbar: float | None = None) -> DoubleDouble:
+def internal_phase_dd(energy: float, dt: float) -> DoubleDouble:
     """Double-double version of :func:`internal_phase`; arrays as in
     :func:`action_phase_dd`."""
     if np.any(np.less(dt, 0.0)):
         raise DomainError("dt must be nonnegative")
-    if hbar is None:
-        from .model import HBAR as hbar  # noqa: F811
-    return product(energy, dt).div_float(hbar).neg()
+    return product(energy, dt).div_float(HBAR).neg()
 
 
 @dataclass(frozen=True)
@@ -155,15 +149,14 @@ class ArmTrajectory:
 
     @staticmethod
     def launch(params: CondensateParams, env: Environment,
-               transition: TransitionParams, *, position: float = 0.0,
-               velocity: float | None = None, time: float = 0.0,
-               internal_state: int = GROUND) -> "ArmTrajectory":
-        transition.energy(internal_state)  # rejects anything but +1 / -1
-        v = params.launch_velocity if velocity is None else velocity
+               transition: TransitionParams) -> "ArmTrajectory":
+        """The released condensate: at x = 0 and t = 0 in the ground
+        state, moving at the launch velocity."""
         zero = DoubleDouble()
-        return ArmTrajectory(params, env, transition, np.array([float(time)]),
-                             np.array([float(position)]), np.array([float(v)]),
-                             np.array([internal_state]), zero, zero, zero)
+        return ArmTrajectory(params, env, transition, np.array([0.0]),
+                             np.array([0.0]),
+                             np.array([float(params.launch_velocity)]),
+                             np.array([GROUND]), zero, zero, zero)
 
     # -- path queries -------------------------------------------------
 
@@ -245,8 +238,7 @@ class ArmTrajectory:
                 f"pulse at t={t[i]} precedes trajectory end t={before}")
         g = self.env.gravity
         m = self.params.mass
-        hbar = self.env.hbar
-        dv = hbar * k / m
+        dv = HBAR * k / m
 
         # Ballistic pass over the live segment's start and the n pulses.
         # np.cumsum adds left to right, so interleaving the increments
@@ -264,11 +256,10 @@ class ArmTrajectory:
         mu = self.internal_states[-1] * np.resize([1, -1], n + 1)
 
         # Ledger terms: segment i closes at pulse i, which lands at x[i + 1].
-        tr = self.transition
-        energy = np.where(mu[:-1] == GROUND, tr.ground_energy,
-                          tr.excited_energy)
-        action = action_phase_dd(m * v[:-1], x[:-1], dt, m, g, hbar)
-        internal = internal_phase_dd(energy, dt, hbar)
+        energy = np.where(mu[:-1] == GROUND, 0.0,
+                          self.transition.excited_energy)
+        action = action_phase_dd(m * v[:-1], x[:-1], dt, m, g)
+        internal = internal_phase_dd(energy, dt)
         kx_hi, kx_lo = two_prod(k, x[1:])
         quarter_turns = two_prod(float(n), -0.5 * math.pi)
 
@@ -304,10 +295,9 @@ class ArmTrajectory:
         dt = t - last.start_time
         action = self.action_phase_total.add(
             action_phase_dd(m * last.start_velocity, last.start_position,
-                            dt, m, self.env.gravity, self.env.hbar))
+                            dt, m, self.env.gravity))
         internal = self.internal_phase_total.add(
-            internal_phase_dd(self.transition.energy(last.internal_state),
-                              dt, self.env.hbar))
+            internal_phase_dd(self.transition.energy(last.internal_state), dt))
         return action, self.laser_phase_total, internal
 
     def total_phase_at(self, t: float) -> DoubleDouble:
@@ -316,7 +306,7 @@ class ArmTrajectory:
 
 
 def solve_encounter(free_arm: ArmTrajectory, pulsed_arm: ArmTrajectory,
-                    after_time: float, *, position_tol: float = 0.0) -> float:
+                    after_time: float) -> float:
     """Earliest time >= after_time at which the arm COMs coincide.
 
     Gravity cancels in the relative coordinate, so after the last pulse
@@ -327,8 +317,7 @@ def solve_encounter(free_arm: ArmTrajectory, pulsed_arm: ArmTrajectory,
     r = pulsed_arm.position(after_time) - free_arm.position(after_time)
     w = pulsed_arm.velocity(after_time) - free_arm.velocity(after_time)
     scale = max(abs(free_arm.position(after_time)), abs(pulsed_arm.position(after_time)), 1e-30)
-    tol = max(position_tol, 1e-12 * scale)
-    if abs(r) <= tol:
+    if abs(r) <= 1e-12 * scale:
         return after_time
     if w == 0.0 or (r > 0) == (w > 0):
         raise NoEncounterError(

@@ -3,6 +3,12 @@
 All quantities are SI. The geometry is one-dimensional along the vertical
 axis; "up" is positive, so gravity of magnitude g contributes -g to the
 acceleration of every arm.
+
+There is one Planck constant, :data:`HBAR` (CODATA 2018), and every
+module reads it; nothing takes hbar as a parameter.  The internal ground
+state sits at energy 0 and the excited state one photon energy
+hbar 2 pi c / lambda above it.  Only the energy difference enters the
+phase ledgers, so a ground-state offset would be a gauge choice.
 """
 
 from __future__ import annotations
@@ -80,36 +86,33 @@ class CondensateParams:
 
 @dataclass(frozen=True)
 class Environment:
-    """Gravity magnitude (acts downward) and the value of hbar in use."""
+    """Gravity magnitude (acts downward)."""
 
     gravity: float = 9.81       # m / s^2, magnitude, >= 0
-    hbar: float = HBAR          # J s
 
     def __post_init__(self):
         if self.gravity < 0.0:
             raise DomainError("gravity must be a nonnegative magnitude")
-        if self.hbar <= 0.0:
-            raise DomainError("hbar must be positive")
 
 
 @dataclass(frozen=True)
 class TransitionParams:
-    """Two-level optical transition driving the pulses."""
+    """Two-level optical transition driving the pulses; the ground
+    state is at energy 0."""
 
     wavelength: float           # m
-    ground_energy: float = 0.0  # J
-    excited_energy: float | None = None  # J; default hbar * 2 pi c / wavelength above ground
     wavevector_magnitude: float = field(init=False)
+    excited_energy: float = field(init=False)  # J, the photon energy
 
     def __post_init__(self):
         if self.wavelength <= 0.0:
             raise DomainError("wavelength must be positive")
         object.__setattr__(self, "wavevector_magnitude", 2.0 * math.pi / self.wavelength)
-        if self.excited_energy is None:
-            photon = HBAR * 2.0 * math.pi * SPEED_OF_LIGHT / self.wavelength
-            object.__setattr__(self, "excited_energy", self.ground_energy + photon)
-        if self.excited_energy <= self.ground_energy:
-            raise DomainError("excited_energy must exceed ground_energy")
+        object.__setattr__(self, "excited_energy",
+                           HBAR * 2.0 * math.pi * SPEED_OF_LIGHT / self.wavelength)
+        if not self.excited_energy > 0.0:
+            raise DomainError(f"photon energy at wavelength {self.wavelength} m "
+                              "underflows to 0")
 
     def recoil_velocity_for(self, mass: float) -> float:
         """Single-photon recoil velocity hbar k / m."""
@@ -118,7 +121,7 @@ class TransitionParams:
     def energy(self, internal_state: int) -> float:
         """Energy of internal state index mu: +1 ground, -1 excited."""
         if internal_state == +1:
-            return self.ground_energy
+            return 0.0
         if internal_state == -1:
             return self.excited_energy
         raise DomainError(f"internal_state must be +1 or -1, got {internal_state}")

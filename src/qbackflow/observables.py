@@ -66,11 +66,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CondensateParams, DomainError, expansion_rate,
+from .model import (HBAR, CondensateParams, DomainError, expansion_rate,
                     expansion_rate_derivative)
 from .pulses import ArmAmplitudes
 from .wavefield import EncounterState, Grid, WaveField
@@ -86,6 +86,11 @@ DENSITY_MIN_WINDOW_FRINGES = 2.0
 
 #: Samples of the momentum spectrum per momentum width 1/a_x.
 SPECTRUM_SAMPLES = 16
+
+#: Classical backflow is excluded when m v a_x / hbar is at least the
+#: first and a_x omega / v at most the second.
+PLANE_WAVE_THRESHOLD = 100.0
+SPREADING_THRESHOLD = 0.1
 
 #: Column blocks of the coefficient matrix, and row blocks of the kernel
 #: basis: flux (1/s), density (1/m) and critical density (1/m).
@@ -144,13 +149,13 @@ class MomentumState:
         a = params.oscillator_length
         b = expansion_rate(state.time, params.trap_frequency)
         bdot = expansion_rate_derivative(state.time, params.trap_frequency)
-        k_f = state.mass * state.free_velocity / state.hbar
+        k_f = state.mass * state.free_velocity / HBAR
         grid = Grid.auto(k_f + 0.5 * state.q, 1.0 / a,
                          half_width_factor=(half_width_factor
                                             + 0.5 * abs(state.q) * a),
                          envelope_samples=SPECTRUM_SAMPLES)
         A = complex(0.5 / (a * b) ** 2,
-                    -state.mass * bdot / (2.0 * state.hbar * b))
+                    -state.mass * bdot / (2.0 * HBAR * b))
         return cls(grid, k_f, state.q, a, A, state.delta_theta, state.weights)
 
     @property
@@ -179,15 +184,11 @@ class ClassicalBackflowCheck:
 
     plane_wave_ratio: float
     spreading_ratio: float
-    plane_wave_threshold: float = 100.0
-    spreading_threshold: float = 0.1
-    passed: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "passed",
-            self.plane_wave_ratio >= self.plane_wave_threshold
-            and self.spreading_ratio <= self.spreading_threshold)
+    @property
+    def passed(self) -> bool:
+        return (self.plane_wave_ratio >= PLANE_WAVE_THRESHOLD
+                and self.spreading_ratio <= SPREADING_THRESHOLD)
 
 
 def weight_coefficients(weights: Sequence[ArmAmplitudes]) -> np.ndarray:
@@ -217,7 +218,7 @@ class WeightKernel:
         r2 = state.R_profile ** 2
         gt = state.theta_gradient_profile
         q = state.q
-        hbar_over_m = state.hbar / state.mass
+        hbar_over_m = HBAR / state.mass
         basis = np.empty((8, grid.n_points))
         basis[0] = hbar_over_m * gt * r2
         basis[1] = hbar_over_m * q * r2
@@ -302,8 +303,7 @@ def backflow_rate(flux: np.ndarray, grid: Grid) -> float:
     return float(_backflow_rates(flux, grid.spacing))
 
 
-def flux_finite_difference(field: WaveField, mass: float,
-                           hbar: float) -> np.ndarray:
+def flux_finite_difference(field: WaveField, mass: float) -> np.ndarray:
     """(hbar/m) Im(Psi* dPsi/dx) by 4th-order central differences.
 
     The two points at each edge, where the stencil does not fit, are NaN.
@@ -312,7 +312,7 @@ def flux_finite_difference(field: WaveField, mass: float,
     h = field.grid.spacing
     out = np.full(len(psi), np.nan)
     d = (-psi[4:] + 8.0 * psi[3:-1] - 8.0 * psi[1:-3] + psi[:-4]) / (12.0 * h)
-    out[2:-2] = (hbar / mass) * np.imag(np.conj(psi[2:-2]) * d)
+    out[2:-2] = (HBAR / mass) * np.imag(np.conj(psi[2:-2]) * d)
     return out
 
 
@@ -328,19 +328,15 @@ def momentum_spectrum(ms: MomentumState) -> np.ndarray:
     return ms.oscillator_length / math.sqrt(math.pi) * np.abs(amp) ** 2
 
 
-def classical_backflow_check(params: CondensateParams, velocity: float,
-                             plane_wave_threshold: float = 100.0,
-                             spreading_threshold: float = 0.1
-                             ) -> ClassicalBackflowCheck:
+def classical_backflow_check(params: CondensateParams,
+                             velocity: float) -> ClassicalBackflowCheck:
     """Diagnose whether apparent backflow could be merely classical."""
     if velocity < 0.0:
         raise DomainError("velocity must be nonnegative")
-    from .model import HBAR
     a = params.oscillator_length
     r1 = params.mass * velocity * a / HBAR
     r2 = math.inf if velocity == 0.0 else a * params.trap_frequency / velocity
-    return ClassicalBackflowCheck(r1, r2, plane_wave_threshold,
-                                  spreading_threshold)
+    return ClassicalBackflowCheck(r1, r2)
 
 
 def _interval_count(mask: np.ndarray) -> int:

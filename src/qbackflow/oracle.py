@@ -51,7 +51,6 @@ class PropagatorConfig:
     mass: float
     gravity: float = 9.81               # 0.0 for a free particle
     kick_events: tuple[KickEvent, ...] = ()
-    hbar: float = HBAR
     trap_frequency: float | None = None  # enables the 1/(50 omega) step check
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ class PropagatorConfig:
                 raise DomainError(
                     f"time_step {self.time_step} exceeds 1/(50 omega) = {limit}")
         k_nyquist = math.pi / self.grid.spacing
-        phase = self.hbar * k_nyquist ** 2 / (2.0 * self.mass) * self.time_step
+        phase = HBAR * k_nyquist ** 2 / (2.0 * self.mass) * self.time_step
         if phase >= 0.25 * math.pi:
             raise DomainError(
                 f"kinetic phase per step at Nyquist is {phase:.3f} rad "
@@ -93,17 +92,18 @@ def kick(fld: WaveField, signed_k: float, phase: float = 0.0) -> WaveField:
 
 
 def gaussian_packet(grid: Grid, width: float, velocity: float = 0.0,
-                    center: float | None = None, mass: float = 1.0,
-                    hbar: float = HBAR, time: float = 0.0) -> WaveField:
-    """Minimum-uncertainty Gaussian of given width, moving at velocity."""
+                    center: float | None = None,
+                    mass: float = 1.0) -> WaveField:
+    """Minimum-uncertainty Gaussian of given width, moving at velocity,
+    at t = 0."""
     if width <= 0.0:
         raise DomainError("width must be positive")
     x0 = grid.center if center is None else center
     x = grid.positions()
     amp = (math.pi ** -0.25 / math.sqrt(width)
            * np.exp(-0.5 * ((x - x0) / width) ** 2)
-           * np.exp(1j * mass * velocity * (x - x0) / hbar))
-    return WaveField(grid, amp, time)
+           * np.exp(1j * mass * velocity * (x - x0) / HBAR))
+    return WaveField(grid, amp, 0.0)
 
 
 def _guard(psi: np.ndarray, grid: Grid, t: float) -> None:
@@ -152,12 +152,11 @@ def propagate(initial: WaveField, config: PropagatorConfig,
         step = round((ev.time - initial.time) / dt)
         kicks_by_step.setdefault(step, []).append(ev)
 
-    hbar = config.hbar
     m = config.mass
     x = grid.positions()
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-    kinetic_full = np.exp(-1j * hbar * k * k / (2.0 * m) * dt)
-    v_half = np.exp(-1j * (m * config.gravity / hbar) * x * (0.5 * dt))
+    kinetic_full = np.exp(-1j * HBAR * k * k / (2.0 * m) * dt)
+    v_half = np.exp(-1j * (m * config.gravity / HBAR) * x * (0.5 * dt))
 
     psi = initial.amplitudes.astype(complex, copy=True)
     guard_every = max(1, n_steps // 20)
@@ -215,15 +214,15 @@ def momentum_spectrum_fft(fld: WaveField) -> tuple[np.ndarray, np.ndarray]:
     return k, density
 
 
-def momentum_expectation(fld: WaveField, hbar: float = HBAR) -> float:
+def momentum_expectation(fld: WaveField) -> float:
     k, spec = momentum_spectrum_fft(fld)
-    return float(hbar * np.sum(k * spec) * (k[1] - k[0]))
+    return float(HBAR * np.sum(k * spec) * (k[1] - k[0]))
 
 
 def energy_expectation(fld: WaveField, config: PropagatorConfig) -> float:
     """<H> for the config's Hamiltonian (diagnostic for drift checks)."""
     k, spec = momentum_spectrum_fft(fld)
-    kinetic = (config.hbar ** 2 / (2.0 * config.mass)
+    kinetic = (HBAR ** 2 / (2.0 * config.mass)
                * np.sum(k * k * spec) * (k[1] - k[0]))
     pot = config.mass * config.gravity * position_expectation(fld)
     return float(kinetic + pot)

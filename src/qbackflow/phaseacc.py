@@ -121,8 +121,6 @@ class DoubleDouble:
         return f"DoubleDouble({self.hi!r}, {self.lo!r})"
 
 
-ZERO = DoubleDouble()
-
 
 def product(*factors: float) -> DoubleDouble:
     """Double-double product of plain floats, left to right."""

@@ -34,6 +34,12 @@ REFINE_FRACTION = 1e-4
 #: Largest number of samples x grid points evaluated in one kernel product.
 CHUNK_ELEMENTS = 2 ** 16
 
+#: Samples within this fraction of the largest rate tie for the argmax,
+#: and the first of them wins.  Mirror samples of the pulse-area sweep
+#: differ by rounding only, so a plain argmax would pick between them by
+#: the last bits of a sum.
+ARGMAX_TIE_FRACTION = 1e-12
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 VARIABLES = ("pulse_area", "real_cb")
@@ -142,9 +148,9 @@ class SweepEngine:
     def _run(self, spec: SweepSpec, weights_of) -> SweepResult:
         samples = self.samples(spec.values(), weights_of)
         rates = np.array([s.backflow_rate for s in samples])
-        idx = int(np.argmax(rates))  # first occurrence -> smaller value on ties
+        max_rate = float(rates.max())
+        idx = int(np.argmax(rates >= (1.0 - ARGMAX_TIE_FRACTION) * max_rate))
         argmax_value = samples[idx].value
-        max_rate = samples[idx].backflow_rate
         r_val, r_rate = argmax_value, max_rate
         if max_rate > 0.0:
             lo = samples[max(idx - 1, 0)].value
@@ -183,11 +189,3 @@ class SweepEngine:
         if spec.variable != "real_cb":
             raise DomainError("spec.variable must be 'real_cb'")
         return self._run(spec, real_weights)
-
-
-def sweep_pulse_area(state: EncounterState, spec: SweepSpec) -> SweepResult:
-    return SweepEngine(state).sweep_pulse_area(spec)
-
-
-def sweep_real_weights(state: EncounterState, spec: SweepSpec) -> SweepResult:
-    return SweepEngine(state).sweep_real_weights(spec)

@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ioutil import atomic_write_bytes
-from .kinematics import ArmTrajectory, GROUND
+from .kinematics import ArmTrajectory
 from .model import (
     HBAR,
     CondensateParams,
     DomainError,
-    Environment,
-    TransitionParams,
     expansion_rate,
     expansion_rate_derivative,
 )
@@ -152,15 +150,14 @@ class EncounterState:
     com_wavefunction: np.ndarray         # complex phi_COM(u)
     free_velocity: float                 # m/s, free arm COM velocity at T_f
     mass: float                          # kg
-    hbar: float                          # J s
 
     @property
     def delta_theta(self) -> float:
         return self.theta_b - self.theta_f
 
 
-def com_wavefunction(grid: Grid, t: float, params: CondensateParams,
-                     hbar: float = HBAR) -> np.ndarray:
+def com_wavefunction(grid: Grid, t: float,
+                     params: CondensateParams) -> np.ndarray:
     """Expanding-Gaussian COM envelope about the grid center at time t.
 
     (1/sqrt(b)) psi_0(u/b) exp[ i m (db/dt) u^2 / (2 hbar b) ] with
@@ -174,13 +171,17 @@ def com_wavefunction(grid: Grid, t: float, params: CondensateParams,
     u = grid.offsets()
     envelope = (math.pi ** -0.25 / math.sqrt(a * b)
                 * np.exp(-0.5 * (u / (a * b)) ** 2))
-    chirp = (params.mass * bdot / (2.0 * hbar * b)) * u * u
+    chirp = (params.mass * bdot / (2.0 * HBAR * b)) * u * u
     return envelope * np.exp(1j * chirp)
 
 
-def _arm_field(grid: Grid, trajectory: ArmTrajectory, t_final: float,
-               params: CondensateParams, env: Environment) -> WaveField:
+def _arm_field(grid: Grid, trajectory: ArmTrajectory,
+               t_final: float) -> WaveField:
     """Evaluate one arm: envelope times scalar phase times plane wave."""
+    if t_final < trajectory.end_time:
+        raise DomainError(
+            f"encounter time {t_final} s precedes the arm's last pulse or "
+            f"launch at {trajectory.end_time} s")
     x_c = trajectory.position(t_final)
     if abs(x_c - grid.center) > 1e-9:
         raise DomainError(
@@ -188,42 +189,25 @@ def _arm_field(grid: Grid, trajectory: ArmTrajectory, t_final: float,
             f"{x_c} m at t = {t_final} s")
     theta = trajectory.total_phase_at(t_final).mod_two_pi()
     v = trajectory.velocity(t_final)
-    com = com_wavefunction(grid, t_final, params, env.hbar)
+    params = trajectory.params
+    com = com_wavefunction(grid, t_final, params)
     u = grid.offsets()
-    phase = theta + (params.mass * v / env.hbar) * u
+    phase = theta + (params.mass * v / HBAR) * u
     return WaveField(grid, com * np.exp(1j * phase), t_final)
 
 
-def free_arm_wavefunction(grid: Grid, T_f: float, params: CondensateParams,
-                          env: Environment, transition: TransitionParams,
-                          trajectory: ArmTrajectory | None = None) -> WaveField:
-    """Freely falling arm at the encounter time.
-
-    If no trajectory is given, the arm launches from the grid-consistent
-    origin at t = 0 with the condensate's launch velocity in the ground
-    state and never sees a pulse.
-    """
-    if T_f < 0.0:
-        raise DomainError("T_f must be nonnegative")
-    if trajectory is None:
-        trajectory = ArmTrajectory.launch(params, env, transition,
-                                          internal_state=GROUND)
+def free_arm_wavefunction(grid: Grid, trajectory: ArmTrajectory,
+                          T_f: float) -> WaveField:
+    """Freely falling arm at the encounter time."""
     if trajectory.kick_count != 0:
         raise DomainError("the free arm must not contain pulses")
-    return _arm_field(grid, trajectory, T_f, params, env)
+    return _arm_field(grid, trajectory, T_f)
 
 
-def pulsed_arm_wavefunction(grid: Grid, trajectory: ArmTrajectory, T_f: float,
-                            params: CondensateParams, env: Environment,
-                            transition: TransitionParams) -> WaveField:
+def pulsed_arm_wavefunction(grid: Grid, trajectory: ArmTrajectory,
+                            T_f: float) -> WaveField:
     """LMT arm at the encounter time, from its accumulated trajectory."""
-    if trajectory.params != params or trajectory.transition != transition:
-        raise DomainError("trajectory was built for different physical parameters")
-    if T_f < trajectory.end_time:
-        raise DomainError(
-            f"encounter time {T_f} s precedes the last pulse at "
-            f"{trajectory.end_time} s")
-    return _arm_field(grid, trajectory, T_f, params, env)
+    return _arm_field(grid, trajectory, T_f)
 
 
 def combine(free: WaveField, pulsed: WaveField,
@@ -247,9 +231,7 @@ def combine(free: WaveField, pulsed: WaveField,
 
 def encounter_state(grid: Grid, free_arm: ArmTrajectory,
                     pulsed_arm: ArmTrajectory, T_f: float,
-                    weights: ArmAmplitudes, params: CondensateParams,
-                    env: Environment,
-                    transition: TransitionParams) -> EncounterState:
+                    weights: ArmAmplitudes) -> EncounterState:
     """Assemble the factored encounter description of the combined state."""
     if free_arm.kick_count != 0:
         raise DomainError("the free arm must not contain pulses")
@@ -262,36 +244,40 @@ def encounter_state(grid: Grid, free_arm: ArmTrajectory,
     if abs(x_f - grid.center) > 1e-9:
         raise DomainError("grid center must sit at the encounter position")
 
+    params = pulsed_arm.params
     m = params.mass
-    hbar = env.hbar
     v_f = free_arm.velocity(T_f)
     v_b = pulsed_arm.velocity(T_f)
-    q = m * (v_b - v_f) / hbar
+    q = m * (v_b - v_f) / HBAR
 
-    # q must equal (m/hbar)(v_N + g T_N - v_0): the velocity the last
-    # pulse left the arm with, corrected for the shared free fall.
-    last = pulsed_arm.segment(-1)
-    q_def = m * (last.start_velocity + env.gravity * last.start_time
-                 - free_arm.segment(0).start_velocity) / hbar
-    if abs(q - q_def) > 1e-12 * max(abs(q), abs(q_def), 1.0):
+    # Gravity acts on both arms alike, so v_b - v_f must be the summed
+    # kicks.  It is not when a recoil hbar k / m falls below the float64
+    # resolution of the velocities: q is then rounding noise.
+    recoil = pulsed_arm.transition.recoil_velocity_for(m)
+    kicked = pulsed_arm.kick_velocity_total
+    if not abs((v_b - v_f) - kicked) <= 1e-6 * recoil:
         raise DomainError(
-            f"inconsistent beat wavenumber: {q} vs definition {q_def}")
+            f"the arm velocities lose the pulses' recoil: v_b - v_f = "
+            f"{v_b - v_f:.6g} m/s, but the kicks sum to {kicked:.6g} m/s; "
+            f"one recoil hbar k / m is {recoil:.3g} m/s and the float64 "
+            f"velocity resolution is "
+            f"{math.ulp(max(abs(v_b), abs(v_f))):.3g} m/s")
 
     theta_f = free_arm.total_phase_at(T_f).mod_two_pi()
     delta = pulsed_arm.total_phase_at(T_f).add(
         free_arm.total_phase_at(T_f).neg()).mod_two_pi()
 
-    com = com_wavefunction(grid, T_f, params, hbar)
+    com = com_wavefunction(grid, T_f, params)
     b = expansion_rate(T_f, params.trap_frequency)
     bdot = expansion_rate_derivative(T_f, params.trap_frequency)
     u = grid.offsets()
-    grad_theta = (m / hbar) * (v_f + (bdot / b) * u)
+    grad_theta = (m / HBAR) * (v_f + (bdot / b) * u)
 
     return EncounterState(
         grid=grid, time=T_f, R_profile=np.abs(com),
         theta_gradient_profile=grad_theta,
         theta_f=theta_f, theta_b=theta_f + delta, q=q, weights=weights,
-        com_wavefunction=com, free_velocity=v_f, mass=m, hbar=hbar)
+        com_wavefunction=com, free_velocity=v_f, mass=m)
 
 
 def combined_from_state(state: EncounterState) -> WaveField:
@@ -301,7 +287,7 @@ def combined_from_state(state: EncounterState) -> WaveField:
              * [c_f + c_b e^{i q u} e^{i (theta_b - theta_f)}].
     """
     u = state.grid.offsets()
-    carrier = state.theta_f + (state.mass * state.free_velocity / state.hbar) * u
+    carrier = state.theta_f + (state.mass * state.free_velocity / HBAR) * u
     beat = (state.weights.c_f
             + state.weights.c_b * np.exp(1j * (state.q * u + state.delta_theta)))
     amps = state.com_wavefunction * np.exp(1j * carrier) * beat
@@ -309,19 +295,6 @@ def combined_from_state(state: EncounterState) -> WaveField:
 
 
 # -- export --------------------------------------------------------------
-
-def wavefield_to_csv(field: WaveField, path: str) -> None:
-    """Columns: x, Re Psi, Im Psi, |Psi|^2."""
-    x = field.grid.positions()
-    data = np.column_stack([x, field.amplitudes.real, field.amplitudes.imag,
-                            np.abs(field.amplitudes) ** 2])
-
-    def write(fh):
-        fh.write(b"x_m,re_psi,im_psi,density\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.17g")
-
-    atomic_write_bytes(path, write)
-
 
 def wavefield_to_binary(field: WaveField, path: str) -> None:
     """Little-endian dump: magic, header of four float64

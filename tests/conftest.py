@@ -7,7 +7,7 @@ import math
 import pytest
 
 from qbackflow.cli import build_state
-from qbackflow.model import expansion_rate, expansion_rate_derivative
+from qbackflow.model import HBAR, expansion_rate, expansion_rate_derivative
 from qbackflow.oracle import momentum_spectrum_fft
 from qbackflow.presets import preset_config, reduced_scale_config, reference_config
 from qbackflow.wavefield import (
@@ -67,7 +67,7 @@ def spectrum_safe_grid(ctx, half_width_factor: float) -> Grid:
     b = expansion_rate(t_f, sc.params.trap_frequency)
     bdot = expansion_rate_derivative(t_f, sc.params.trap_frequency)
     sigma = sc.params.oscillator_length * b
-    m_over_h = sc.params.mass / sc.env.hbar
+    m_over_h = sc.params.mass / HBAR
     k_need = (m_over_h * max(abs(ctx.free_arm.velocity(t_f)),
                              abs(ctx.pulsed_arm.velocity(t_f)))
               + 8.0 / sigma + m_over_h * (bdot / b) * half_width_factor * sigma)
@@ -81,10 +81,8 @@ def fft_spectrum():
     """FFT of a context's encounter state on a spectrum-safe grid: the
     numerical reference for the closed-form momentum spectrum."""
     def spectrum(ctx, half_width_factor: float = 12.0):
-        sc = ctx.scenario
         state = encounter_state(
             spectrum_safe_grid(ctx, half_width_factor), ctx.free_arm,
-            ctx.pulsed_arm, ctx.encounter_time, ctx.weights, sc.params,
-            sc.env, sc.transition)
+            ctx.pulsed_arm, ctx.encounter_time, ctx.weights)
         return momentum_spectrum_fft(combined_from_state(state))
     return spectrum

@@ -18,6 +18,7 @@ import pytest
 from qbackflow.kinematics import ArmTrajectory, solve_encounter
 from qbackflow.model import (
     ATOMIC_MASS_UNIT,
+    HBAR,
     CondensateParams,
     Environment,
     TransitionParams,
@@ -105,7 +106,7 @@ def test_criterion_1_flux_identity_oracle():
             t_f, params.trap_frequency)
         b = expansion_rate(t_f, params.trap_frequency)
         bdot = expansion_rate_derivative(t_f, params.trap_frequency)
-        m_over_h = params.mass / env.hbar
+        m_over_h = params.mass / HBAR
         q = m_over_h * (pulsed.velocity(t_f) - free.velocity(t_f))
         half_width = 5.0 * sigma
         # total local wavenumber bounds the 4th-order stencil's
@@ -116,11 +117,9 @@ def test_criterion_1_flux_identity_oracle():
         grid = Grid.auto(free.position(t_f), sigma, half_width_factor=5.0,
                          envelope_samples=max(ENVELOPE_SAMPLES, samples))
 
-        state = encounter_state(grid, free, pulsed, t_f, weights,
-                                params, env, tr)
+        state = encounter_state(grid, free, pulsed, t_f, weights)
         analytic = report(state).flux_profile
-        fd = flux_finite_difference(combined_from_state(state),
-                                    state.mass, state.hbar)
+        fd = flux_finite_difference(combined_from_state(state), state.mass)
         scale = float(np.max(np.abs(analytic)))
         err = float(np.max(np.abs(fd[2:-2] - analytic[2:-2]))) / scale
         worst = max(worst, err)
@@ -169,16 +168,15 @@ def test_criterion_2_full_reference_oracle_nightly():
 
     # largest time step allowed by the Nyquist kinetic-phase guard on a
     # grid resolving the fastest arm velocity
-    m_over_h = sc.params.mass / sc.env.hbar
+    m_over_h = sc.params.mass / HBAR
     v_max = max(abs(arm.velocity(float(t)))
                 for arm in (ctx.free_arm, ctx.pulsed_arm)
                 for t in np.linspace(0.0, ctx.encounter_time, 200))
     k_need = 1.5 * (m_over_h * v_max + 8.0 / sc.params.oscillator_length)
     spacing = math.pi / k_need
     n_points = int(2.0 * oracle_grid_for(ctx, 3).half_width / spacing) | 1
-    hbar = sc.env.hbar
     dt_nyquist = 0.25 * math.pi / (
-        hbar * (math.pi / spacing) ** 2 / (2.0 * sc.params.mass))
+        HBAR * (math.pi / spacing) ** 2 / (2.0 * sc.params.mass))
 
     # largest time step aligning every pulse time within the 1e-12 s
     # snap tolerance (the calibrated array start defeats any coarse one)
@@ -388,7 +386,7 @@ def test_criterion_6_momentum_spectra_of_presets(fft_spectrum):
     for name in sorted(PRESETS):
         ctx = build_state(preset_config(name))
         t_f = ctx.encounter_time
-        m_over_h = ctx.scenario.params.mass / ctx.scenario.env.hbar
+        m_over_h = ctx.scenario.params.mass / HBAR
         expected = sorted([m_over_h * ctx.free_arm.velocity(t_f),
                            m_over_h * ctx.pulsed_arm.velocity(t_f)])
 
@@ -423,7 +421,7 @@ def test_criterion_6_momentum_spectra_of_presets(fft_spectrum):
 
 def test_criterion_7_property_suite(ref_ctx_06):
     from qbackflow.kinematics import action_phase_dd, free_fall_step
-    from qbackflow.model import HBAR, sr88_params
+    from qbackflow.model import sr88_params
     from qbackflow.observables import report
     from qbackflow.oracle import PropagatorConfig, gaussian_packet, propagate
     from qbackflow.pulses import real_weights, transition_matrix
@@ -442,9 +440,8 @@ def test_criterion_7_property_suite(ref_ctx_06):
                     2e-3)
     checks["oracle norm 1e-10"] = abs(out.norm() - psi0.norm()) <= 1e-10
     sc = ref_ctx_06.scenario
-    analytic = free_arm_wavefunction(ref_ctx_06.grid, ref_ctx_06.encounter_time,
-                                     sc.params, sc.env, sc.transition,
-                                     trajectory=ref_ctx_06.free_arm)
+    analytic = free_arm_wavefunction(ref_ctx_06.grid, ref_ctx_06.free_arm,
+                                     ref_ctx_06.encounter_time)
     checks["analytic norm 1e-6"] = abs(analytic.norm() - 1.0) <= 1e-6
 
     # transition-matrix unitarity at 1e-12 over random pulses
@@ -472,10 +469,10 @@ def test_criterion_7_property_suite(ref_ctx_06):
         dt1, dt2 = rng.uniform(1e-6, 1e-3, size=2)
         grav = rng.uniform(0.0, 2.0)
         mass = 1.461e-25
-        whole = action_phase_dd(p0, x0, dt1 + dt2, mass, grav, HBAR)
+        whole = action_phase_dd(p0, x0, dt1 + dt2, mass, grav)
         x1, v1 = free_fall_step(x0, p0 / mass, dt1, grav)
-        parts = action_phase_dd(p0, x0, dt1, mass, grav, HBAR).add(
-            action_phase_dd(mass * v1, x1, dt2, mass, grav, HBAR))
+        parts = action_phase_dd(p0, x0, dt1, mass, grav).add(
+            action_phase_dd(mass * v1, x1, dt2, mass, grav))
         additive &= abs(parts.value() - whole.value()) <= 1e-12
     checks["action additivity 1e-12"] = additive
 

@@ -267,6 +267,25 @@ def test_main_no_encounter_exits_3(tmp_path, capsys):
     assert "never re-meet" in err
 
 
+def test_main_lost_recoil_exits_3(tmp_path, capsys):
+    # A 2.5 kg atom recoils by 1.3e-28 m/s, below the 8.7e-19 m/s float64
+    # resolution of its 6e-3 m/s launch velocity: the kicks vanish from
+    # the arm velocities, and a beat wavenumber made of rounding noise
+    # must not be reported.
+    cfg = reduced_scale_config()
+    cfg["condensate"]["mass_kg"] = 2.5
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(out)])
+    assert code == EXIT_PIPELINE
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: the arm velocities lose the "
+                          "pulses' recoil")
+    assert "one recoil hbar k / m is 1.33e-28 m/s" in err
+    assert "velocity resolution is 8.67e-19 m/s" in err
+    assert not out.exists()
+
+
 def test_main_bad_grid_points_exits_2(tmp_path):
     path = _write_config(tmp_path, reduced_scale_config())
     assert main(["run", "--config", path, "--grid-points", "100"]) == \

@@ -19,6 +19,7 @@ from qbackflow.kinematics import (
     solve_encounter,
 )
 from qbackflow.model import (
+    HBAR,
     CondensateParams,
     DomainError,
     Environment,
@@ -27,8 +28,6 @@ from qbackflow.model import (
     sr88_transition,
 )
 from qbackflow.phaseacc import DoubleDouble, product, two_sum
-
-HBAR = 1.054571817e-34
 
 
 def _arms(gravity=9.81, launch=0.2):
@@ -50,7 +49,7 @@ def test_free_fall_step():
 
 def test_action_phase_matches_lagrangian_integral():
     # (1/hbar) integral of m v^2 / 2 - m g x along the ballistic path.
-    m, g, hbar = 2.0, 3.0, 1.5   # synthetic units keep quad well-scaled
+    m, g = 2.0, 3.0   # synthetic units keep quad well-scaled
     p0, x0, dt = 5.0, -1.0, 0.7
 
     def lagrangian(t):
@@ -59,8 +58,8 @@ def test_action_phase_matches_lagrangian_integral():
         return 0.5 * m * v * v - m * g * x
 
     expected, _ = quad(lagrangian, 0.0, dt, epsabs=1e-14, epsrel=1e-13)
-    assert action_phase(p0, x0, dt, m, g, hbar) == pytest.approx(
-        expected / hbar, rel=1e-12)
+    assert action_phase(p0, x0, dt, m, g) == pytest.approx(
+        expected / HBAR, rel=1e-12)
 
 
 @settings(max_examples=200)
@@ -73,10 +72,10 @@ def test_action_additivity(p0, x0, dt1, dt2, g):
     # with the action magnitude; the domain here keeps actions at
     # ~1e3 rad where one ulp of the handoff stays below the budget.
     m = 1.461e-25
-    whole = action_phase_dd(p0, x0, dt1 + dt2, m, g, HBAR)
+    whole = action_phase_dd(p0, x0, dt1 + dt2, m, g)
     x1, v1 = free_fall_step(x0, p0 / m, dt1, g)
-    first = action_phase_dd(p0, x0, dt1, m, g, HBAR)
-    second = action_phase_dd(m * v1, x1, dt2, m, g, HBAR)
+    first = action_phase_dd(p0, x0, dt1, m, g)
+    second = action_phase_dd(m * v1, x1, dt2, m, g)
     split_total = first.add(second)
     assert abs(split_total.value() - whole.value()) <= 1e-12
 
@@ -94,11 +93,11 @@ def test_action_additivity_relative_at_scale(p0, x0, dt1, dt2, g):
     # action by the partial derivative times the rounding error.  The
     # 2e-15 * scale term covers rounding both totals to float64.
     m = 1.461e-25
-    whole = action_phase_dd(p0, x0, dt1 + dt2, m, g, HBAR)
+    whole = action_phase_dd(p0, x0, dt1 + dt2, m, g)
     x1, v1 = free_fall_step(x0, p0 / m, dt1, g)
     P1 = m * v1
-    split_total = action_phase_dd(p0, x0, dt1, m, g, HBAR).add(
-        action_phase_dd(P1, x1, dt2, m, g, HBAR))
+    split_total = action_phase_dd(p0, x0, dt1, m, g).add(
+        action_phase_dd(P1, x1, dt2, m, g))
     dt = dt1 + dt2
     lagrangian_end = (p0 * p0 / (2 * m) - m * g * x0 - 2 * p0 * g * dt
                       + m * g * g * dt * dt) / HBAR        # dS/d(dt)
@@ -110,8 +109,8 @@ def test_action_additivity_relative_at_scale(p0, x0, dt1, dt2, g):
 
 
 def test_internal_phase_sign():
-    assert internal_phase(2.0 * HBAR, 3.0, HBAR) == pytest.approx(-6.0)
-    assert internal_phase(0.0, 5.0, HBAR) == 0.0
+    assert internal_phase(2.0 * HBAR, 3.0) == pytest.approx(-6.0)
+    assert internal_phase(0.0, 5.0) == 0.0
 
 
 def test_trajectory_path_and_kick():
@@ -233,18 +232,18 @@ def _scalar_ledger(params, env, tr, pulses):
     live segment's start (t, x, v, mu), the three closed-segment ledgers
     and the summed kick velocity.
     """
-    g, m, hbar = env.gravity, params.mass, env.hbar
+    g, m = env.gravity, params.mass
     t0, x, v, mu = 0.0, 0.0, params.launch_velocity, GROUND
     action = internal = laser = DoubleDouble()
     states, kick_velocity = [], 0.0
     for t, k, phi in pulses:
         dt = t - t0
         x_c, v_c = free_fall_step(x, v, dt, g)
-        action = action.add(action_phase_dd(m * v, x, dt, m, g, hbar))
-        internal = internal.add(internal_phase_dd(tr.energy(mu), dt, hbar))
+        action = action.add(action_phase_dd(m * v, x, dt, m, g))
+        internal = internal.add(internal_phase_dd(tr.energy(mu), dt))
         laser = (laser.add(product(float(mu), phi)).add(product(k, x_c))
                  .add_float(-0.5 * math.pi))
-        dv = hbar * k / m
+        dv = HBAR * k / m
         t0, x, v, mu = t, x_c, v_c + dv, -mu
         states.append((x, v))
         kick_velocity += dv
@@ -257,10 +256,10 @@ def _scalar_total_phase_at(ref, params, env, tr, t):
     t0, x, v, mu = ref["live"]
     m = params.mass
     return (ref["action"]
-            .add(action_phase_dd(m * v, x, t - t0, m, env.gravity, env.hbar))
+            .add(action_phase_dd(m * v, x, t - t0, m, env.gravity))
             .add(ref["laser"])
             .add(ref["internal"])
-            .add(internal_phase_dd(tr.energy(mu), t - t0, env.hbar)))
+            .add(internal_phase_dd(tr.energy(mu), t - t0)))
 
 
 def _dd_gap(a: DoubleDouble, b: DoubleDouble) -> float:

@@ -80,8 +80,6 @@ def test_environment_validation():
     assert Environment(gravity=0.0).gravity == 0.0
     with pytest.raises(DomainError):
         Environment(gravity=-1.0)
-    with pytest.raises(DomainError):
-        Environment(hbar=0.0)
 
 
 def test_transition_wavevector_and_recoil():
@@ -105,8 +103,6 @@ def test_transition_default_excited_energy_is_photon():
 def test_transition_validation():
     with pytest.raises(DomainError):
         TransitionParams(wavelength=0.0)
-    with pytest.raises(DomainError):
-        TransitionParams(wavelength=1e-6, ground_energy=1.0, excited_energy=0.5)
 
 
 def test_sr88_presets():

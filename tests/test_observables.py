@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qbackflow.model import DomainError, sr88_params
+from qbackflow.model import HBAR, DomainError, sr88_params
 from qbackflow.observables import (
     BackflowReport,
     backflow_rate,
@@ -26,7 +26,7 @@ def test_flux_identity_on_reduced_state():
     state = build_state(reduced_scale_config(), grid_points=16385).state
     analytic = report(state).flux_profile
     field = combined_from_state(state)
-    fd = flux_finite_difference(field, state.mass, state.hbar)
+    fd = flux_finite_difference(field, state.mass)
     inner = slice(2, -2)
     scale = float(np.max(np.abs(analytic)))
     assert float(np.max(np.abs(fd[inner] - analytic[inner]))) <= 1e-6 * scale
@@ -79,9 +79,9 @@ def test_flux_finite_difference_plane_wave():
     g = Grid(center=0.0, half_width=L, n_points=n)
     k = 40.0 * math.pi / L
     psi = np.exp(1j * k * g.positions()) / math.sqrt(2.0 * L)
-    fd = flux_finite_difference(WaveField(g, psi, 0.0), mass=2.0, hbar=3.0)
+    fd = flux_finite_difference(WaveField(g, psi, 0.0), mass=2.0)
     assert np.isnan(fd[0]) and np.isnan(fd[-1])
-    expected = 3.0 * k / 2.0 * (1.0 / (2.0 * L))
+    expected = HBAR * k / 2.0 * (1.0 / (2.0 * L))
     inner = fd[2:-2]
     assert float(np.max(np.abs(inner - expected))) <= 1e-6 * abs(expected)
 
@@ -89,12 +89,12 @@ def test_flux_finite_difference_plane_wave():
 def test_momentum_spectrum_gaussian():
     from qbackflow.oracle import gaussian_packet, momentum_spectrum_fft
     g = Grid(center=0.0, half_width=5e-5, n_points=8193)
-    width, v, m, hbar = 1e-6, 5e-3, 1.46e-25, 1.054571817e-34
-    f = gaussian_packet(g, width, velocity=v, mass=m, hbar=hbar)
+    width, v, m = 1e-6, 5e-3, 1.46e-25
+    f = gaussian_packet(g, width, velocity=v, mass=m)
     k, density = momentum_spectrum_fft(f)
     dk = k[1] - k[0]
     assert float(density.sum() * dk) == pytest.approx(1.0, abs=1e-9)
-    k0 = m * v / hbar
+    k0 = m * v / HBAR
     assert abs(k[int(np.argmax(density))] - k0) <= dk
     # k0 * width = 6.9 standard deviations: negative weight is negligible
     assert float(density[k < 0.0].sum() * dk) < 1e-6

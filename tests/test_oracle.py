@@ -51,10 +51,10 @@ def test_free_expansion_matches_scaling_law():
     a = params.oscillator_length
     omega = params.trap_frequency
     g = _grid(half_width=30.0 * a, n=513)
-    psi0 = gaussian_packet(g, a, mass=params.mass, hbar=HBAR)
+    psi0 = gaussian_packet(g, a, mass=params.mass)
     t = 4e-3
     cfg = PropagatorConfig(time_step=2e-6, grid=g, mass=params.mass,
-                           gravity=0.0, hbar=HBAR)
+                           gravity=0.0)
     out = propagate(psi0, cfg, t)
     b = math.sqrt(1.0 + (omega * t) ** 2)
     assert position_spread(out) == pytest.approx(a * b / math.sqrt(2.0),

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -13,8 +14,6 @@ from qbackflow.sweep import (
     SweepEngine,
     SweepSpec,
     canonical_pulse_area_weights,
-    sweep_pulse_area,
-    sweep_real_weights,
 )
 
 
@@ -83,13 +82,30 @@ def test_engine_samples_match_report(sweep_engine, batch):
 
 def test_sweep_result_shape_and_refinement(reduced_ctx):
     spec = SweepSpec("pulse_area", 0.0, 2.0 * math.pi, 41)
-    res = sweep_pulse_area(reduced_ctx.state, spec)
+    res = SweepEngine(reduced_ctx.state).sweep_pulse_area(spec)
     assert len(res.samples) == 41
     assert res.max_backflow_rate == max(s.backflow_rate for s in res.samples)
     assert res.refined_max_backflow_rate >= res.max_backflow_rate
     lo = res.argmax_value - spec.values()[1]
     hi = res.argmax_value + spec.values()[1]
     assert lo <= res.refined_argmax_value <= hi
+
+
+def test_argmax_ignores_rounding_between_mirror_samples(sweep_ctx,
+                                                       fig8a_result):
+    # The pulse-area rate is symmetric about pi, so each sample below pi
+    # has a mirror above it whose rate differs by rounding only.  Scaling
+    # the envelope by one or two ulp moves those last bits; the reported
+    # optimum must stay at the first (smaller) of the mirror pair.
+    assert fig8a_result.argmax_value < math.pi
+    state = sweep_ctx.state
+    for scale in (1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52,
+                  1.0 + 2.0 ** -51):
+        scaled = dataclasses.replace(state, R_profile=state.R_profile * scale)
+        res = SweepEngine(scaled).sweep_pulse_area(fig8a_result.spec)
+        assert res.argmax_value == fig8a_result.argmax_value, scale
+        assert res.refined_argmax_value == pytest.approx(
+            fig8a_result.refined_argmax_value, rel=1e-9), scale
 
 
 def test_sweep_variable_mismatch_rejected(reduced_ctx):
@@ -101,16 +117,16 @@ def test_sweep_variable_mismatch_rejected(reduced_ctx):
 
 
 def test_real_weight_sweep_monotone_edges(sweep_ctx):
-    res = sweep_real_weights(sweep_ctx.state,
-                             SweepSpec("real_cb", 0.0, 1.0, 21))
+    res = SweepEngine(sweep_ctx.state).sweep_real_weights(
+        SweepSpec("real_cb", 0.0, 1.0, 21))
     rates = res.rates()
     assert rates[0] == 0.0     # c_b = 0: free arm only
     assert rates[-1] == 0.0    # c_b = 1: LMT arm only
 
 
 def test_csv_and_json_outputs(tmp_path, reduced_ctx):
-    res = sweep_real_weights(reduced_ctx.state,
-                             SweepSpec("real_cb", 0.0, 1.0, 5))
+    res = SweepEngine(reduced_ctx.state).sweep_real_weights(
+        SweepSpec("real_cb", 0.0, 1.0, 5))
     csv_path = tmp_path / "sweep.csv"
     res.to_csv(str(csv_path))
     lines = csv_path.read_text().strip().split("\n")

@@ -5,6 +5,7 @@ import pytest
 
 from qbackflow.kinematics import ArmTrajectory, solve_encounter
 from qbackflow.model import (
+    HBAR,
     DomainError,
     Environment,
     expansion_rate,
@@ -26,7 +27,6 @@ from qbackflow.wavefield import (
     pulsed_arm_wavefunction,
     wavefield_from_binary,
     wavefield_to_binary,
-    wavefield_to_csv,
 )
 
 
@@ -92,7 +92,7 @@ def _meeting_arms(t_f_hint=2e-3):
     t_f = solve_encounter(free, pulsed, pulsed.end_time)
     sigma = params.oscillator_length * expansion_rate(
         t_f, params.trap_frequency)
-    q = params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / env.hbar
+    q = params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / HBAR
     grid = Grid.auto(free.position(t_f), sigma, beat_wavenumber=q,
                      half_width_factor=5.0)
     return params, env, tr, free, pulsed, t_f, grid
@@ -100,8 +100,8 @@ def _meeting_arms(t_f_hint=2e-3):
 
 def test_arm_fields_normalized_and_combinable():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, t_f, params, env, tr, trajectory=free)
-    b = pulsed_arm_wavefunction(grid, pulsed, t_f, params, env, tr)
+    f = free_arm_wavefunction(grid, free, t_f)
+    b = pulsed_arm_wavefunction(grid, pulsed, t_f)
     assert f.norm() == pytest.approx(1.0, abs=1e-6)
     assert b.norm() == pytest.approx(1.0, abs=1e-6)
     w = ArmAmplitudes(math.sqrt(0.5), 1j * math.sqrt(0.5))
@@ -112,7 +112,7 @@ def test_arm_fields_normalized_and_combinable():
 def test_free_arm_rejects_kicked_trajectory():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
     with pytest.raises(DomainError):
-        free_arm_wavefunction(grid, t_f, params, env, tr, trajectory=pulsed)
+        free_arm_wavefunction(grid, pulsed, t_f)
 
 
 def test_grid_center_must_match_com():
@@ -120,12 +120,12 @@ def test_grid_center_must_match_com():
     off = Grid(center=grid.center + 1e-6, half_width=grid.half_width,
                n_points=grid.n_points)
     with pytest.raises(DomainError):
-        free_arm_wavefunction(off, t_f, params, env, tr, trajectory=free)
+        free_arm_wavefunction(off, free, t_f)
 
 
 def test_combine_rejects_mismatched_times():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, t_f, params, env, tr, trajectory=free)
+    f = free_arm_wavefunction(grid, free, t_f)
     other = WaveField(grid, f.amplitudes, t_f + 1.0)
     with pytest.raises(GridMismatchError):
         combine(f, other, ArmAmplitudes(1.0 + 0j, 0j))
@@ -133,7 +133,7 @@ def test_combine_rejects_mismatched_times():
 
 def test_combine_rejects_mismatched_envelopes():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, t_f, params, env, tr, trajectory=free)
+    f = free_arm_wavefunction(grid, free, t_f)
     warped = WaveField(grid, f.amplitudes * np.linspace(1.0, 1.1,
                                                         grid.n_points), t_f)
     with pytest.raises(EnvelopeMismatchError):
@@ -145,10 +145,10 @@ def test_factored_state_matches_direct_combination():
     # the explicit weighted sum of the two arm fields.
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
     w = ArmAmplitudes(0.6 + 0j, -0.8j)
-    st = encounter_state(grid, free, pulsed, t_f, w, params, env, tr)
+    st = encounter_state(grid, free, pulsed, t_f, w)
     direct = combine(
-        free_arm_wavefunction(grid, t_f, params, env, tr, trajectory=free),
-        pulsed_arm_wavefunction(grid, pulsed, t_f, params, env, tr), w)
+        free_arm_wavefunction(grid, free, t_f),
+        pulsed_arm_wavefunction(grid, pulsed, t_f), w)
     factored = combined_from_state(st)
     peak = float(np.abs(direct.amplitudes).max())
     assert float(np.max(np.abs(factored.amplitudes - direct.amplitudes))
@@ -158,9 +158,9 @@ def test_factored_state_matches_direct_combination():
 def test_encounter_state_invariants():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
     w = ArmAmplitudes(0.6 + 0j, 0.8 + 0j)
-    st = encounter_state(grid, free, pulsed, t_f, w, params, env, tr)
+    st = encounter_state(grid, free, pulsed, t_f, w)
     # q equals m (v_b - v_f) / hbar
-    q = params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / env.hbar
+    q = params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / HBAR
     assert st.q == pytest.approx(q, rel=1e-12)
     # measured fringe spacing of the density equals 2 pi / |q|
     from qbackflow.observables import report
@@ -169,12 +169,12 @@ def test_encounter_state_invariants():
         2.0 * math.pi / abs(q), rel=2.0 / 20.0)
     # rejects a non-encounter time
     with pytest.raises(DomainError):
-        encounter_state(grid, free, pulsed, t_f + 1e-3, w, params, env, tr)
+        encounter_state(grid, free, pulsed, t_f + 1e-3, w)
 
 
 def test_binary_round_trip_bitwise(tmp_path):
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, t_f, params, env, tr, trajectory=free)
+    f = free_arm_wavefunction(grid, free, t_f)
     path = str(tmp_path / "field.bin")
     wavefield_to_binary(f, path)
     back = wavefield_from_binary(path)
@@ -190,14 +190,3 @@ def test_binary_rejects_foreign_file(tmp_path):
     with pytest.raises(ValueError):
         wavefield_from_binary(str(path))
 
-
-def test_csv_export(tmp_path):
-    g = Grid(center=0.0, half_width=1.0, n_points=3)
-    f = WaveField(g, np.array([1 + 0j, 0.5j, 0j]), 0.0)
-    path = tmp_path / "field.csv"
-    wavefield_to_csv(f, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x_m,re_psi,im_psi,density"
-    assert len(lines) == 4
-    row = [float(v) for v in lines[2].split(",")]
-    assert row == [0.0, 0.0, 0.5, 0.25]
