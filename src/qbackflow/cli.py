@@ -284,13 +284,13 @@ def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
 
 def build_state(cfg: dict, grid_points: int | None = None) -> PipelineContext:
     """Run the scenario pipeline up to the analytic encounter state."""
-    from .model import HBAR
-    from .wavefield import encounter_state
+    from .wavefield import beat_wavenumber, encounter_state
     sc = parse_config(cfg)
     free, pulsed = build_trajectories(sc)
     t_f = resolve_encounter(sc, free, pulsed)
     center = free.position(t_f)
-    q = sc.params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / HBAR
+    # the recoil check runs before a rounding-noise q can size the grid
+    q = beat_wavenumber(free, pulsed, t_f)
     grid = _auto_grid(sc, center, t_f, q, grid_points)
     state = encounter_state(grid, free, pulsed, t_f, sc.weights)
     return PipelineContext(sc, free, pulsed, t_f, sc.weights, grid, state)
@@ -446,11 +446,12 @@ def oracle_grid_for(ctx: PipelineContext, oracle_points: int):
                 n_points=oracle_points)
 
 
-def oracle_arm_field(ctx: PipelineContext, trajectory, grid,
+def oracle_arm_field(ctx: PipelineContext, trajectories, grid,
                      time_step: float):
-    """Propagate one arm numerically, including pulse and internal-state
-    scalar phases, so its absolute phase is comparable to the analytic
-    evaluation (up to one arm-independent global phase)."""
+    """Propagate the arms numerically as one field stack, a row per
+    trajectory, including pulse and internal-state scalar phases, so each
+    row's absolute phase is comparable to the analytic evaluation (up to
+    one arm-independent global phase)."""
     import numpy as np
     from .oracle import KickEvent, PropagatorConfig, gaussian_packet, propagate
     from .wavefield import WaveField
@@ -458,25 +459,27 @@ def oracle_arm_field(ctx: PipelineContext, trajectory, grid,
     t_f = ctx.encounter_time
     # Pulses act as -i e^{i mu phi_L} e^{i s k x}; mu is the internal
     # state before the pulse, which toggles from ground at launch.
-    kicks = ()
-    if trajectory.kick_count:
-        times, signs, phases = sc.pulses.T
-        kicks = tuple(map(
-            KickEvent, times.tolist(),
-            (signs * sc.transition.wavevector_magnitude).tolist(),
-            (np.resize([1, -1], len(times)) * phases).tolist()))
+    times, signs, phases = sc.pulses.T
+    pulses = list(zip(times.tolist(),
+                      (signs * sc.transition.wavevector_magnitude).tolist(),
+                      (np.resize([1, -1], len(times)) * phases).tolist()))
+    kicks = tuple(KickEvent(*pulse, row)
+                  for row, trajectory in enumerate(trajectories)
+                  if trajectory.kick_count for pulse in pulses)
     config = PropagatorConfig(
         time_step=time_step, grid=grid, mass=sc.params.mass,
         gravity=sc.env.gravity, kick_events=kicks,
         trap_frequency=sc.params.trap_frequency)
-    initial = gaussian_packet(
+    initial = WaveField(grid, np.stack([gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,
-        center=trajectory.segment(0).start_position, mass=sc.params.mass)
+        center=trajectory.segment(0).start_position,
+        mass=sc.params.mass).amplitudes for trajectory in trajectories]), 0.0)
     out = propagate(initial, config, t_f)
     # The internal-state energy is the one scalar the propagator does
     # not model; it differs between the arms, so fold it in exactly.
-    _, _, internal = trajectory.phases_at(t_f)
-    return WaveField(grid, out.amplitudes * np.exp(1j * internal.mod_two_pi()),
+    internal = np.array([trajectory.phases_at(t_f)[2].mod_two_pi()
+                         for trajectory in trajectories])
+    return WaveField(grid, out.amplitudes * np.exp(1j * internal)[:, None],
                      t_f)
 
 
@@ -503,12 +506,12 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
     analytic_pulsed = pulsed_arm_wavefunction(grid, ctx.pulsed_arm, t_f)
     analytic_combined = combine(analytic_free, analytic_pulsed, ctx.weights)
 
-    numeric_free = oracle_arm_field(ctx, ctx.free_arm, grid, time_step)
-    numeric_pulsed = oracle_arm_field(ctx, ctx.pulsed_arm, grid, time_step)
+    free, pulsed = oracle_arm_field(ctx, (ctx.free_arm, ctx.pulsed_arm),
+                                    grid, time_step).amplitudes
+    numeric_free = WaveField(grid, free, t_f)
+    numeric_pulsed = WaveField(grid, pulsed, t_f)
     numeric_combined = WaveField(
-        grid,
-        ctx.weights.c_f * numeric_free.amplitudes
-        + ctx.weights.c_b * numeric_pulsed.amplitudes, t_f)
+        grid, ctx.weights.c_f * free + ctx.weights.c_b * pulsed, t_f)
 
     return {
         "free_arm": compare_fields(analytic_free, numeric_free),

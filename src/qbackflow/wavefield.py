@@ -111,19 +111,22 @@ class Grid:
 
 @dataclass(frozen=True)
 class WaveField:
-    """Complex amplitude sampled on a grid at a fixed time."""
+    """Complex amplitude sampled on a grid at a fixed time: one field, or
+    a stack of fields on the same grid, one per row."""
 
     grid: Grid
-    amplitudes: np.ndarray   # complex, length n_points
+    amplitudes: np.ndarray   # complex, (n_points,) or (rows, n_points)
     time: float              # s
 
     def __post_init__(self):
-        if len(self.amplitudes) != self.grid.n_points:
+        shape = np.shape(self.amplitudes)
+        if len(shape) not in (1, 2) or shape[-1] != self.grid.n_points:
             raise DomainError("amplitude array length must match the grid")
 
-    def norm(self) -> float:
-        """Sum of |amplitude|^2 times spacing (approximates the L2 norm)."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.spacing)
+    def norm(self) -> float | np.ndarray:
+        """Sum of |amplitude|^2 times spacing (approximates the L2 norm),
+        one value per row of a stack."""
+        return np.sum(np.abs(self.amplitudes) ** 2, axis=-1) * self.grid.spacing
 
     def density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -229,6 +232,29 @@ def combine(free: WaveField, pulsed: WaveField,
     return WaveField(free.grid, amps, free.time)
 
 
+def beat_wavenumber(free_arm: ArmTrajectory, pulsed_arm: ArmTrajectory,
+                    T_f: float) -> float:
+    """q = m (v_b - v_f) / hbar at T_f, refused when it is rounding noise.
+
+    Gravity acts on both arms alike, so v_b - v_f must be the summed
+    kicks.  It is not when a recoil hbar k / m falls below the float64
+    resolution of the velocities: q is then rounding noise.
+    """
+    m = pulsed_arm.params.mass
+    v_f = free_arm.velocity(T_f)
+    v_b = pulsed_arm.velocity(T_f)
+    recoil = pulsed_arm.transition.recoil_velocity_for(m)
+    kicked = pulsed_arm.kick_velocity_total
+    if not abs((v_b - v_f) - kicked) <= 1e-6 * recoil:
+        raise DomainError(
+            f"the arm velocities lose the pulses' recoil: v_b - v_f = "
+            f"{v_b - v_f:.6g} m/s, but the kicks sum to {kicked:.6g} m/s; "
+            f"one recoil hbar k / m is {recoil:.3g} m/s and the float64 "
+            f"velocity resolution is "
+            f"{math.ulp(max(abs(v_b), abs(v_f))):.3g} m/s")
+    return m * (v_b - v_f) / HBAR
+
+
 def encounter_state(grid: Grid, free_arm: ArmTrajectory,
                     pulsed_arm: ArmTrajectory, T_f: float,
                     weights: ArmAmplitudes) -> EncounterState:
@@ -247,21 +273,7 @@ def encounter_state(grid: Grid, free_arm: ArmTrajectory,
     params = pulsed_arm.params
     m = params.mass
     v_f = free_arm.velocity(T_f)
-    v_b = pulsed_arm.velocity(T_f)
-    q = m * (v_b - v_f) / HBAR
-
-    # Gravity acts on both arms alike, so v_b - v_f must be the summed
-    # kicks.  It is not when a recoil hbar k / m falls below the float64
-    # resolution of the velocities: q is then rounding noise.
-    recoil = pulsed_arm.transition.recoil_velocity_for(m)
-    kicked = pulsed_arm.kick_velocity_total
-    if not abs((v_b - v_f) - kicked) <= 1e-6 * recoil:
-        raise DomainError(
-            f"the arm velocities lose the pulses' recoil: v_b - v_f = "
-            f"{v_b - v_f:.6g} m/s, but the kicks sum to {kicked:.6g} m/s; "
-            f"one recoil hbar k / m is {recoil:.3g} m/s and the float64 "
-            f"velocity resolution is "
-            f"{math.ulp(max(abs(v_b), abs(v_f))):.3g} m/s")
+    q = beat_wavenumber(free_arm, pulsed_arm, T_f)
 
     theta_f = free_arm.total_phase_at(T_f).mod_two_pi()
     delta = pulsed_arm.total_phase_at(T_f).add(

@@ -286,6 +286,23 @@ def test_main_lost_recoil_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_lost_recoil_with_wide_envelope_exits_3(tmp_path, capsys):
+    # At 6 m/s and 1e-5 rad/s the rounding-noise q would ask for a
+    # 4.4e6-point grid; the recoil check must fire before that grid is
+    # sized, so the run exits 3 on the cause, not 2 on the grid limit.
+    cfg = reduced_scale_config()
+    cfg["condensate"].update({"mass_kg": 2.5, "launch_velocity_m_per_s": 6.0,
+                              "trap_frequency_rad_per_s": 1e-5})
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(out)])
+    assert code == EXIT_PIPELINE
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: the arm velocities lose the "
+                          "pulses' recoil")
+    assert not out.exists()
+
+
 def test_main_bad_grid_points_exits_2(tmp_path):
     path = _write_config(tmp_path, reduced_scale_config())
     assert main(["run", "--config", path, "--grid-points", "100"]) == \

@@ -200,3 +200,85 @@ def test_compare_fields_global_phase_removed():
     amp, phase = compare_fields(psi, rotated)
     assert amp <= 1e-15
     assert phase <= 1e-12
+
+
+def _max_dev(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+def test_stack_matches_single_row_propagations():
+    # Two rows with different kick schedules: a kick at step 0, one on a
+    # guard step (500 of 1000, guarded every 50) and one on the last step.
+    params = sr88_params(launch_velocity=0.0)
+    a = params.oscillator_length
+    g = _grid(half_width=30.0 * a, n=513)
+    psi0 = gaussian_packet(g, a, mass=params.mass)
+    dt, t_f = 2e-6, 2e-3
+    schedules = ([KickEvent(0.0, 1e6, 0.3), KickEvent(1e-3, -1e6, 1.1)],
+                 [KickEvent(3.7e-4, -8e5, 0.5), KickEvent(t_f, 1e6, 2.0)])
+
+    def config(kicks):
+        return PropagatorConfig(time_step=dt, grid=g, mass=params.mass,
+                                gravity=2.0, kick_events=tuple(kicks))
+
+    stack = WaveField(g, np.stack([psi0.amplitudes, psi0.amplitudes]), 0.0)
+    both = propagate(stack, config(
+        [KickEvent(ev.time, ev.signed_k, ev.phase, row)
+         for row, kicks in enumerate(schedules) for ev in kicks]), t_f)
+    assert both.amplitudes.shape == (2, g.n_points)
+    for row, kicks in enumerate(schedules):
+        single = propagate(psi0, config(kicks), t_f)
+        assert single.amplitudes.shape == (g.n_points,)
+        assert _max_dev(both.amplitudes[row], single.amplitudes) <= 1e-12
+        # and propagate / kick / propagate done by hand
+        by_hand = psi0
+        for ev in kicks:
+            by_hand = kick(propagate(by_hand, config(()), ev.time),
+                           ev.signed_k, ev.phase)
+        by_hand = propagate(by_hand, config(()), t_f)
+        assert _max_dev(both.amplitudes[row], by_hand.amplitudes) <= 1e-12
+
+
+def test_edge_guard_trips_on_one_row_of_a_stack():
+    params = sr88_params(launch_velocity=0.0)
+    a = params.oscillator_length
+    g = _grid(half_width=30.0 * a, n=513)
+    cfg = PropagatorConfig(time_step=2e-6, grid=g, mass=params.mass,
+                           gravity=0.0)
+    resting = gaussian_packet(g, a, mass=params.mass)
+    # 5.6 a per 2 ms, starting 10 a from the edge
+    moving = gaussian_packet(g, a, velocity=5e6 * HBAR / params.mass,
+                             center=g.center + 20.0 * a, mass=params.mass)
+    propagate(resting, cfg, 2e-3)   # fine on its own
+    stack = WaveField(g, np.stack([resting.amplitudes, moving.amplitudes]),
+                      0.0)
+    with pytest.raises(PropagationError, match="row 1 reached the grid edge"):
+        propagate(stack, cfg, 2e-3)
+
+
+@pytest.mark.parametrize("rows, row", [(2, -1), (2, 2), (1, 1)])
+def test_kick_on_missing_row_refused(rows, row):
+    params = sr88_params(launch_velocity=0.0)
+    g = _grid(half_width=30.0 * params.oscillator_length, n=513)
+    psi0 = gaussian_packet(g, params.oscillator_length, mass=params.mass)
+    stack = WaveField(g, np.stack([psi0.amplitudes] * rows), 0.0)
+    cfg = PropagatorConfig(time_step=2e-6, grid=g, mass=params.mass,
+                           kick_events=(KickEvent(1e-4, 1e6, row=row),))
+    with pytest.raises(DomainError, match=f"row {row} of a {rows}-row field"):
+        propagate(stack, cfg, 2e-4)
+
+
+def test_strang_step_exact_up_to_global_phase():
+    # For H = p^2/2m + m g x every nested commutator beyond [T, V] is zero
+    # or a c-number, so a Strang step is exact up to a global phase: the
+    # oracle fields do not depend on the time step beyond rounding noise.
+    from qbackflow.cli import build_state, oracle_arm_field, oracle_grid_for
+    from qbackflow.presets import reduced_scale_config
+
+    ctx = build_state(reduced_scale_config())
+    grid = oracle_grid_for(ctx, 513)
+    arms = (ctx.free_arm, ctx.pulsed_arm)
+    coarse = oracle_arm_field(ctx, arms, grid, 5e-7).amplitudes
+    fine = oracle_arm_field(ctx, arms, grid, 2.5e-7).amplitudes
+    overlap = np.vdot(fine, coarse)
+    assert _max_dev(coarse * np.conj(overlap) / abs(overlap), fine) <= 1e-11
