@@ -59,15 +59,48 @@ def _typed(value, kind, path: str, positive=False):
 
 
 #: Keys of the optional sections; numbers must be positive.  `grid` holds
-#: the sizing knobs of `Grid.auto`, or an explicit grid (`half_width_m`
-#: with `n_points`).
+#: the sizing knobs of `Grid.auto`.
 _SECTION_KEYS = {
     "grid": (("half_width_factor", float), ("envelope_samples", int),
-             ("fringe_samples", int), ("half_width_m", float),
-             ("n_points", int)),
+             ("fringe_samples", int)),
     "spectrum": (("enabled", bool), ("half_width_factor", float)),
     "output": (("profile_window_m", float), ("wavefield_dump", bool)),
 }
+
+#: Every key the parser reads, by section (`pulse_arrays` for each
+#: array, `config` for the root); any other key is refused, so a
+#: misspelt one cannot be dropped.
+_KNOWN_KEYS = {
+    "condensate": ("preset", "mass_kg", "trap_frequency_rad_per_s",
+                   "launch_velocity_m_per_s"),
+    "environment": ("gravity_m_per_s2",),
+    "transition": ("wavelength_m",),
+    "splitting_pulse": ("time_s", "pulse_area_rad", "laser_phase_rad", "sign"),
+    "weights": ("mode", "cb"),
+    "pulse_arrays": ("count", "start_s", "interval_s", "sign",
+                     "laser_phase_rad"),
+    "encounter": ("auto", "time_s"),
+    "sweep": ("variable", "range", "n_samples"),
+    **{name: tuple(key for key, _ in keys)
+       for name, keys in _SECTION_KEYS.items()},
+}
+_KNOWN_KEYS["config"] = tuple(_KNOWN_KEYS)
+
+
+def _refuse_unknown_keys(cfg: dict) -> None:
+    """Raise naming the path of the first key no parser reads; a section
+    of the wrong type is left to the parser's type check."""
+    nodes = [("config", cfg, "config")]
+    nodes += [(name, cfg.get(name), name) for name in _KNOWN_KEYS["config"]]
+    arrays = cfg.get("pulse_arrays")
+    if isinstance(arrays, list):
+        nodes += [(f"pulse_arrays[{i}]", arr, "pulse_arrays")
+                  for i, arr in enumerate(arrays)]
+    for where, node, kind in nodes:
+        for key in node if isinstance(node, dict) else ():
+            if key not in _KNOWN_KEYS[kind]:
+                raise ConfigError(f"{where}.{key}: unknown key; known keys "
+                                  f"are {', '.join(_KNOWN_KEYS[kind])}")
 
 
 @dataclass(frozen=True)
@@ -97,12 +130,14 @@ def parse_config(cfg: dict) -> Scenario:
 
 def _parse_config(cfg: dict) -> Scenario:
     import numpy as np
+    from .kinematics import MAX_PULSES
     from .model import CondensateParams, Environment, TransitionParams, sr88_params
     from .pulses import PulseSpec, real_weights, splitting_weights
-    from .sweep import SweepSpec
+    from .sweep import MAX_SAMPLES, SweepSpec
 
     if not isinstance(cfg, dict):
         raise ConfigError("configuration root must be a JSON object")
+    _refuse_unknown_keys(cfg)
 
     cond = _get(cfg, "condensate", dict, "config")
     if "preset" in cond:
@@ -158,6 +193,7 @@ def _parse_config(cfg: dict) -> Scenario:
     # pulse is a one-pulse array.
     heads = [(split_time, split_sign, split_phase, 0.0)]
     counts = [1]
+    total = 1
     arrays = _get(cfg, "pulse_arrays", list, "config", default=[],
                   required=False)
     for i, arr in enumerate(arrays):
@@ -167,6 +203,11 @@ def _parse_config(cfg: dict) -> Scenario:
         count = _get(arr, "count", int, where)
         if count < 1:
             raise ConfigError(f"{where}.count: must be >= 1")
+        total += count
+        if total > MAX_PULSES:
+            raise ConfigError(f"{where}.count: {count} pulses bring the "
+                              f"schedule to {total}, above the limit of "
+                              f"{MAX_PULSES} pulses")
         start = _get(arr, "start_s", float, where)
         interval = _get(arr, "interval_s", float, where, positive=True)
         sign = _get(arr, "sign", int, where)
@@ -200,9 +241,6 @@ def _parse_config(cfg: dict) -> Scenario:
         sections[name] = {key: _get(given, key, kind, name,
                                     positive=kind is not bool)
                           for key, kind in keys if key in given}
-    n_points = sections["grid"].get("n_points", 3)
-    if n_points < 3 or n_points % 2 == 0:
-        raise ConfigError("grid.n_points: must be odd and >= 3")
 
     sweep_spec = None
     if "sweep" in cfg:
@@ -219,6 +257,9 @@ def _parse_config(cfg: dict) -> Scenario:
                 n_samples=_get(sw, "n_samples", int, "sweep"))
         except ValueError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
+        if sweep_spec.n_samples > MAX_SAMPLES:
+            raise ConfigError(f"sweep.n_samples: {sweep_spec.n_samples} "
+                              f"samples exceed the limit of {MAX_SAMPLES}")
 
     return Scenario(params, env, transition, pulses, weights, enc_time,
                     sections["grid"], sections["spectrum"], sections["output"],
@@ -263,17 +304,10 @@ def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
                grid_points: int | None):
     from .model import DomainError, expansion_rate
     from .wavefield import Grid
-    g = sc.grid_cfg
     sigma = sc.params.oscillator_length * expansion_rate(
         t_f, sc.params.trap_frequency)
     try:
-        if "half_width_m" in g and "n_points" in g:
-            grid = Grid(center=center, half_width=g["half_width_m"],
-                        n_points=g["n_points"])
-        else:
-            grid = Grid.auto(center, sigma, beat_wavenumber=q, **{
-                k: v for k, v in g.items()
-                if k not in ("half_width_m", "n_points")})
+        grid = Grid.auto(center, sigma, beat_wavenumber=q, **sc.grid_cfg)
         if grid_points is not None:
             grid = Grid(center=grid.center, half_width=grid.half_width,
                         n_points=grid_points)
@@ -305,7 +339,7 @@ def spectrum_state(ctx: PipelineContext):
         return None
     try:
         return MomentumState.from_encounter(
-            ctx.state, ctx.scenario.params, scfg.get("half_width_factor", 6.0))
+            ctx.state, scfg.get("half_width_factor", 6.0))
     except DomainError as exc:
         raise ConfigError(f"spectrum: {exc}") from exc
 
@@ -343,16 +377,16 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
     check = classical_backflow_check(ctx.scenario.params,
                                      abs(ctx.scenario.params.launch_velocity))
     spec_block = _spectrum_block(ctx)
-
+    v_f = ctx.state.free_velocity
+    v_b = ctx.pulsed_arm.velocity(ctx.encounter_time)
     doc = {
         "report": rep.scalars(),
         "encounter": {
             "time_s": ctx.encounter_time,
             "position_m": ctx.grid.center,
-            "free_velocity_m_per_s": ctx.free_arm.velocity(ctx.encounter_time),
-            "pulsed_velocity_m_per_s": ctx.pulsed_arm.velocity(ctx.encounter_time),
-            "delta_v_m_per_s": (ctx.pulsed_arm.velocity(ctx.encounter_time)
-                                - ctx.free_arm.velocity(ctx.encounter_time)),
+            "free_velocity_m_per_s": v_f,
+            "pulsed_velocity_m_per_s": v_b,
+            "delta_v_m_per_s": v_b - v_f,
             "beat_wavenumber_per_m": ctx.state.q,
         },
         "weights": {
@@ -373,7 +407,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         atomic_write_text(os.path.join(out_dir, "report.json"),
-                          json.dumps(doc, indent=2) + "\n")
+                          json.dumps(doc) + "\n")
         window = ctx.scenario.output_cfg.get("profile_window_m",
                                              ctx.grid.half_width)
         u = ctx.grid.offsets()
@@ -421,7 +455,7 @@ def run_sweep(cfg: dict, out_dir: str | None = None,
         summary = result.summary()
         summary["provenance"] = _provenance(ctx)
         atomic_write_text(os.path.join(out_dir, "sweep.json"),
-                          json.dumps(summary, indent=2) + "\n")
+                          json.dumps(summary) + "\n")
     return result, ctx
 
 
@@ -472,7 +506,7 @@ def oracle_arm_field(ctx: PipelineContext, trajectories, grid,
         trap_frequency=sc.params.trap_frequency)
     initial = WaveField(grid, np.stack([gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,
-        center=trajectory.segment(0).start_position,
+        center=trajectory.positions[0],
         mass=sc.params.mass).amplitudes for trajectory in trajectories]), 0.0)
     out = propagate(initial, config, t_f)
     # The internal-state energy is the one scalar the propagator does

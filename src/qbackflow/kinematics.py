@@ -18,9 +18,11 @@ Phases are kept unreduced in double-double precision; see phaseacc.
 
 Storage and cost
 ----------------
-A trajectory is an array ledger: one entry per segment start (the
-launch, then one per pulse) holding the time, position, velocity and
-internal state.  :meth:`ArmTrajectory.kicks` appends a whole pulse
+A trajectory is its arrays: one entry per segment start (the launch,
+then one per pulse) holding the time, position, velocity and internal
+state, plus the three reduced ledgers.  There is no per-segment object:
+a query at time t finds its entry by one binary search and reads the
+arrays there.  :meth:`ArmTrajectory.kicks` appends a whole pulse
 array in one vectorised pass, and :meth:`ArmTrajectory.kick` is its
 one-pulse case:
 
@@ -33,10 +35,10 @@ one-pulse case:
 * each ledger is then reduced once, by an exactly rounded sum
   (:func:`phaseacc.fsum_dd`), into a single DoubleDouble.
 
-A build is O(n) in the pulse count and segment lookups are binary
-searches.  Only the order in which segment terms are summed differs
-from a pulse-by-pulse double-double ledger, which moves the reduced
-phases by far less than 1e-9 rad even at 8,000 pulses.
+A build is O(n) in the pulse count.  Only the order in which segment
+terms are summed differs from a pulse-by-pulse double-double ledger,
+which moves the reduced phases by far less than 1e-9 rad even at 8,000
+pulses.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ from .phaseacc import DoubleDouble, fsum_dd, product, two_prod
 
 GROUND = +1
 EXCITED = -1
+
+#: Largest pulse schedule accepted, refused at parse time: parsing and
+#: building the arms peak at about 380 bytes per pulse (1.05 GiB more
+#: for 4e6 pulses than for 1e6), so ~0.4 GB here.
+MAX_PULSES = 1_000_000
 
 
 class OrderingError(ValueError):
@@ -73,20 +80,12 @@ def free_fall_step(position: float, velocity: float, dt: float,
     return position + velocity * dt - 0.5 * g * dt * dt, velocity - g * dt
 
 
-def action_phase(momentum_after_pulse: float, position_after_pulse: float,
-                 dt: float, mass: float, g: float) -> float:
-    """COM action between pulses divided by hbar.
+def action_phase_dd(P: float, x: float, dt: float, mass: float,
+                    g: float) -> DoubleDouble:
+    """COM action between pulses divided by hbar, in double-double:
 
     (1/hbar) [ (P^2/2m - m g x) dt - P g dt^2 + (1/3) m g^2 dt^3 ]
     for an arm that leaves a pulse with momentum P at height x.
-    """
-    return action_phase_dd(momentum_after_pulse, position_after_pulse,
-                           dt, mass, g).value()
-
-
-def action_phase_dd(P: float, x: float, dt: float, mass: float,
-                    g: float) -> DoubleDouble:
-    """Double-double version of :func:`action_phase`.
 
     P, x and dt may also be arrays of one shape: the terms are then
     evaluated elementwise, rounded as the scalar code rounds them.
@@ -100,28 +99,12 @@ def action_phase_dd(P: float, x: float, dt: float, mass: float,
     return acc.div_float(HBAR)
 
 
-def internal_phase(energy: float, dt: float) -> float:
-    """Phase -E dt / hbar accumulated by an internal state over dt."""
-    return internal_phase_dd(energy, dt).value()
-
-
 def internal_phase_dd(energy: float, dt: float) -> DoubleDouble:
-    """Double-double version of :func:`internal_phase`; arrays as in
-    :func:`action_phase_dd`."""
+    """Phase -E dt / hbar accumulated by an internal state over dt, in
+    double-double; arrays as in :func:`action_phase_dd`."""
     if np.any(np.less(dt, 0.0)):
         raise DomainError("dt must be nonnegative")
     return product(energy, dt).div_float(HBAR).neg()
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One ballistic stretch; the last segment of a trajectory is open-ended."""
-
-    start_time: float
-    end_time: float             # math.inf for the live segment
-    start_position: float
-    start_velocity: float
-    internal_state: int         # +1 ground, -1 excited
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,42 +147,27 @@ class ArmTrajectory:
     def kick_count(self) -> int:
         return len(self.times) - 1
 
-    def segment(self, i: int) -> Segment:
-        """Segment i (negative i counts from the live segment backwards)."""
-        n = len(self.times)
-        if not -n <= i < n:
-            raise IndexError(f"segment {i} of {n}")
-        i %= n
-        end = float(self.times[i + 1]) if i + 1 < n else math.inf
-        return Segment(float(self.times[i]), end, float(self.positions[i]),
-                       float(self.velocities[i]), int(self.internal_states[i]))
-
-    @property
-    def segments(self) -> tuple[Segment, ...]:
-        """All segments, built on demand; prefer :meth:`segment` for one."""
-        return tuple(self.segment(i) for i in range(len(self.times)))
-
-    def _segment_at(self, t: float) -> Segment:
+    def _entry(self, t: float) -> tuple[float, float, float, int]:
+        """(time, position, velocity, internal state) at the start of the
+        segment holding t: the last entry at or before t, so of pulses at
+        one time the last one wins."""
         if not t >= self.times[0]:  # also rejects NaN
             raise DomainError(f"time {t} precedes trajectory start")
-        return self.segment(int(np.searchsorted(self.times, t, "right")) - 1)
+        i = int(np.searchsorted(self.times, t, "right")) - 1
+        return (float(self.times[i]), float(self.positions[i]),
+                float(self.velocities[i]), int(self.internal_states[i]))
 
     def position(self, t: float) -> float:
-        seg = self._segment_at(t)
-        x, _ = free_fall_step(seg.start_position, seg.start_velocity,
-                              t - seg.start_time, self.env.gravity)
-        return x
+        t0, x, v, _ = self._entry(t)
+        return free_fall_step(x, v, t - t0, self.env.gravity)[0]
 
     def velocity(self, t: float) -> float:
-        seg = self._segment_at(t)
-        return seg.start_velocity - self.env.gravity * (t - seg.start_time)
+        t0, _, v, _ = self._entry(t)
+        return v - self.env.gravity * (t - t0)
 
     @property
     def end_time(self) -> float:
         return float(self.times[-1])
-
-    def internal_state_at(self, t: float) -> int:
-        return self._segment_at(t).internal_state
 
     # -- construction -------------------------------------------------
 
@@ -288,16 +256,14 @@ class ArmTrajectory:
         t must not precede the last pulse; the live segment contributes
         its ballistic action and internal evolution up to t.
         """
-        last = self.segment(-1)
-        if t < last.start_time:
+        t0, x, v, mu = self._entry(t)
+        if t0 < self.end_time:
             raise DomainError("phase query before the last pulse is not supported")
         m = self.params.mass
-        dt = t - last.start_time
         action = self.action_phase_total.add(
-            action_phase_dd(m * last.start_velocity, last.start_position,
-                            dt, m, self.env.gravity))
+            action_phase_dd(m * v, x, t - t0, m, self.env.gravity))
         internal = self.internal_phase_total.add(
-            internal_phase_dd(self.transition.energy(last.internal_state), dt))
+            internal_phase_dd(self.transition.energy(mu), t - t0))
         return action, self.laser_phase_total, internal
 
     def total_phase_at(self, t: float) -> DoubleDouble:

@@ -73,7 +73,7 @@ import numpy as np
 from .model import (HBAR, CondensateParams, DomainError, expansion_rate,
                     expansion_rate_derivative)
 from .pulses import ArmAmplitudes
-from .wavefield import EncounterState, Grid, WaveField
+from .wavefield import EncounterState, Grid, WaveField, com_wavefunction
 
 #: Grid points with envelope density below this fraction of its maximum
 #: are excluded from reported extrema (far tails carry no signal but the
@@ -143,19 +143,20 @@ class MomentumState:
     weights: ArmAmplitudes
 
     @classmethod
-    def from_encounter(cls, state: EncounterState, params: CondensateParams,
+    def from_encounter(cls, state: EncounterState,
                        half_width_factor: float) -> "MomentumState":
         """The k window reaches half_width_factor / a_x beyond both arms."""
+        params = state.params
         a = params.oscillator_length
         b = expansion_rate(state.time, params.trap_frequency)
         bdot = expansion_rate_derivative(state.time, params.trap_frequency)
-        k_f = state.mass * state.free_velocity / HBAR
+        k_f = params.mass * state.free_velocity / HBAR
         grid = Grid.auto(k_f + 0.5 * state.q, 1.0 / a,
                          half_width_factor=(half_width_factor
                                             + 0.5 * abs(state.q) * a),
                          envelope_samples=SPECTRUM_SAMPLES)
         A = complex(0.5 / (a * b) ** 2,
-                    -state.mass * bdot / (2.0 * HBAR * b))
+                    -params.mass * bdot / (2.0 * HBAR * b))
         return cls(grid, k_f, state.q, a, A, state.delta_theta, state.weights)
 
     @property
@@ -214,16 +215,19 @@ class WeightKernel:
 
     @classmethod
     def from_state(cls, state: EncounterState) -> "WeightKernel":
-        grid = state.grid
-        r2 = state.R_profile ** 2
-        gt = state.theta_gradient_profile
-        q = state.q
-        hbar_over_m = HBAR / state.mass
+        """Sample R^2 and grad(theta) of the encounter on its grid."""
+        grid, params, q = state.grid, state.params, state.q
+        b = expansion_rate(state.time, params.trap_frequency)
+        bdot = expansion_rate_derivative(state.time, params.trap_frequency)
+        u = grid.offsets()
+        r2 = np.abs(com_wavefunction(grid, state.time, params)) ** 2
+        gt = (params.mass / HBAR) * (state.free_velocity + (bdot / b) * u)
+        hbar_over_m = HBAR / params.mass
         basis = np.empty((8, grid.n_points))
         basis[0] = hbar_over_m * gt * r2
         basis[1] = hbar_over_m * q * r2
         basis[4] = r2
-        phase = q * grid.offsets() + state.delta_theta
+        phase = q * u + state.delta_theta
         np.cos(phase, out=basis[5])
         np.sin(phase, out=basis[6])
         basis[5:7] *= r2

@@ -34,6 +34,11 @@ REFINE_FRACTION = 1e-4
 #: Largest number of samples x grid points evaluated in one kernel product.
 CHUNK_ELEMENTS = 2 ** 16
 
+#: Largest sweep accepted, refused at parse time: a sweep and its CSV
+#: peak at about 500 bytes per sample, whatever the grid (380 MiB more
+#: for 1e6 samples than for 2e5 on the fig8 grid), so ~0.5 GB here.
+MAX_SAMPLES = 1_000_000
+
 #: Samples within this fraction of the largest rate tie for the argmax,
 #: and the first of them wins.  Mirror samples of the pulse-area sweep
 #: differ by rounding only, so a plain argmax would pick between them by

@@ -9,7 +9,9 @@ with u = x - x_c, phi_COM the expanding Gaussian envelope common to both
 arms, theta_arm the accumulated scalar phase (action + laser + internal)
 and v_arm the arm's COM velocity at T_f.  The combined state is the
 weighted sum c_f Psi_f + c_b Psi_b, whose density beats at the wavenumber
-q = m (v_b - v_f) / hbar.
+q = m (v_b - v_f) / hbar.  :class:`EncounterState` holds this
+factorization in closed form, as scalars on a grid; the
+:class:`~qbackflow.observables.WeightKernel` samples it.
 """
 
 from __future__ import annotations
@@ -134,25 +136,22 @@ class WaveField:
 
 @dataclass(frozen=True)
 class EncounterState:
-    """Everything the flux/critical-density formulas need at encounter.
+    """The closed-form encounter, from which every observable derives.
 
-    The envelope R and phase gradient grad(theta) refer to the free arm's
-    wavefunction written as R e^{i theta}; theta_b - theta_f is carried
-    to full precision (theta_b is stored as theta_f plus the exact
-    difference, so subtracting the stored scalars is safe).
+    The free arm is R e^{i theta} with R = |phi_COM| (from ``params`` at
+    ``time``) and grad(theta) = (m / hbar) (v_f + (b'/b) u); nothing is
+    sampled here.  theta_b is stored as theta_f plus the exact difference,
+    so subtracting the stored scalars is safe.
     """
 
     grid: Grid
     time: float                          # s, encounter time T_f
-    R_profile: np.ndarray                # |phi_COM|(u)
-    theta_gradient_profile: np.ndarray   # d theta / dx (1/m)
+    params: CondensateParams
+    free_velocity: float                 # m/s, free arm COM velocity at T_f
+    q: float                             # 1/m
     theta_f: float                       # rad
     theta_b: float                       # rad
-    q: float                             # 1/m
     weights: ArmAmplitudes
-    com_wavefunction: np.ndarray         # complex phi_COM(u)
-    free_velocity: float                 # m/s, free arm COM velocity at T_f
-    mass: float                          # kg
 
     @property
     def delta_theta(self) -> float:
@@ -270,26 +269,14 @@ def encounter_state(grid: Grid, free_arm: ArmTrajectory,
     if abs(x_f - grid.center) > 1e-9:
         raise DomainError("grid center must sit at the encounter position")
 
-    params = pulsed_arm.params
-    m = params.mass
-    v_f = free_arm.velocity(T_f)
     q = beat_wavenumber(free_arm, pulsed_arm, T_f)
-
     theta_f = free_arm.total_phase_at(T_f).mod_two_pi()
     delta = pulsed_arm.total_phase_at(T_f).add(
         free_arm.total_phase_at(T_f).neg()).mod_two_pi()
-
-    com = com_wavefunction(grid, T_f, params)
-    b = expansion_rate(T_f, params.trap_frequency)
-    bdot = expansion_rate_derivative(T_f, params.trap_frequency)
-    u = grid.offsets()
-    grad_theta = (m / HBAR) * (v_f + (bdot / b) * u)
-
     return EncounterState(
-        grid=grid, time=T_f, R_profile=np.abs(com),
-        theta_gradient_profile=grad_theta,
-        theta_f=theta_f, theta_b=theta_f + delta, q=q, weights=weights,
-        com_wavefunction=com, free_velocity=v_f, mass=m)
+        grid=grid, time=T_f, params=pulsed_arm.params,
+        free_velocity=free_arm.velocity(T_f), q=q, theta_f=theta_f,
+        theta_b=theta_f + delta, weights=weights)
 
 
 def combined_from_state(state: EncounterState) -> WaveField:
@@ -299,10 +286,12 @@ def combined_from_state(state: EncounterState) -> WaveField:
              * [c_f + c_b e^{i q u} e^{i (theta_b - theta_f)}].
     """
     u = state.grid.offsets()
-    carrier = state.theta_f + (state.mass * state.free_velocity / HBAR) * u
+    carrier = (state.theta_f
+               + (state.params.mass * state.free_velocity / HBAR) * u)
     beat = (state.weights.c_f
             + state.weights.c_b * np.exp(1j * (state.q * u + state.delta_theta)))
-    amps = state.com_wavefunction * np.exp(1j * carrier) * beat
+    amps = (com_wavefunction(state.grid, state.time, state.params)
+            * np.exp(1j * carrier) * beat)
     return WaveField(state.grid, amps, state.time)
 
 

@@ -119,7 +119,7 @@ def test_criterion_1_flux_identity_oracle():
 
         state = encounter_state(grid, free, pulsed, t_f, weights)
         analytic = report(state).flux_profile
-        fd = flux_finite_difference(combined_from_state(state), state.mass)
+        fd = flux_finite_difference(combined_from_state(state), params.mass)
         scale = float(np.max(np.abs(analytic)))
         err = float(np.max(np.abs(fd[2:-2] - analytic[2:-2]))) / scale
         worst = max(worst, err)
@@ -526,7 +526,7 @@ def test_criterion_8_oracle_convergence():
     sc = ctx.scenario
     t_f = ctx.encounter_time
     a = sc.params.oscillator_length
-    launch_position = ctx.free_arm.segments[0].start_position
+    launch_position = ctx.free_arm.positions[0]
     grid = Grid(center=ctx.grid.center, half_width=60.0 * a, n_points=513)
 
     def solve(dt):

@@ -15,7 +15,9 @@ from qbackflow.cli import (
     run_scenario,
     run_sweep,
 )
+from qbackflow.kinematics import MAX_PULSES
 from qbackflow.presets import PRESETS, preset_config, reduced_scale_config
+from qbackflow.sweep import MAX_SAMPLES
 
 
 # -- config validation -----------------------------------------------------
@@ -245,6 +247,65 @@ def test_main_rejects_bad_optional_keys(tmp_path, capsys, path, value):
                  "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
     assert path in capsys.readouterr().err
+
+
+def _spectrum_enable(cfg):
+    del cfg["spectrum"]["enabled"]
+    cfg["spectrum"]["enable"] = True
+
+
+#: Key path -> change to reduced_scale_config (with a sweep) adding it.
+UNKNOWN_KEYS = {
+    "environment.gravity": lambda cfg: cfg["environment"].update(gravity=5.0),
+    "spectrum.enable": _spectrum_enable,
+    "config.pulse_array":
+        lambda cfg: cfg.update(pulse_array=cfg["pulse_arrays"][0]),
+    "grid.n_points": lambda cfg: cfg["grid"].update(n_points=1001),
+    "grid.half_width_m": lambda cfg: cfg["grid"].update(half_width_m=1e-4),
+    "pulse_arrays[0].laser_phase":
+        lambda cfg: cfg["pulse_arrays"][0].update(laser_phase=0.5),
+    "sweep.n_sample": lambda cfg: cfg["sweep"].update(n_sample=9),
+}
+
+
+@pytest.mark.parametrize("path", UNKNOWN_KEYS)
+def test_main_rejects_unknown_keys(tmp_path, capsys, path):
+    # A key no parser reads would be dropped, and the run would use the
+    # default it was meant to replace.
+    cfg = reduced_scale_config()
+    cfg["sweep"] = {"variable": "real_cb", "range": [0.0, 1.0],
+                    "n_samples": 5}
+    UNKNOWN_KEYS[path](cfg)
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert f"{path}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, path, value, limit", [
+    ("run", "pulse_arrays[1].count", 10 ** 15, MAX_PULSES),
+    ("run", "pulse_arrays[1].count", 10 ** 30, MAX_PULSES),
+    ("sweep", "sweep.n_samples", 10 ** 15, MAX_SAMPLES),
+])
+def test_main_refuses_oversized_schedules(tmp_path, capsys, command, path,
+                                          value, limit):
+    # Refused at parse time with the key, not by numpy failing to
+    # allocate petabytes (or to convert the count to a C long).
+    cfg = reduced_scale_config()
+    cfg["sweep"] = {"variable": "real_cb", "range": [0.0, 1.0],
+                    "n_samples": 5}
+    if path == "sweep.n_samples":
+        cfg["sweep"]["n_samples"] = value
+    else:
+        cfg["pulse_arrays"][1]["count"] = value
+    code = main([command, "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: {value} ")
+    assert f"limit of {limit}" in err
+    # the benchmark's longest schedule and sweep fit with a wide margin
+    assert limit >= 100 * 8012
 
 
 def test_main_unreadable_config_exits_2(tmp_path, capsys):

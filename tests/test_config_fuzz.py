@@ -26,7 +26,7 @@ from qbackflow.presets import reduced_scale_config
 
 DELETE = "<deleted>"
 VALUES = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
-          True, False, "x", None, [], DELETE)
+          10 ** 15, 10 ** 30, True, False, "x", None, [], DELETE)
 
 
 def _leaf_paths(node, path=()):

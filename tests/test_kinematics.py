@@ -11,10 +11,8 @@ from qbackflow.kinematics import (
     ArmTrajectory,
     NoEncounterError,
     OrderingError,
-    action_phase,
     action_phase_dd,
     free_fall_step,
-    internal_phase,
     internal_phase_dd,
     solve_encounter,
 )
@@ -58,7 +56,7 @@ def test_action_phase_matches_lagrangian_integral():
         return 0.5 * m * v * v - m * g * x
 
     expected, _ = quad(lagrangian, 0.0, dt, epsabs=1e-14, epsrel=1e-13)
-    assert action_phase(p0, x0, dt, m, g) == pytest.approx(
+    assert action_phase_dd(p0, x0, dt, m, g).value() == pytest.approx(
         expected / HBAR, rel=1e-12)
 
 
@@ -109,8 +107,8 @@ def test_action_additivity_relative_at_scale(p0, x0, dt1, dt2, g):
 
 
 def test_internal_phase_sign():
-    assert internal_phase(2.0 * HBAR, 3.0) == pytest.approx(-6.0)
-    assert internal_phase(0.0, 5.0) == 0.0
+    assert internal_phase_dd(2.0 * HBAR, 3.0).value() == pytest.approx(-6.0)
+    assert internal_phase_dd(0.0, 5.0).value() == 0.0
 
 
 def test_trajectory_path_and_kick():
@@ -123,8 +121,10 @@ def test_trajectory_path_and_kick():
     dv = HBAR * k / params.mass
     assert pulsed.velocity(t1) - free.velocity(t1) == pytest.approx(
         dv, rel=1e-12)
-    assert pulsed.internal_state_at(t1) == EXCITED
-    assert pulsed.internal_state_at(0.5 * t1) == GROUND
+    # the launch entry is ground, the kicked one excited
+    assert pulsed.times.tolist() == [0.0, t1]
+    assert pulsed.internal_states.tolist() == [GROUND, EXCITED]
+    assert pulsed.velocity(0.5 * t1) == free.velocity(0.5 * t1)
     assert pulsed.kick_count == 1
     assert pulsed.kick_velocity_total == pytest.approx(dv, rel=1e-15)
 
@@ -317,15 +317,19 @@ def test_equal_time_pulses_and_lookup():
     k = tr.wavevector_magnitude
     arm = arm.kicks([1e-3, 1e-3, 2e-3], [k, k, -k])
     assert arm.kick_count == 3
-    assert arm.internal_state_at(1e-3) == GROUND
-    assert arm.internal_state_at(1.5e-3) == GROUND
-    assert arm.internal_state_at(0.5e-3) == GROUND
-    assert arm.internal_state_at(2e-3) == EXCITED
+    assert arm.times.tolist() == [0.0, 1e-3, 1e-3, 2e-3]
+    assert arm.internal_states.tolist() == [GROUND, EXCITED, GROUND, EXCITED]
+    assert arm.end_time == 2e-3
     dv = HBAR * k / params.mass
-    assert arm.velocity(1e-3) == pytest.approx(
-        params.launch_velocity - env.gravity * 1e-3 + 2 * dv, rel=1e-14)
-    assert arm.segment(-1).start_time == 2e-3
-    assert arm.segments[1].end_time == arm.segments[2].start_time == 1e-3
+    # the launch entry before the pulses, then the second of the equal-time
+    # pair (two recoils, not one) at and after 1e-3, then the last pulse
+    for t, kicks in zip((0.5e-3, 1e-3, 1.5e-3, 2e-3), (0, 2, 2, 1)):
+        free = params.launch_velocity - env.gravity * t
+        assert arm.velocity(t) == pytest.approx(free + kicks * dv,
+                                                rel=1e-14), t
+    arm.phases_at(2e-3)
+    with pytest.raises(DomainError):
+        arm.phases_at(1.5e-3)
     with pytest.raises(DomainError):
         arm.position(-1e-3)
     with pytest.raises(DomainError):

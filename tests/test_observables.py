@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qbackflow.model import HBAR, DomainError, sr88_params
+from qbackflow.model import (HBAR, DomainError, expansion_rate,
+                             expansion_rate_derivative, sr88_params)
 from qbackflow.observables import (
     BackflowReport,
     backflow_rate,
@@ -14,7 +15,8 @@ from qbackflow.observables import (
     report,
 )
 from qbackflow.pulses import ArmAmplitudes, real_weights
-from qbackflow.wavefield import Grid, WaveField, combined_from_state
+from qbackflow.wavefield import (Grid, WaveField, com_wavefunction,
+                                 combined_from_state)
 
 
 def test_flux_identity_on_reduced_state():
@@ -26,7 +28,7 @@ def test_flux_identity_on_reduced_state():
     state = build_state(reduced_scale_config(), grid_points=16385).state
     analytic = report(state).flux_profile
     field = combined_from_state(state)
-    fd = flux_finite_difference(field, state.mass)
+    fd = flux_finite_difference(field, state.params.mass)
     inner = slice(2, -2)
     scale = float(np.max(np.abs(analytic)))
     assert float(np.max(np.abs(fd[inner] - analytic[inner]))) <= 1e-6 * scale
@@ -44,7 +46,12 @@ def test_critical_density_sign_rule(reduced_ctx):
     # rho_crit carries the sign of |c_f|^2 - |c_b|^2 wherever
     # q + 2 grad(theta) > 0 (true across the reduced state's support).
     state = reduced_ctx.state
-    denom = state.q + 2.0 * state.theta_gradient_profile
+    p = state.params
+    b = expansion_rate(state.time, p.trap_frequency)
+    bdot = expansion_rate_derivative(state.time, p.trap_frequency)
+    grad_theta = (p.mass / HBAR) * (state.free_velocity
+                                    + (bdot / b) * state.grid.offsets())
+    denom = state.q + 2.0 * grad_theta
     assert np.all(denom > 0.0)
     strong_free = report(state, real_weights(0.3)).critical_density_profile
     weak_free = report(state, real_weights(0.9)).critical_density_profile
@@ -52,8 +59,8 @@ def test_critical_density_sign_rule(reduced_ctx):
     assert np.all(weak_free <= 0.0)
     balanced = report(state,
                       real_weights(math.sqrt(0.5))).critical_density_profile
-    assert float(np.max(np.abs(balanced))) <= 1e-15 * float(
-        (state.R_profile ** 2).max())
+    r2 = np.abs(com_wavefunction(state.grid, state.time, p)) ** 2
+    assert float(np.max(np.abs(balanced))) <= 1e-15 * float(r2.max())
 
 
 def test_backflow_requires_interference(ref_ctx_06):

@@ -167,7 +167,7 @@ def test_convergence_order_is_two():
     sc = ctx.scenario
     t_f = ctx.encounter_time
     a = sc.params.oscillator_length
-    launch_position = ctx.free_arm.segments[0].start_position
+    launch_position = ctx.free_arm.positions[0]
     grid = Grid(center=ctx.grid.center, half_width=60.0 * a, n_points=513)
 
     def solve(dt):
