@@ -87,6 +87,14 @@ _KNOWN_KEYS = {
 _KNOWN_KEYS["config"] = tuple(_KNOWN_KEYS)
 
 
+def _refuse_unread(section: dict, keys, where: str, reason: str) -> None:
+    """Raise naming the first of `keys` given in `section`, a key the
+    chosen mode does not read, so it cannot be dropped silently."""
+    for key in keys:
+        if key in section:
+            raise ConfigError(f"{where}.{key}: not read {reason}")
+
+
 def _refuse_unknown_keys(cfg: dict) -> None:
     """Raise naming the path of the first key no parser reads; a section
     of the wrong type is left to the parser's type check."""
@@ -131,7 +139,8 @@ def parse_config(cfg: dict) -> Scenario:
 def _parse_config(cfg: dict) -> Scenario:
     import numpy as np
     from .kinematics import MAX_PULSES
-    from .model import CondensateParams, Environment, TransitionParams, sr88_params
+    from .model import (CondensateParams, DomainError, Environment,
+                        TransitionParams, sr88_params)
     from .pulses import PulseSpec, real_weights, splitting_weights
     from .sweep import MAX_SAMPLES, SweepSpec
 
@@ -143,6 +152,8 @@ def _parse_config(cfg: dict) -> Scenario:
     if "preset" in cond:
         if cond["preset"] != "sr88":
             raise ConfigError(f"condensate.preset: unknown {cond['preset']!r}")
+        _refuse_unread(cond, ("mass_kg", "trap_frequency_rad_per_s"),
+                       "condensate", "next to condensate.preset")
         params = sr88_params(
             launch_velocity=_get(cond, "launch_velocity_m_per_s", float,
                                  "condensate", default=0.2, required=False))
@@ -184,6 +195,8 @@ def _parse_config(cfg: dict) -> Scenario:
             raise ConfigError("weights.cb: must lie in [0, 1]")
         weights = real_weights(real_cb)
     elif mode == "splitting_pulse":
+        _refuse_unread(w_cfg, ("cb",), "weights",
+                       "in weights.mode 'splitting_pulse'")
         weights = splitting_weights(PulseSpec(split_time, split_area,
                                               split_phase, split_sign))
     else:
@@ -229,8 +242,11 @@ def _parse_config(cfg: dict) -> Scenario:
     enc = _get(cfg, "encounter", dict, "config", default={"auto": True},
                required=False)
     enc_time = None
-    if not _get(enc, "auto", bool, "encounter", default="time_s" not in enc,
-                required=False):
+    if _get(enc, "auto", bool, "encounter", default="time_s" not in enc,
+            required=False):
+        _refuse_unread(enc, ("time_s",), "encounter",
+                       "when encounter.auto is true")
+    else:
         enc_time = _get(enc, "time_s", float, "encounter")
         if enc_time <= pulses[-1, 0]:
             raise ConfigError("encounter.time_s: must follow the last pulse")
@@ -250,12 +266,11 @@ def _parse_config(cfg: dict) -> Scenario:
             raise ConfigError("sweep.range: expected [lo, hi]")
         lo, hi = (_typed(v, float, f"sweep.range[{i}]")
                   for i, v in enumerate(rng))
+        variable = _get(sw, "variable", str, "sweep")
+        n_samples = _get(sw, "n_samples", int, "sweep")
         try:
-            sweep_spec = SweepSpec(
-                variable=_get(sw, "variable", str, "sweep"),
-                lo=lo, hi=hi,
-                n_samples=_get(sw, "n_samples", int, "sweep"))
-        except ValueError as exc:
+            sweep_spec = SweepSpec(variable, lo, hi, n_samples)
+        except DomainError as exc:
             raise ConfigError(f"sweep: {exc}") from exc
         if sweep_spec.n_samples > MAX_SAMPLES:
             raise ConfigError(f"sweep.n_samples: {sweep_spec.n_samples} "

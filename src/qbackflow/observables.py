@@ -36,7 +36,25 @@ matrix C with one row per weight pair,
     (n, |c_b|^2, Re w, -Im w | n, 2 Re w, -2 Im w | |c_f|^2 - |c_b|^2),
 
 and a block of profiles of the whole batch is C @ B over that block's
-columns and rows.  :func:`report` is the one-row case.
+columns and rows.  :meth:`WeightKernel.scalars` is the one routine for
+the scalars of report, sweep samples and refinement; :func:`report` is
+its one-row case plus the profiles.
+
+Only the flux needs every column.  The density is read at its peak and
+in a window of a few fringes about x_c, and it is bounded column by
+column: |c_f + c_b e^{i phi}|^2 <= n + 2|w|, so |Psi|^2 <= (n + 2|w|) R^2.
+A column whose bound is below the largest density m0 found in the window
+cannot hold the peak, so the peak lies between the first and the last
+column with R^2 >= m0 / (n + 2|w|).  The largest density over that range
+and the window is the grid maximum exactly, not an estimate.  R^2 is one
+Gaussian centred on the window, so the range almost always lies inside
+the window's columns; only when some R^2 outside them reaches the level
+is the range looked up and evaluated too.  Rounding moves each computed
+density by a few 1e-16 relative, far inside the 1e-12 slack on the
+bound (``PEAK_BOUND_SLACK``).  The ranges start and end on multiples of
+``SPAN_ALIGN`` columns, or at the grid's end, so every column goes
+through the same BLAS kernel path as in a full-grid product and reads
+the same bits.
 
 The momentum spectrum
 ---------------------
@@ -91,6 +109,18 @@ SPECTRUM_SAMPLES = 16
 #: first and a_x omega / v at most the second.
 PLANE_WAVE_THRESHOLD = 100.0
 SPREADING_THRESHOLD = 0.1
+
+#: Largest number of coefficient rows x grid points in one kernel product;
+#: products keep the row count this gives, since a one-row product takes
+#: another BLAS path and rounds differently.
+CHUNK_ELEMENTS = 2 ** 16
+
+#: Relative slack on the density peak bound (module docstring).
+PEAK_BOUND_SLACK = 1e-12
+
+#: Column ranges of partial density products start and end on multiples
+#: of this, so the BLAS kernels split them as they split the whole grid.
+SPAN_ALIGN = 16
 
 #: Column blocks of the coefficient matrix, and row blocks of the kernel
 #: basis: flux (1/s), density (1/m) and critical density (1/m).
@@ -199,8 +229,10 @@ def weight_coefficients(weights: Sequence[ArmAmplitudes]) -> np.ndarray:
     f2 = np.abs(c_f) ** 2
     b2 = np.abs(c_b) ** 2
     n = f2 + b2
-    return np.array([n, b2, w.real, -w.imag,
-                     n, 2.0 * w.real, -2.0 * w.imag, f2 - b2]).T
+    # C order: a one-row product reads its row as a contiguous vector,
+    # as a one-weight batch does; a strided row rounds differently.
+    return np.stack([n, b2, w.real, -w.imag,
+                     n, 2.0 * w.real, -2.0 * w.imag, f2 - b2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -254,33 +286,75 @@ class WeightKernel:
         return cls(basis, *extrema, slice(center - bins, center + bins + 1),
                    grid.spacing)
 
-    def profile(self, coefficients: np.ndarray, block: slice,
-                out: np.ndarray | None = None) -> np.ndarray:
+    def profile(self, coefficients: np.ndarray, block: slice) -> np.ndarray:
         """One profile per coefficient row, for one block of the basis."""
-        return np.matmul(coefficients[:, block], self.basis[block], out=out)
+        return coefficients[:, block] @ self.basis[block]
 
-    def metrics(self, coefficients: np.ndarray,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-        """(flux, density, backflow rate, rho_crit max fraction, density
-        min fraction) of every coefficient row.  `out` (3, rows, n_points)
-        receives the flux, the density and min(flux, 0); sweeps reuse one
-        such array, since a fresh one costs a page fault per 4 KiB."""
-        flux, density, negative = (None,) * 3 if out is None else out
-        flux = self.profile(coefficients, FLUX, flux)
-        density = self.profile(coefficients, DENSITY, density)
-        peak = density.max(axis=1)
+    def scalars(self, coefficients: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(backflow rate, rho_crit max fraction, density min fraction) of
+        every coefficient row: one full-grid flux product per row, and
+        the density only where its peak and minimum can be (module
+        docstring)."""
+        basis, n_points = self.basis, self.basis.shape[1]
+        r2 = basis[DENSITY.start]
+        rows = len(coefficients)
+        chunk = max(1, CHUNK_ELEMENTS // n_points)
+        work = np.empty((min(chunk, rows), n_points))
+        lo, hi = self._span(self.window.start, self.window.stop)
+        width = hi - lo
+        block = max(chunk, CHUNK_ELEMENTS // width // chunk * chunk)
+        local = np.empty((min(block, rows), width))
+        window = slice(self.window.start - lo, self.window.stop - lo)
+        outside = max(r2[:lo].max(initial=0.0), r2[hi:].max(initial=0.0))
+        n, re_2w, im_2w = coefficients[:, DENSITY].T
+        bound = (n + np.hypot(re_2w, im_2w)) * (1.0 + PEAK_BOUND_SLACK)
+        rate, peak, density_min = np.empty((3, rows))
+        for start in range(0, rows, block):
+            stop = min(start + block, rows)
+            for i in range(start, stop, chunk):
+                c = coefficients[i:min(i + chunk, stop)]
+                flux = np.matmul(c[:, FLUX], basis[FLUX], out=work[:len(c)])
+                rate[i:i + len(c)] = _backflow_rates(flux, self.spacing, flux)
+                np.matmul(c[:, DENSITY], basis[DENSITY, lo:hi],
+                          out=local[i - start:i - start + len(c)])
+            density = local[:stop - start]
+            density_min[start:stop] = self._density_min(density[:, window])
+            m0 = peak[start:stop]
+            np.max(density, axis=1, out=m0)
+            # Rows where a column outside [lo, hi) may beat m0 (0 / 0, so
+            # never, for a zero row, whose density is refused below).
+            with np.errstate(divide="ignore", invalid="ignore"):
+                level = m0 / bound[start:stop]
+            wide = level <= outside
+            firsts = np.arange(0, stop - start, chunk)
+            for k in np.flatnonzero(np.logical_or.reduceat(wide, firsts)):
+                part = slice(k * chunk, min((k + 1) * chunk, stop - start))
+                cols = np.flatnonzero(r2 >= level[part][wide[part]].min())
+                a, b = self._span(cols[0], cols[-1] + 1)
+                c = coefficients[start + part.start:start + part.stop]
+                extra = np.matmul(c[:, DENSITY], basis[DENSITY, a:b],
+                                  out=work.reshape(-1)[:len(c) * (b - a)]
+                                  .reshape(len(c), b - a))
+                np.maximum(m0[part], extra.max(axis=1), out=m0[part])
         if not (peak > 0.0).all():
             raise DomainError("combined density vanishes everywhere")
         contrast = coefficients[:, RHO_CRIT.start]
         rho_max = contrast * np.where(contrast >= 0.0, self.rho_base_max,
                                       self.rho_base_min)
-        return (flux, density, _backflow_rates(flux, self.spacing, negative),
-                rho_max / peak, self._density_min(density) / peak)
+        return rate, rho_max / peak, density_min / peak
 
-    def _density_min(self, density: np.ndarray) -> np.ndarray:
-        """Interior density minimum nearest x_c in the window, per row;
-        the window minimum where the window has no interior minimum."""
-        local = density[:, self.window]
+    def _span(self, first: int, stop: int) -> tuple[int, int]:
+        """[first, stop) widened to SPAN_ALIGN multiples, or to the end."""
+        n_points = self.basis.shape[1]
+        lo = first // SPAN_ALIGN * SPAN_ALIGN
+        hi = -(-stop // SPAN_ALIGN) * SPAN_ALIGN
+        return lo, (hi if hi <= n_points - n_points % SPAN_ALIGN else n_points)
+
+    @staticmethod
+    def _density_min(local: np.ndarray) -> np.ndarray:
+        """Interior density minimum nearest the centre of the window
+        columns `local`, per row; the window minimum where the window
+        has no interior minimum."""
         width = local.shape[1]
         mid = local[:, 1:-1]
         inner = (mid < local[:, :-2]) & (mid <= local[:, 2:])
@@ -370,10 +444,10 @@ def report(state: EncounterState,
     weights = state.weights if weights is None else weights
     kernel = WeightKernel.from_state(state)
     coefficients = weight_coefficients([weights])
-    flux, density, rate, rho_max, density_min = (
-        row[0] for row in kernel.metrics(coefficients))
-    rho = kernel.profile(coefficients, RHO_CRIT)[0]
-    rate = float(rate)
+    rate, rho_max, density_min = (float(x[0])
+                                  for x in kernel.scalars(coefficients))
+    flux, density, rho = (kernel.profile(coefficients, block)[0]
+                          for block in (FLUX, DENSITY, RHO_CRIT))
     total = float(_trapezoid(np.abs(flux), kernel.spacing))
     neg = flux < 0.0
     return BackflowReport(
@@ -384,8 +458,8 @@ def report(state: EncounterState,
         backflow_fraction=rate / total if total > 0.0 else 0.0,
         backflow_interval_count=_interval_count(neg),
         max_negative_flux=float(flux.min()) if neg.any() else 0.0,
-        rho_crit_max_fraction=float(rho_max),
-        density_min_fraction=float(density_min),
+        rho_crit_max_fraction=rho_max,
+        density_min_fraction=density_min,
         fringe_wavelength=_measure_fringe_wavelength(density, state.grid),
         singular_point_count=int(np.count_nonzero(np.isnan(rho))),
     )

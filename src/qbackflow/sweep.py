@@ -3,9 +3,9 @@
 The expensive grid work (envelope R, phase gradient grad(theta), beat
 fringes) is weight-independent: :class:`SweepEngine` builds the
 encounter's :class:`~qbackflow.observables.WeightKernel` once, and the
-samples of a sweep become rows of one coefficient matrix, evaluated in
-chunks of at most ``CHUNK_ELEMENTS`` samples x grid points (the kernel
-is derived in the :mod:`qbackflow.observables` docstring).
+samples of a sweep become rows of one coefficient matrix, whose scalars
+:meth:`~qbackflow.observables.WeightKernel.scalars` evaluates (the
+kernel is derived in the :mod:`qbackflow.observables` docstring).
 
 Phase convention for the pulse-area sweep: the splitting pulse's laser
 phase is a free experimental knob that only offsets the beat fringe, so
@@ -30,9 +30,6 @@ from .wavefield import EncounterState
 #: Golden-section refinement stops when the bracket shrinks below this
 #: fraction of the sweep range.
 REFINE_FRACTION = 1e-4
-
-#: Largest number of samples x grid points evaluated in one kernel product.
-CHUNK_ELEMENTS = 2 ** 16
 
 #: Largest sweep accepted, refused at parse time: a sweep and its CSV
 #: peak at about 500 bytes per sample, whatever the grid (380 MiB more
@@ -128,22 +125,14 @@ class SweepEngine:
     def __init__(self, state: EncounterState):
         self.state = state
         self.kernel = WeightKernel.from_state(state)
-        chunk = max(1, CHUNK_ELEMENTS // state.grid.n_points)
-        self._work = np.empty((3, chunk, state.grid.n_points))
 
     def samples(self, values, weights_of) -> tuple[SweepSample, ...]:
-        """One sample per value, at weights_of(value), evaluated in chunks."""
+        """One sample per value, at weights_of(value)."""
         values = [float(v) for v in values]
-        chunk = self._work.shape[1]
-        out = []
-        for i in range(0, len(values), chunk):
-            part = values[i:i + chunk]
-            coefficients = weight_coefficients([weights_of(v) for v in part])
-            _, _, rate, rho_max, density_min = self.kernel.metrics(
-                coefficients, self._work[:, :len(part)])
-            out.extend(map(SweepSample, part, rate.tolist(), rho_max.tolist(),
-                           density_min.tolist()))
-        return tuple(out)
+        rate, rho_max, density_min = self.kernel.scalars(
+            weight_coefficients([weights_of(v) for v in values]))
+        return tuple(map(SweepSample, values, rate.tolist(), rho_max.tolist(),
+                         density_min.tolist()))
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
         return self.samples([0.0], lambda _: weights)[0].backflow_rate

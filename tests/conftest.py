@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from qbackflow.cli import build_state
 from qbackflow.model import HBAR, expansion_rate, expansion_rate_derivative
 from qbackflow.oracle import momentum_spectrum_fft
 from qbackflow.presets import preset_config, reduced_scale_config, reference_config
+from qbackflow.pulses import ArmAmplitudes
 from qbackflow.wavefield import (
     ENVELOPE_SAMPLES,
     Grid,
     combined_from_state,
     encounter_state,
 )
+
+_phase = st.floats(0.0, 2.0 * math.pi)
+
+#: Normalized complex arm weights with any moduli and phases.
+arm_weights = st.builds(
+    lambda cb, a, b: ArmAmplitudes(
+        cb * cmath.exp(1j * a),
+        math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b)),
+    st.floats(0.0, 1.0), _phase, _phase)
 
 
 @pytest.fixture(scope="session")

@@ -237,7 +237,7 @@ def test_main_rejects_bad_optional_keys(tmp_path, capsys, path, value):
     cfg = reduced_scale_config()
     cfg["sweep"] = {"variable": "real_cb", "range": [0.0, 1.0],
                     "n_samples": 5}
-    cfg["encounter"]["time_s"] = 1e-3
+    cfg["encounter"] = {"auto": False, "time_s": 1e-3}
     section, key = path.split(".")
     if key.startswith("range["):
         cfg[section]["range"][int(key[6])] = value
@@ -280,6 +280,51 @@ def test_main_rejects_unknown_keys(tmp_path, capsys, path):
                  "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_VALIDATION
     assert f"{path}: unknown key" in capsys.readouterr().err
+
+
+#: Key path -> change adding a known key the config's mode does not read.
+UNREAD_KEYS = {
+    "condensate.mass_kg":
+        lambda cfg: cfg["condensate"].update(mass_kg=1e-25),
+    "condensate.trap_frequency_rad_per_s":
+        lambda cfg: cfg["condensate"].update(trap_frequency_rad_per_s=50.0),
+    "weights.cb": lambda cfg: cfg["weights"].update(cb=0.9),
+    "encounter.time_s": lambda cfg: cfg["encounter"].update(time_s=1e-2),
+}
+
+
+@pytest.mark.parametrize("path", UNREAD_KEYS)
+def test_main_rejects_unread_keys(tmp_path, capsys, path):
+    # Next to a preset, in splitting-pulse weights or with an automatic
+    # encounter these keys would be dropped and the run would go on
+    # with values the config does not state.
+    cfg = preset_config("paper-0.6pi")
+    UNREAD_KEYS[path](cfg)
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert f"{path}: not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("variable", 3, "sweep.variable: expected str, got int"),
+    ("n_samples", None, "sweep: missing required key 'n_samples'"),
+    ("variable", "detuning", "sweep: unknown sweep variable 'detuning'"),
+    ("n_samples", 1, "sweep: n_samples must be >= 2"),
+])
+def test_main_sweep_errors_name_the_key_once(tmp_path, capsys, key, value,
+                                             message):
+    cfg = reduced_scale_config()
+    cfg["sweep"] = {"variable": "real_cb", "range": [0.0, 1.0],
+                    "n_samples": 5}
+    if value is None:
+        del cfg["sweep"][key]
+    else:
+        cfg["sweep"][key] = value
+    code = main(["sweep", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("command, path, value, limit", [

@@ -1,22 +1,33 @@
+import cmath
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbackflow.model import (HBAR, DomainError, expansion_rate,
                              expansion_rate_derivative, sr88_params)
 from qbackflow.observables import (
+    CHUNK_ELEMENTS,
+    DENSITY,
+    FLUX,
+    RHO_CRIT,
     BackflowReport,
+    WeightKernel,
+    _backflow_rates,
     backflow_rate,
     classical_backflow_check,
     flux_finite_difference,
     momentum_spectrum,
     report,
+    weight_coefficients,
 )
 from qbackflow.pulses import ArmAmplitudes, real_weights
 from qbackflow.wavefield import (Grid, WaveField, com_wavefunction,
                                  combined_from_state)
+
+from conftest import arm_weights
 
 
 def test_flux_identity_on_reduced_state():
@@ -241,3 +252,96 @@ def test_report_density_min_is_nearest_central_minimum(reduced_ctx):
     minima = np.flatnonzero((d[1:-1] < d[:-2]) & (d[1:-1] <= d[2:])) + 1
     nearest = minima[np.argmin(np.abs(minima - len(d) // 2))]
     assert rep.density_min_fraction == d[nearest] / d.max()
+
+
+# -- the scalar routine against every column -------------------------------
+
+#: One arm only (c_b = 0, c_f = 0) and equal arms, where the density
+#: bound is reached at every fringe maximum and the minima touch zero.
+EDGE_WEIGHTS = (real_weights(0.0), real_weights(1.0),
+                ArmAmplitudes(math.sqrt(0.5), 1j * math.sqrt(0.5)))
+
+
+
+@pytest.fixture(scope="module")
+def kernels(sweep_ctx, reduced_ctx):
+    """fig8 (4-row products), reduced (81 rows) and a fig8 grid of
+    60,001 points, where every product is one row."""
+    from qbackflow.cli import build_state
+    from qbackflow.presets import preset_config
+    fine = build_state(preset_config("paper-fig8a"), grid_points=60001)
+    return [WeightKernel.from_state(ctx.state)
+            for ctx in (sweep_ctx, reduced_ctx, fine)]
+
+
+def _full_grid_scalars(kernel, weights):
+    """Every profile on every column, one product per row chunk, with
+    the chunk's own coefficient matrix."""
+    chunk = max(1, CHUNK_ELEMENTS // kernel.basis.shape[1])
+    rows = []
+    for i in range(0, len(weights), chunk):
+        c = weight_coefficients(weights[i:i + chunk])
+        density = kernel.profile(c, DENSITY)
+        peak = density.max(axis=1)
+        contrast = c[:, RHO_CRIT.start]
+        rho_max = contrast * np.where(contrast >= 0.0, kernel.rho_base_max,
+                                      kernel.rho_base_min)
+        rows.append(np.column_stack([
+            _backflow_rates(kernel.profile(c, FLUX), kernel.spacing),
+            rho_max / peak,
+            kernel._density_min(density[:, kernel.window]) / peak]))
+    return np.concatenate(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(arm_weights, max_size=11))
+def test_kernel_scalars_match_full_grid(kernels, batch):
+    # Skipping the density columns that cannot hold the peak changes no
+    # bit, whatever the batch size and the row count of the products.
+    weights = EDGE_WEIGHTS + tuple(batch)
+    for kernel in kernels:
+        np.testing.assert_array_equal(
+            np.column_stack(kernel.scalars(weight_coefficients(weights))),
+            _full_grid_scalars(kernel, weights))
+
+
+@pytest.mark.parametrize("where", ["left edge", "right edge", "slope"])
+def test_kernel_peak_beyond_an_offset_window(kernels, where):
+    # A window away from x_c does not hold the peak, so the candidate
+    # columns reach past it: far past it in the envelope's tails (to the
+    # grid's end on the right), and to R^2 near 0.87 of its maximum on
+    # the slope, where the equal-arm bound 2 R^2 lies above that maximum.
+    kernel = kernels[0]
+    n_points = kernel.basis.shape[1]
+    start = {"left edge": 0, "right edge": n_points - 3,
+             "slope": n_points // 2 + n_points // 16}[where]
+    kernel = replace(kernel, window=slice(start, start + 3))
+    weights = EDGE_WEIGHTS + tuple(real_weights(cb) for cb in (0.1, 0.5, 0.8))
+    np.testing.assert_array_equal(
+        np.column_stack(kernel.scalars(weight_coefficients(weights))),
+        _full_grid_scalars(kernel, weights))
+
+
+def test_kernel_peak_in_the_window_last_column(kernels):
+    # The last few columns of a product round apart from a full-grid
+    # product unless its columns start and end on SPAN_ALIGN multiples;
+    # a peak in the window's last column shows those bits.
+    rng = np.random.default_rng(3)
+    weights = [ArmAmplitudes(cb * cmath.exp(1j * a),
+                             math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b))
+               for cb, a, b in rng.random((12, 3)) * (1.0, 6.3, 6.3)]
+    for kernel in (kernels[0], kernels[2]):
+        for w in weights:
+            c = weight_coefficients([w])
+            last = int(kernel.profile(c, DENSITY).argmax())
+            for width in (49, 50, 51, 201):
+                edge = replace(kernel,
+                               window=slice(last + 1 - width, last + 1))
+                np.testing.assert_array_equal(
+                    np.column_stack(edge.scalars(c)),
+                    _full_grid_scalars(edge, [w]))
+
+
+def test_kernel_scalars_refuse_a_vanishing_density(kernels):
+    with pytest.raises(DomainError, match="vanishes everywhere"):
+        kernels[1].scalars(np.zeros((1, 8)))

@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 
@@ -8,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from qbackflow.model import DomainError
 from qbackflow.observables import backflow_rate, report
-from qbackflow.pulses import ArmAmplitudes, real_weights
+from qbackflow.pulses import real_weights
 from qbackflow.sweep import (
     SweepEngine,
     SweepSpec,
     canonical_pulse_area_weights,
 )
+
+from conftest import arm_weights
 
 
 def test_spec_validation():
@@ -56,16 +57,10 @@ def test_engine_matches_direct_evaluation(reduced_ctx):
             direct, rel=1e-12, abs=1e-300)
 
 
-_phase = st.floats(0.0, 2.0 * math.pi)
-_weights = st.builds(
-    lambda cb, a, b: ArmAmplitudes(
-        cb * cmath.exp(1j * a),
-        math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b)),
-    st.floats(0.0, 1.0), _phase, _phase)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(_weights, min_size=1, max_size=11))
+@given(st.lists(arm_weights, min_size=1, max_size=11))
 def test_engine_samples_match_report(sweep_engine, batch):
     # The batched kernel rows agree with the one-row report() for any
     # normalized complex weights; batches of up to 11 cross the chunk
