@@ -56,6 +56,30 @@ bound (``PEAK_BOUND_SLACK``).  The ranges start and end on multiples of
 through the same BLAS kernel path as in a full-grid product and reads
 the same bits.
 
+The flux needs every column only where it can be negative.  As
+Re(w e^{i phi}) >= -|w|,
+
+    (m/hbar) J >= R^2 g(grad(theta)),
+    g(x) = n x + |c_b|^2 q - |w| |q + 2 x|,
+
+and g is concave: a linear term minus the modulus of a linear one.  The
+size s(x) = |n x| + |c_b|^2 |q| + |w| |q + 2 x| of its terms is convex,
+so g - PEAK_BOUND_SLACK * s is concave too.  Over the sampled
+grad(theta), which is linear in u and so extreme at the grid's ends, it
+is least at the sampled minimum or maximum.  The kernel keeps q and
+those two values as numbers: R^2 underflows to 0 at the ends of a wide
+grid, so they cannot be read off the basis.  Where g - PEAK_BOUND_SLACK
+* s >= 0 at both, :meth:`WeightKernel.backflow_possible` clears the row:
+on every column the flux is at least 1e-12 of its terms' size, far
+above the few 1e-16 by which rounding moves it, so no computed column
+is negative.  The slack is needed: with |c_f| = |c_b|, g is exactly 0
+wherever q + 2 grad(theta) > 0, the flux touches 0 at every fringe
+minimum, and on a column that sits there it rounds below 0.  A chunk of
+cleared rows skips its flux product and writes rate 0.0, which is what
+the product gives bit for bit: np.minimum leaves only zeros, and 0.0
+minus their trapezoid is +0.0.  Chunks keep their rows and row count,
+so every other chunk is the same product as before.
+
 The momentum spectrum
 ---------------------
 Kicks and free fall in a linear potential only shift momenta, so the
@@ -83,7 +107,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +139,8 @@ SPREADING_THRESHOLD = 0.1
 #: another BLAS path and rounds differently.
 CHUNK_ELEMENTS = 2 ** 16
 
-#: Relative slack on the density peak bound (module docstring).
+#: Relative slack on the density peak bound and on the bound that
+#: clears rows of backflow (module docstring).
 PEAK_BOUND_SLACK = 1e-12
 
 #: Column ranges of partial density products start and end on multiples
@@ -222,9 +247,10 @@ class ClassicalBackflowCheck:
                 and self.spreading_ratio <= SPREADING_THRESHOLD)
 
 
-def weight_coefficients(weights: Sequence[ArmAmplitudes]) -> np.ndarray:
+def weight_coefficients(weights: Iterable[ArmAmplitudes]) -> np.ndarray:
     """Coefficient matrix of a batch of weights, one row per pair."""
-    c_f, c_b = np.array([(w.c_f, w.c_b) for w in weights], dtype=complex).T
+    c_f, c_b = np.fromiter(((w.c_f, w.c_b) for w in weights),
+                           dtype=(complex, 2)).T
     w = np.conj(c_f) * c_b
     f2 = np.abs(c_f) ** 2
     b2 = np.abs(c_b) ** 2
@@ -244,6 +270,8 @@ class WeightKernel:
     rho_base_min: float   # envelope support (NaN if the support is empty)
     window: slice         # +-DENSITY_MIN_WINDOW_FRINGES about x_c
     spacing: float        # m
+    q: float              # 1/m, beat wavenumber
+    grad_theta: tuple[float, float]  # 1/m, sampled grad(theta) min, max
 
     @classmethod
     def from_state(cls, state: EncounterState) -> "WeightKernel":
@@ -284,17 +312,33 @@ class WeightKernel:
         bins = min(grid.n_points // 2, max(1, int(reach / grid.spacing)))
         center = grid.n_points // 2
         return cls(basis, *extrema, slice(center - bins, center + bins + 1),
-                   grid.spacing)
+                   grid.spacing, q, (float(gt.min()), float(gt.max())))
 
     def profile(self, coefficients: np.ndarray, block: slice) -> np.ndarray:
         """One profile per coefficient row, for one block of the basis."""
         return coefficients[:, block] @ self.basis[block]
 
+    def backflow_possible(self, coefficients: np.ndarray) -> np.ndarray:
+        """False for each coefficient row whose flux provably has no
+        negative column: g - PEAK_BOUND_SLACK * s is concave in
+        grad(theta), so it is >= 0 at every sample when it is at both
+        extrema (module docstring)."""
+        # (rows, 1) coefficient columns against the two extrema
+        n, b2, re_w, im_w = coefficients[:, FLUX].T[..., np.newaxis]
+        gt = np.array(self.grad_theta)
+        drift = n * gt
+        beat = b2 * self.q
+        cross = np.hypot(re_w, im_w) * np.abs(self.q + 2.0 * gt)
+        clear = (drift + beat - cross >= PEAK_BOUND_SLACK
+                 * (np.abs(drift) + np.abs(beat) + cross))
+        return ~clear.all(axis=1)
+
     def scalars(self, coefficients: np.ndarray) -> tuple[np.ndarray, ...]:
         """(backflow rate, rho_crit max fraction, density min fraction) of
-        every coefficient row: one full-grid flux product per row, and
-        the density only where its peak and minimum can be (module
-        docstring)."""
+        every coefficient row: one full-grid flux product per chunk of
+        rows unless none of them can flow back, and the density only
+        where its peak and minimum can be (module docstring)."""
+        possible = self.backflow_possible(coefficients)
         basis, n_points = self.basis, self.basis.shape[1]
         r2 = basis[DENSITY.start]
         rows = len(coefficients)
@@ -308,13 +352,16 @@ class WeightKernel:
         outside = max(r2[:lo].max(initial=0.0), r2[hi:].max(initial=0.0))
         n, re_2w, im_2w = coefficients[:, DENSITY].T
         bound = (n + np.hypot(re_2w, im_2w)) * (1.0 + PEAK_BOUND_SLACK)
-        rate, peak, density_min = np.empty((3, rows))
+        rate, peak, density_min = np.zeros((3, rows))  # rate 0: no backflow
         for start in range(0, rows, block):
             stop = min(start + block, rows)
             for i in range(start, stop, chunk):
                 c = coefficients[i:min(i + chunk, stop)]
-                flux = np.matmul(c[:, FLUX], basis[FLUX], out=work[:len(c)])
-                rate[i:i + len(c)] = _backflow_rates(flux, self.spacing, flux)
+                if possible[i:i + len(c)].any():
+                    flux = np.matmul(c[:, FLUX], basis[FLUX],
+                                     out=work[:len(c)])
+                    rate[i:i + len(c)] = _backflow_rates(flux, self.spacing,
+                                                         flux)
                 np.matmul(c[:, DENSITY], basis[DENSITY, lo:hi],
                           out=local[i - start:i - start + len(c)])
             density = local[:stop - start]

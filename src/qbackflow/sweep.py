@@ -128,32 +128,42 @@ class SweepEngine:
 
     def samples(self, values, weights_of) -> tuple[SweepSample, ...]:
         """One sample per value, at weights_of(value)."""
-        values = [float(v) for v in values]
-        rate, rho_max, density_min = self.kernel.scalars(
-            weight_coefficients([weights_of(v) for v in values]))
-        return tuple(map(SweepSample, values, rate.tolist(), rho_max.tolist(),
-                         density_min.tolist()))
+        values = np.asarray(values, dtype=float)
+        return self._samples(values, *self._scalars(values, weights_of))
+
+    def _scalars(self, values: np.ndarray,
+                 weights_of) -> tuple[np.ndarray, ...]:
+        """(rate, rho_crit max, density min) arrays, one row per value."""
+        return self.kernel.scalars(weight_coefficients(
+            map(weights_of, map(float, values))))
+
+    @staticmethod
+    def _samples(values: np.ndarray, *scalars) -> tuple[SweepSample, ...]:
+        return tuple(map(SweepSample, values.tolist(),
+                         *(x.tolist() for x in scalars)))
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
-        return self.samples([0.0], lambda _: weights)[0].backflow_rate
+        return float(self.kernel.scalars(weight_coefficients([weights]))[0][0])
 
     # -- sweeps ---------------------------------------------------------
 
     def _run(self, spec: SweepSpec, weights_of) -> SweepResult:
-        samples = self.samples(spec.values(), weights_of)
-        rates = np.array([s.backflow_rate for s in samples])
+        values = spec.values()
+        scalars = self._scalars(values, weights_of)
+        rates = scalars[0]
         max_rate = float(rates.max())
         idx = int(np.argmax(rates >= (1.0 - ARGMAX_TIE_FRACTION) * max_rate))
-        argmax_value = samples[idx].value
+        argmax_value = float(values[idx])
         r_val, r_rate = argmax_value, max_rate
         if max_rate > 0.0:
-            lo = samples[max(idx - 1, 0)].value
-            hi = samples[min(idx + 1, len(samples) - 1)].value
+            lo = float(values[max(idx - 1, 0)])
+            hi = float(values[min(idx + 1, len(values) - 1)])
             val, rate = self._golden_section(
                 lo, hi, spec.hi - spec.lo, weights_of)
             if rate >= max_rate:
                 r_val, r_rate = val, rate
-        return SweepResult(spec, samples, argmax_value, max_rate, r_val, r_rate)
+        return SweepResult(spec, self._samples(values, *scalars),
+                           argmax_value, max_rate, r_val, r_rate)
 
     def _golden_section(self, lo: float, hi: float, full_range: float,
                         weights_of) -> tuple[float, float]:

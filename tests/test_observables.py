@@ -345,3 +345,63 @@ def test_kernel_peak_in_the_window_last_column(kernels):
 def test_kernel_scalars_refuse_a_vanishing_density(kernels):
     with pytest.raises(DomainError, match="vanishes everywhere"):
         kernels[1].scalars(np.zeros((1, 8)))
+
+
+# -- the no-backflow bound ----------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(arm_weights, min_size=1, max_size=11))
+def test_backflow_bound_is_sound(kernels, batch):
+    # A row the bound clears has no negative column in a full-grid
+    # product, so skipping its flux product changes no rate.
+    c = weight_coefficients(EDGE_WEIGHTS + tuple(batch))
+    for kernel in kernels:
+        cleared = ~kernel.backflow_possible(c)
+        assert (kernel.profile(c, FLUX)[cleared] >= 0.0).all()
+
+
+def _real_weight_roots(kernel):
+    """The real c_b where the flux bound of real_weights(c_b) changes
+    sign, bisected to adjacent floats."""
+    def bound(x):
+        w = x * math.sqrt(1.0 - x * x)
+        return min(gt + x * x * kernel.q - w * abs(kernel.q + 2.0 * gt)
+                   for gt in kernel.grad_theta)
+    roots = []
+    for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
+        if (bound(lo) > 0.0) == (bound(hi) > 0.0):
+            continue
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if (bound(mid) > 0.0) == (bound(lo) > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        roots.append(lo)
+    return roots
+
+
+def test_backflow_bound_edges(kernels):
+    # Equal populations: the bound is exactly 0 wherever q + 2 grad(theta)
+    # > 0, and with a fringe minimum on a column the computed flux rounds
+    # below 0 there, so the slack must keep these rows.  So must real
+    # weights within rounding of a root of the bound, while weights 1e-9
+    # inside its cleared side are cleared.
+    half = math.sqrt(0.5)
+    for kernel, n_roots in zip(kernels, (2, 1, 2)):
+        columns = kernel.basis.shape[1] // 2 + np.arange(-40, 40, 3)
+        pinned = [ArmAmplitudes(half * cmath.exp(1j * (math.pi - math.atan2(
+                      kernel.basis[6, j], kernel.basis[5, j]))), half)
+                  for j in columns]
+        c = weight_coefficients(
+            [EDGE_WEIGHTS[2], real_weights(half)] + pinned)
+        assert kernel.backflow_possible(c).all()
+        assert (kernel.profile(c, FLUX) < 0.0).any()
+        roots = _real_weight_roots(kernel)
+        assert len(roots) == n_roots
+        for x0 in roots:
+            near = [real_weights(x0 * (1.0 + k * 1e-14)) for k in range(-8, 9)]
+            assert kernel.backflow_possible(weight_coefficients(near)).all()
+            sides = kernel.backflow_possible(weight_coefficients(
+                [real_weights(x0 * (1.0 - 1e-9)),
+                 real_weights(x0 * (1.0 + 1e-9))]))
+            assert sides.tolist() in ([False, True], [True, False])

@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbackflow.model import DomainError
-from qbackflow.observables import backflow_rate, report
+from qbackflow.observables import (FLUX, backflow_rate, report,
+                                   weight_coefficients)
 from qbackflow.pulses import real_weights
 from qbackflow.sweep import (
     SweepEngine,
@@ -72,6 +74,29 @@ def test_engine_samples_match_report(sweep_engine, batch):
                      "density_min_fraction"):
             assert getattr(sample, name) == pytest.approx(
                 getattr(rep, name), rel=1e-12, abs=1e-15), name
+
+
+@pytest.mark.parametrize("weights_of, hi, least", [
+    (canonical_pulse_area_weights, 4.0 * math.pi, 0.45),
+    (real_weights, 1.0, 0.25)])
+def test_sweeps_skip_rows_without_backflow(sweep_engine, weights_of, hi,
+                                           least):
+    # About half the fig8 pulse-area rows and a third of the real-weight
+    # rows provably have no backflow, and a chunk of such rows never
+    # reads the flux basis: poisoned with NaN, it still gives rate 0.
+    kernel = sweep_engine.kernel
+    c = weight_coefficients(
+        weights_of(v) for v in np.linspace(0.0, hi, 5001).tolist())
+    cleared = ~kernel.backflow_possible(c)
+    assert cleared.mean() >= least
+    basis = kernel.basis.copy()
+    basis[FLUX] = np.nan
+    rate = replace(kernel, basis=basis).scalars(c[cleared])[0]
+    assert (rate == 0.0).all()
+
+
+def test_samples_of_no_values(sweep_engine):
+    assert sweep_engine.samples([], canonical_pulse_area_weights) == ()
 
 
 def test_sweep_result_shape_and_refinement(reduced_ctx):
