@@ -40,8 +40,8 @@ print(f"  grid best     : rate {area.max_backflow_rate:.3e} m/s "
       f"at A = {area.argmax_value / math.pi:.4f} pi")
 print(f"  refined best  : rate {area.refined_max_backflow_rate:.3e} m/s "
       f"at A = {area.refined_argmax_value / math.pi:.4f} pi")
-zero = sum(1 for s in area.samples if s.backflow_rate == 0.0)
-print(f"  {zero} of {len(area.samples)} samples are exactly zero")
+zero = int((area.rates == 0.0).sum())
+print(f"  {zero} of {len(area.rates)} samples are exactly zero")
 
 real = engine.sweep_real_weights(SweepSpec("real_cb", 0.0, 1.0, 201))
 real.to_csv(os.path.join(OUT, "sweep_real_cb.csv"))

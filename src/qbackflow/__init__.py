@@ -15,7 +15,6 @@ Library layout:
 """
 
 from .model import (
-    BRACKEN_MELLOY_BOUND,
     CondensateParams,
     DomainError,
     Environment,
@@ -27,7 +26,6 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRACKEN_MELLOY_BOUND",
     "CondensateParams",
     "DomainError",
     "Environment",

@@ -21,11 +21,6 @@ HBAR = 1.054571817e-34          # J s
 ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 SPEED_OF_LIGHT = 299792458.0    # m / s
 
-#: Largest fraction of probability that can flow backward for a free
-#: nonrelativistic particle with positive momentum (Bracken-Melloy bound).
-#: Reporting/reference only; never used in a computation path.
-BRACKEN_MELLOY_BOUND = 0.0384517
-
 
 class DomainError(ValueError):
     """An input is outside the physical domain of an operation."""

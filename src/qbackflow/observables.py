@@ -107,7 +107,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,10 +246,10 @@ class ClassicalBackflowCheck:
                 and self.spreading_ratio <= SPREADING_THRESHOLD)
 
 
-def weight_coefficients(weights: Iterable[ArmAmplitudes]) -> np.ndarray:
-    """Coefficient matrix of a batch of weights, one row per pair."""
-    c_f, c_b = np.fromiter(((w.c_f, w.c_b) for w in weights),
-                           dtype=(complex, 2)).T
+def weight_coefficients(weights: ArmAmplitudes) -> np.ndarray:
+    """Coefficient matrix of one weight pair or an array of them, one row
+    per pair."""
+    c_f, c_b = np.ravel(weights.c_f), np.ravel(weights.c_b)
     w = np.conj(c_f) * c_b
     f2 = np.abs(c_f) ** 2
     b2 = np.abs(c_b) ** 2
@@ -490,7 +489,7 @@ def report(state: EncounterState,
     """Populate every backflow observable for one encounter."""
     weights = state.weights if weights is None else weights
     kernel = WeightKernel.from_state(state)
-    coefficients = weight_coefficients([weights])
+    coefficients = weight_coefficients(weights)
     rate, rho_max, density_min = (float(x[0])
                                   for x in kernel.scalars(coefficients))
     flux, density, rho = (kernel.profile(coefficients, block)[0]

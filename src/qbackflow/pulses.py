@@ -22,7 +22,8 @@ falling arm.  With this assignment a pi splitting pulse gives c_b = 0
 |c_f| < |c_b|, where the critical density is negative and backflow is
 impossible; both match the swept backflow-rate structure.  Note the
 trig roles: c_b is the matrix's ground-exit amplitude and c_f the
-excited-exit amplitude.
+excited-exit amplitude.  A weight rule maps a sweep's array of values to
+one :class:`ArmAmplitudes` of arrays, a weight pair per element.
 """
 
 from __future__ import annotations
@@ -54,34 +55,26 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class ArmAmplitudes:
-    """Complex weights of the two interferometer arms.
+    """Complex weights c_b (LMT arm, ground exit) and c_f (free arm,
+    excited exit) of the two interferometer arms.  Either may be an array
+    of one shape, a pair per element, as the fields of
+    :class:`~qbackflow.phaseacc.DoubleDouble` may."""
 
-    ``c_ground``/``c_excited`` are the amplitudes in the internal-state
-    basis; ``c_b``/``c_f`` expose the arm-weight roles described in the
-    module docstring (c_b = ground exit = LMT-arm weight, c_f = excited
-    exit = free-arm weight).
-    """
-
-    c_ground: complex
-    c_excited: complex
+    c_b: complex | np.ndarray
+    c_f: complex | np.ndarray
 
     def __post_init__(self):
-        n = abs(self.c_ground) ** 2 + abs(self.c_excited) ** 2
-        if abs(n - 1.0) > 1e-12:
-            raise DomainError(f"arm amplitudes must be normalized, |c|^2 = {n}")
-
-    @property
-    def c_b(self) -> complex:
-        return self.c_ground
-
-    @property
-    def c_f(self) -> complex:
-        return self.c_excited
+        n = np.abs(self.c_b) ** 2 + np.abs(self.c_f) ** 2
+        off = np.abs(n - 1.0) > 1e-12
+        if off.any():
+            raise DomainError("arm amplitudes must be normalized, "
+                              f"|c|^2 = {np.ravel(n)[np.argmax(off)]}")
 
 
 def transition_matrix(pulse_area: float, rabi_phase_arg: float = 0.0,
                       laser_phase: float = 0.0) -> np.ndarray:
-    """Unitary acting on (c_ground, c_excited) for one resonant pulse."""
+    """Unitary acting on (c_b, c_f), the (ground, excited) amplitudes,
+    for one resonant pulse."""
     lam_c = math.cos(0.5 * pulse_area)
     lam_s = np.exp(1j * rabi_phase_arg) * math.sin(0.5 * pulse_area)
     phase = np.exp(-1j * laser_phase)
@@ -95,7 +88,7 @@ def transition_matrix(pulse_area: float, rabi_phase_arg: float = 0.0,
 def split(amplitudes: ArmAmplitudes, pulse: PulseSpec) -> ArmAmplitudes:
     """Apply one pulse to an amplitude pair."""
     m = transition_matrix(pulse.pulse_area, pulse.rabi_phase_arg, pulse.laser_phase)
-    vec = m @ np.array([amplitudes.c_ground, amplitudes.c_excited])
+    vec = m @ np.array([amplitudes.c_b, amplitudes.c_f])
     return ArmAmplitudes(complex(vec[0]), complex(vec[1]))
 
 
@@ -104,8 +97,10 @@ def splitting_weights(pulse: PulseSpec) -> ArmAmplitudes:
     return split(ArmAmplitudes(1.0 + 0.0j, 0.0j), pulse)
 
 
-def real_weights(c_b: float) -> ArmAmplitudes:
-    """Directly injected real weights with c_f = +sqrt(1 - c_b^2)."""
-    if not 0.0 <= c_b <= 1.0:
+def real_weights(c_b: float | np.ndarray) -> ArmAmplitudes:
+    """Directly injected real weights with c_f = +sqrt(1 - c_b^2), one
+    pair per element of an array c_b."""
+    c_b = np.float64(c_b)  # a scalar stays a scalar, an array an array
+    if not np.all((0.0 <= c_b) & (c_b <= 1.0)):
         raise DomainError("real c_b must lie in [0, 1]")
-    return ArmAmplitudes(complex(c_b), complex(math.sqrt(max(0.0, 1.0 - c_b * c_b))))
+    return ArmAmplitudes(c_b, np.sqrt(1.0 - c_b * c_b))

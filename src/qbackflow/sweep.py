@@ -2,10 +2,12 @@
 
 The expensive grid work (envelope R, phase gradient grad(theta), beat
 fringes) is weight-independent: :class:`SweepEngine` builds the
-encounter's :class:`~qbackflow.observables.WeightKernel` once, and the
-samples of a sweep become rows of one coefficient matrix, whose scalars
-:meth:`~qbackflow.observables.WeightKernel.scalars` evaluates (the
-kernel is derived in the :mod:`qbackflow.observables` docstring).
+encounter's :class:`~qbackflow.observables.WeightKernel` once.  A weight
+rule maps all values of a sweep to one array-valued ArmAmplitudes, its
+coefficient matrix goes through
+:meth:`~qbackflow.observables.WeightKernel.scalars` (derived in the
+:mod:`qbackflow.observables` docstring), and :class:`SweepResult` keeps
+the values and the three scalars as four arrays, the sweep.csv columns.
 
 Phase convention for the pulse-area sweep: the splitting pulse's laser
 phase is a free experimental knob that only offsets the beat fringe, so
@@ -72,30 +74,22 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepSample:
-    value: float
-    backflow_rate: float             # m/s
-    rho_crit_max_fraction: float
-    density_min_fraction: float
-
-
-@dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec
-    samples: tuple[SweepSample, ...]
+    values: np.ndarray               # the swept variable, one per sample
+    rates: np.ndarray                # m/s, backflow rate
+    rho_crit_max: np.ndarray         # max rho_crit / max |Psi|^2
+    density_min: np.ndarray          # density min near x_c / max |Psi|^2
     argmax_value: float              # grid argmax (ties -> smaller value)
     max_backflow_rate: float
     refined_argmax_value: float      # golden-section refinement
     refined_max_backflow_rate: float
 
-    def rates(self) -> np.ndarray:
-        return np.array([s.backflow_rate for s in self.samples])
-
     def to_csv(self, path: str) -> None:
-        rows = "".join(
-            f"{s.value:.17g},{s.backflow_rate:.17g},"
-            f"{s.rho_crit_max_fraction:.17g},{s.density_min_fraction:.17g}\n"
-            for s in self.samples)
+        columns = (self.values, self.rates, self.rho_crit_max,
+                   self.density_min)
+        rows = "".join(f"{v:.17g},{r:.17g},{p:.17g},{d:.17g}\n"
+                       for v, r, p, d in zip(*(c.tolist() for c in columns)))
         atomic_write_text(
             path, "value,backflow_rate_m_per_s,rho_crit_max,density_min\n" + rows)
 
@@ -111,12 +105,14 @@ class SweepResult:
         }
 
 
-def canonical_pulse_area_weights(pulse_area: float) -> ArmAmplitudes:
-    """Sweep weights (|cos(A/2)|, -i |sin(A/2)|); see module docstring."""
-    if not 0.0 <= pulse_area <= 4.0 * math.pi + 1e-12:
+def canonical_pulse_area_weights(
+        pulse_area: float | np.ndarray) -> ArmAmplitudes:
+    """Sweep weights (|cos(A/2)|, -i |sin(A/2)|) per area (module docstring)."""
+    area = np.asarray(pulse_area, dtype=float)
+    if not np.all((0.0 <= area) & (area <= 4.0 * math.pi + 1e-12)):
         raise DomainError("pulse_area must lie in [0, 4 pi]")
-    return ArmAmplitudes(abs(math.cos(0.5 * pulse_area)),
-                         -1j * abs(math.sin(0.5 * pulse_area)))
+    half = 0.5 * area
+    return ArmAmplitudes(np.abs(np.cos(half)), -1j * np.abs(np.sin(half)))
 
 
 class SweepEngine:
@@ -126,31 +122,20 @@ class SweepEngine:
         self.state = state
         self.kernel = WeightKernel.from_state(state)
 
-    def samples(self, values, weights_of) -> tuple[SweepSample, ...]:
-        """One sample per value, at weights_of(value)."""
-        values = np.asarray(values, dtype=float)
-        return self._samples(values, *self._scalars(values, weights_of))
-
-    def _scalars(self, values: np.ndarray,
-                 weights_of) -> tuple[np.ndarray, ...]:
-        """(rate, rho_crit max, density min) arrays, one row per value."""
+    def samples(self, values, weights_of) -> tuple[np.ndarray, ...]:
+        """(rate, rho_crit max, density min) arrays, one row per value, at
+        the weights weights_of(values)."""
         return self.kernel.scalars(weight_coefficients(
-            map(weights_of, map(float, values))))
-
-    @staticmethod
-    def _samples(values: np.ndarray, *scalars) -> tuple[SweepSample, ...]:
-        return tuple(map(SweepSample, values.tolist(),
-                         *(x.tolist() for x in scalars)))
+            weights_of(np.asarray(values, dtype=float))))
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
-        return float(self.kernel.scalars(weight_coefficients([weights]))[0][0])
+        return float(self.kernel.scalars(weight_coefficients(weights))[0][0])
 
     # -- sweeps ---------------------------------------------------------
 
     def _run(self, spec: SweepSpec, weights_of) -> SweepResult:
         values = spec.values()
-        scalars = self._scalars(values, weights_of)
-        rates = scalars[0]
+        rates, rho_crit_max, density_min = self.samples(values, weights_of)
         max_rate = float(rates.max())
         idx = int(np.argmax(rates >= (1.0 - ARGMAX_TIE_FRACTION) * max_rate))
         argmax_value = float(values[idx])
@@ -162,7 +147,7 @@ class SweepEngine:
                 lo, hi, spec.hi - spec.lo, weights_of)
             if rate >= max_rate:
                 r_val, r_rate = val, rate
-        return SweepResult(spec, self._samples(values, *scalars),
+        return SweepResult(spec, values, rates, rho_crit_max, density_min,
                            argmax_value, max_rate, r_val, r_rate)
 
     def _golden_section(self, lo: float, hi: float, full_range: float,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -28,6 +29,12 @@ arm_weights = st.builds(
         cb * cmath.exp(1j * a),
         math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b)),
     st.floats(0.0, 1.0), _phase, _phase)
+
+
+def stack_weights(weights) -> ArmAmplitudes:
+    """One array-valued ArmAmplitudes holding a sequence of weight pairs."""
+    return ArmAmplitudes(np.array([w.c_b for w in weights], dtype=complex),
+                         np.array([w.c_f for w in weights], dtype=complex))
 
 
 @pytest.fixture(scope="session")

@@ -315,8 +315,8 @@ def test_criterion_3_density_min_at_0p6pi_known_gap(ref_ctx_06):
 
 def test_criterion_4_pulse_area_sweep_structure(fig8a_result):
     res = fig8a_result
-    rates = res.rates()
-    values = np.array([s.value for s in res.samples])
+    rates = res.rates
+    values = res.values
     scale = float(rates.max())
 
     # symmetry about pi (and, by periodicity, about 3 pi)
@@ -358,8 +358,8 @@ def test_criterion_4_pulse_area_sweep_structure(fig8a_result):
 
 def test_criterion_5_real_weight_sweep(fig8b_result):
     res = fig8b_result
-    rates = res.rates()
-    values = np.array([s.value for s in res.samples])
+    rates = res.rates
+    values = res.values
 
     end_zero = rates[0] == 0.0 and rates[-1] == 0.0
     beyond = rates[values > 1.0 / math.sqrt(2.0) + 1e-12]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from qbackflow.model import (
     ATOMIC_MASS_UNIT,
-    BRACKEN_MELLOY_BOUND,
     HBAR,
     SPEED_OF_LIGHT,
     CondensateParams,
@@ -24,7 +23,6 @@ def test_constants_frozen():
     assert HBAR == 1.054571817e-34
     assert ATOMIC_MASS_UNIT == 1.66053906660e-27
     assert SPEED_OF_LIGHT == 299792458.0
-    assert BRACKEN_MELLOY_BOUND == 0.0384517
 
 
 def test_oscillator_length_reference_value():

@@ -27,7 +27,7 @@ from qbackflow.pulses import ArmAmplitudes, real_weights
 from qbackflow.wavefield import (Grid, WaveField, com_wavefunction,
                                  combined_from_state)
 
-from conftest import arm_weights
+from conftest import arm_weights, stack_weights
 
 
 def test_flux_identity_on_reduced_state():
@@ -280,7 +280,7 @@ def _full_grid_scalars(kernel, weights):
     chunk = max(1, CHUNK_ELEMENTS // kernel.basis.shape[1])
     rows = []
     for i in range(0, len(weights), chunk):
-        c = weight_coefficients(weights[i:i + chunk])
+        c = weight_coefficients(stack_weights(weights[i:i + chunk]))
         density = kernel.profile(c, DENSITY)
         peak = density.max(axis=1)
         contrast = c[:, RHO_CRIT.start]
@@ -301,7 +301,8 @@ def test_kernel_scalars_match_full_grid(kernels, batch):
     weights = EDGE_WEIGHTS + tuple(batch)
     for kernel in kernels:
         np.testing.assert_array_equal(
-            np.column_stack(kernel.scalars(weight_coefficients(weights))),
+            np.column_stack(kernel.scalars(
+                weight_coefficients(stack_weights(weights)))),
             _full_grid_scalars(kernel, weights))
 
 
@@ -318,7 +319,8 @@ def test_kernel_peak_beyond_an_offset_window(kernels, where):
     kernel = replace(kernel, window=slice(start, start + 3))
     weights = EDGE_WEIGHTS + tuple(real_weights(cb) for cb in (0.1, 0.5, 0.8))
     np.testing.assert_array_equal(
-        np.column_stack(kernel.scalars(weight_coefficients(weights))),
+        np.column_stack(kernel.scalars(
+            weight_coefficients(stack_weights(weights)))),
         _full_grid_scalars(kernel, weights))
 
 
@@ -332,7 +334,7 @@ def test_kernel_peak_in_the_window_last_column(kernels):
                for cb, a, b in rng.random((12, 3)) * (1.0, 6.3, 6.3)]
     for kernel in (kernels[0], kernels[2]):
         for w in weights:
-            c = weight_coefficients([w])
+            c = weight_coefficients(w)
             last = int(kernel.profile(c, DENSITY).argmax())
             for width in (49, 50, 51, 201):
                 edge = replace(kernel,
@@ -354,7 +356,7 @@ def test_kernel_scalars_refuse_a_vanishing_density(kernels):
 def test_backflow_bound_is_sound(kernels, batch):
     # A row the bound clears has no negative column in a full-grid
     # product, so skipping its flux product changes no rate.
-    c = weight_coefficients(EDGE_WEIGHTS + tuple(batch))
+    c = weight_coefficients(stack_weights(EDGE_WEIGHTS + tuple(batch)))
     for kernel in kernels:
         cleared = ~kernel.backflow_possible(c)
         assert (kernel.profile(c, FLUX)[cleared] >= 0.0).all()
@@ -392,16 +394,15 @@ def test_backflow_bound_edges(kernels):
         pinned = [ArmAmplitudes(half * cmath.exp(1j * (math.pi - math.atan2(
                       kernel.basis[6, j], kernel.basis[5, j]))), half)
                   for j in columns]
-        c = weight_coefficients(
-            [EDGE_WEIGHTS[2], real_weights(half)] + pinned)
+        c = weight_coefficients(stack_weights(
+            [EDGE_WEIGHTS[2], real_weights(half)] + pinned))
         assert kernel.backflow_possible(c).all()
         assert (kernel.profile(c, FLUX) < 0.0).any()
         roots = _real_weight_roots(kernel)
         assert len(roots) == n_roots
         for x0 in roots:
-            near = [real_weights(x0 * (1.0 + k * 1e-14)) for k in range(-8, 9)]
+            near = real_weights(x0 * (1.0 + np.arange(-8, 9) * 1e-14))
             assert kernel.backflow_possible(weight_coefficients(near)).all()
             sides = kernel.backflow_possible(weight_coefficients(
-                [real_weights(x0 * (1.0 - 1e-9)),
-                 real_weights(x0 * (1.0 + 1e-9))]))
+                real_weights(x0 * (1.0 + np.array([-1e-9, 1e-9])))))
             assert sides.tolist() in ([False, True], [True, False])

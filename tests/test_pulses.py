@@ -63,8 +63,8 @@ def test_split_composition_matches_matrix_product():
     mb = transition_matrix(b.pulse_area, b.rabi_phase_arg, b.laser_phase)
     ma = transition_matrix(a.pulse_area, a.rabi_phase_arg, a.laser_phase)
     vec = mb @ ma @ np.array([1.0 + 0j, 0j])
-    assert w.c_ground == pytest.approx(vec[0], abs=1e-14)
-    assert w.c_excited == pytest.approx(vec[1], abs=1e-14)
+    assert w.c_b == pytest.approx(vec[0], abs=1e-14)
+    assert w.c_f == pytest.approx(vec[1], abs=1e-14)
 
 
 def test_real_weights():
@@ -82,6 +82,10 @@ def test_real_weights():
 def test_amplitude_normalization_enforced():
     with pytest.raises(DomainError):
         ArmAmplitudes(1.0 + 0j, 0.5 + 0j)
+    # a batch is refused at its first unnormalized pair, by that |c|^2
+    with pytest.raises(DomainError, match=r"\|c\|\^2 = 1\.25$"):
+        ArmAmplitudes(np.array([0.6, 0.5, 1.0, 0.5]),
+                      np.array([0.8, 1.0, 0.0, 0.0]))
 
 
 def test_pulse_spec_validation():

@@ -16,7 +16,7 @@ from qbackflow.sweep import (
     canonical_pulse_area_weights,
 )
 
-from conftest import arm_weights
+from conftest import arm_weights, stack_weights
 
 
 def test_spec_validation():
@@ -47,6 +47,23 @@ def test_canonical_weights():
         canonical_pulse_area_weights(-0.1)
 
 
+@pytest.mark.parametrize("weights_of, hi", [
+    (canonical_pulse_area_weights, 4.0 * math.pi), (real_weights, 1.0)])
+def test_weight_rules_on_arrays_match_scalar_calls(weights_of, hi):
+    # A sweep row and report() at the same value see the same weights:
+    # the rule applied to an array gives, byte for byte (signed zeros
+    # included), the coefficients of one scalar call per value.
+    values = np.append(np.linspace(0.0, hi, 5001),
+                       [v for v in (0.0, math.pi, 4.0 * math.pi, 1.0)
+                        if v <= hi])
+    rows = [weight_coefficients(weights_of(float(v))) for v in values]
+    assert (weight_coefficients(weights_of(values)).tobytes()
+            == np.concatenate(rows).tobytes())
+    values[2500] = 1.5 * hi
+    with pytest.raises(DomainError, match="must lie in"):
+        weights_of(values)
+
+
 def test_engine_matches_direct_evaluation(reduced_ctx):
     # The engine's precomputed-kernel rate equals the straightforward
     # flux-profile integral for arbitrary weights.
@@ -67,12 +84,14 @@ def test_engine_samples_match_report(sweep_engine, batch):
     # The batched kernel rows agree with the one-row report() for any
     # normalized complex weights; batches of up to 11 cross the chunk
     # boundaries of the fig8 grid (4 samples per chunk).
-    samples = sweep_engine.samples(range(len(batch)), lambda i: batch[int(i)])
-    for sample, w in zip(samples, batch):
+    scalars = sweep_engine.samples(
+        range(len(batch)),
+        lambda values: stack_weights([batch[int(i)] for i in values]))
+    for row, w in zip(np.column_stack(scalars), batch):
         rep = report(sweep_engine.state, w)
-        for name in ("backflow_rate", "rho_crit_max_fraction",
-                     "density_min_fraction"):
-            assert getattr(sample, name) == pytest.approx(
+        for got, name in zip(row, ("backflow_rate", "rho_crit_max_fraction",
+                                   "density_min_fraction")):
+            assert got == pytest.approx(
                 getattr(rep, name), rel=1e-12, abs=1e-15), name
 
 
@@ -85,8 +104,7 @@ def test_sweeps_skip_rows_without_backflow(sweep_engine, weights_of, hi,
     # rows provably have no backflow, and a chunk of such rows never
     # reads the flux basis: poisoned with NaN, it still gives rate 0.
     kernel = sweep_engine.kernel
-    c = weight_coefficients(
-        weights_of(v) for v in np.linspace(0.0, hi, 5001).tolist())
+    c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
     cleared = ~kernel.backflow_possible(c)
     assert cleared.mean() >= least
     basis = kernel.basis.copy()
@@ -96,14 +114,15 @@ def test_sweeps_skip_rows_without_backflow(sweep_engine, weights_of, hi,
 
 
 def test_samples_of_no_values(sweep_engine):
-    assert sweep_engine.samples([], canonical_pulse_area_weights) == ()
+    scalars = sweep_engine.samples([], canonical_pulse_area_weights)
+    assert [x.shape for x in scalars] == [(0,)] * 3
 
 
 def test_sweep_result_shape_and_refinement(reduced_ctx):
     spec = SweepSpec("pulse_area", 0.0, 2.0 * math.pi, 41)
     res = SweepEngine(reduced_ctx.state).sweep_pulse_area(spec)
-    assert len(res.samples) == 41
-    assert res.max_backflow_rate == max(s.backflow_rate for s in res.samples)
+    assert len(res.values) == len(res.rates) == 41
+    assert res.max_backflow_rate == res.rates.max()
     assert res.refined_max_backflow_rate >= res.max_backflow_rate
     lo = res.argmax_value - spec.values()[1]
     hi = res.argmax_value + spec.values()[1]
@@ -141,7 +160,7 @@ def test_sweep_variable_mismatch_rejected(reduced_ctx):
 def test_real_weight_sweep_monotone_edges(sweep_ctx):
     res = SweepEngine(sweep_ctx.state).sweep_real_weights(
         SweepSpec("real_cb", 0.0, 1.0, 21))
-    rates = res.rates()
+    rates = res.rates
     assert rates[0] == 0.0     # c_b = 0: free arm only
     assert rates[-1] == 0.0    # c_b = 1: LMT arm only
 
@@ -154,6 +173,13 @@ def test_csv_and_json_outputs(tmp_path, reduced_ctx):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "value,backflow_rate_m_per_s,rho_crit_max,density_min"
     assert len(lines) == 6
+    assert len(res.values) == res.spec.n_samples
+    # .17g round-trips float64, so each column reads back exactly
+    columns = np.array([[float(x) for x in line.split(",")]
+                        for line in lines[1:]]).T
+    for column, array in zip(columns, (res.values, res.rates,
+                                       res.rho_crit_max, res.density_min)):
+        np.testing.assert_array_equal(column, array)
     doc = json.loads(json.dumps(res.summary()))
     assert doc["variable"] == "real_cb"
     assert doc["n_samples"] == 5
