@@ -5,7 +5,7 @@ Library layout:
 * :mod:`qbackflow.model`       — constants, condensate/transition parameters
 * :mod:`qbackflow.phaseacc`    — extended-precision phase accumulation
 * :mod:`qbackflow.kinematics`  — COM trajectories, action/laser/internal phases
-* :mod:`qbackflow.pulses`      — two-level pulse algebra and arm weights
+* :mod:`qbackflow.pulses`      — arm weights of the interferometer arms
 * :mod:`qbackflow.wavefield`   — analytic wavefunctions on spatial grids
 * :mod:`qbackflow.observables` — flux, critical density, backflow metrics
 * :mod:`qbackflow.oracle`      — independent split-step propagator (validation)

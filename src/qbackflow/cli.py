@@ -79,7 +79,7 @@ _KNOWN_KEYS = {
     "weights": ("mode", "cb"),
     "pulse_arrays": ("count", "start_s", "interval_s", "sign",
                      "laser_phase_rad"),
-    "encounter": ("auto", "time_s"),
+    "encounter": ("auto",),
     "sweep": ("variable", "range", "n_samples"),
     **{name: tuple(key for key, _ in keys)
        for name, keys in _SECTION_KEYS.items()},
@@ -119,7 +119,6 @@ class Scenario:
     pulses: object            # (n, 3) float array of (time_s, sign,
                               # laser_phase_rad), splitting pulse first
     weights: object           # ArmAmplitudes
-    encounter_time: float | None  # None: the first meeting after the pulses
     grid_cfg: dict            # the validated keys of each section
     spectrum_cfg: dict
     output_cfg: dict
@@ -141,7 +140,7 @@ def _parse_config(cfg: dict) -> Scenario:
     from .kinematics import MAX_PULSES
     from .model import (CondensateParams, DomainError, Environment,
                         TransitionParams, sr88_params)
-    from .pulses import PulseSpec, real_weights, splitting_weights
+    from .pulses import real_weights, splitting_weights
     from .sweep import MAX_SAMPLES, SweepSpec
 
     if not isinstance(cfg, dict):
@@ -197,8 +196,7 @@ def _parse_config(cfg: dict) -> Scenario:
     elif mode == "splitting_pulse":
         _refuse_unread(w_cfg, ("cb",), "weights",
                        "in weights.mode 'splitting_pulse'")
-        weights = splitting_weights(PulseSpec(split_time, split_area,
-                                              split_phase, split_sign))
+        weights = splitting_weights(split_area, split_phase)
     else:
         raise ConfigError(f"weights.mode: unknown {mode!r}")
 
@@ -239,17 +237,10 @@ def _parse_config(cfg: dict) -> Scenario:
     if split_time < 0.0:
         raise ConfigError("splitting_pulse.time_s: must be >= 0")
 
-    enc = _get(cfg, "encounter", dict, "config", default={"auto": True},
-               required=False)
-    enc_time = None
-    if _get(enc, "auto", bool, "encounter", default="time_s" not in enc,
-            required=False):
-        _refuse_unread(enc, ("time_s",), "encounter",
-                       "when encounter.auto is true")
-    else:
-        enc_time = _get(enc, "time_s", float, "encounter")
-        if enc_time <= pulses[-1, 0]:
-            raise ConfigError("encounter.time_s: must follow the last pulse")
+    enc = _get(cfg, "encounter", dict, "config", default={}, required=False)
+    if not _get(enc, "auto", bool, "encounter", default=True, required=False):
+        raise ConfigError("encounter.auto: must be true; the encounter time "
+                          "is solved from the pulse schedule")
 
     sections = {}
     for name, keys in _SECTION_KEYS.items():
@@ -276,7 +267,7 @@ def _parse_config(cfg: dict) -> Scenario:
             raise ConfigError(f"sweep.n_samples: {sweep_spec.n_samples} "
                               f"samples exceed the limit of {MAX_SAMPLES}")
 
-    return Scenario(params, env, transition, pulses, weights, enc_time,
+    return Scenario(params, env, transition, pulses, weights,
                     sections["grid"], sections["spectrum"], sections["output"],
                     sweep_spec, cfg)
 
@@ -304,8 +295,6 @@ def build_trajectories(sc: Scenario):
 
 
 def resolve_encounter(sc: Scenario, free, pulsed) -> float:
-    if sc.encounter_time is not None:
-        return sc.encounter_time
     from .kinematics import NoEncounterError, solve_encounter
     if len(sc.pulses) == 1:
         raise NoEncounterError(

@@ -74,11 +74,6 @@ class DoubleDouble:
         e += self.lo + other.lo
         return DoubleDouble(s, e)
 
-    def add_float(self, x: float) -> "DoubleDouble":
-        s, e = two_sum(self.hi, x)
-        e += self.lo
-        return DoubleDouble(s, e)
-
     def mul_float(self, x: float) -> "DoubleDouble":
         p, e = two_prod(self.hi, x)
         e += self.lo * x

@@ -1,56 +1,41 @@
-"""Two-level pulse algebra: transition matrices and arm weights.
+"""Arm weights of the two interferometer arms.
 
-A resonant pulse of area |Omega| tau acts on the (ground, excited)
+A resonant pulse of area A = |Omega| tau acts on the (ground, excited)
 amplitude pair as the unitary
 
     [[ cos(A/2),            -i sin(A/2) e^{i(r - phi_L)} ],
      [ -i sin(A/2) e^{-i(r - phi_L)},  cos(A/2)          ]]
 
-with A the pulse area, r the phase of the complex Rabi frequency and
-phi_L the laser phase.  A pi pulse swaps the populations completely.
+with r the phase of the complex Rabi frequency and phi_L the laser
+phase.  On a ground-state condensate (1, 0) with a real Rabi frequency
+(r = 0) its first column gives the splitting weights in closed form,
+
+    c_b = cos(A/2),        c_f = -i sin(A/2) e^{i phi_L},
+
+the single-pulse rule of Palmero et al., PRA 87, 053618 (2013).
 
 Weight convention for the interferometer arms
 ---------------------------------------------
-For a ground-state condensate entering a splitting pulse of area A, the
-combined encounter state is Psi = c_f Psi_f + c_b Psi_b with
-
-    c_b = cos(A/2),        c_f = -i sin(A/2).
-
-c_b multiplies the momentum-transferred (LMT) arm and c_f the freely
-falling arm.  With this assignment a pi splitting pulse gives c_b = 0
-(single-wavepacket limit, zero backflow) and areas in [0, pi/2] give
-|c_f| < |c_b|, where the critical density is negative and backflow is
-impossible; both match the swept backflow-rate structure.  Note the
-trig roles: c_b is the matrix's ground-exit amplitude and c_f the
-excited-exit amplitude.  A weight rule maps a sweep's array of values to
-one :class:`ArmAmplitudes` of arrays, a weight pair per element.
+The combined encounter state is Psi = c_f Psi_f + c_b Psi_b: c_b, the
+ground-exit amplitude, multiplies the momentum-transferred (LMT) arm and
+c_f, the excited-exit amplitude, the freely falling arm.  With this
+assignment a pi splitting pulse gives c_b = 0 (single-wavepacket limit,
+zero backflow) and areas in [0, pi/2] give |c_f| < |c_b|, where the
+critical density is negative and backflow is impossible; both match the
+swept backflow-rate structure.  A weight rule maps a sweep's array of
+values to one :class:`ArmAmplitudes` of arrays, a weight pair per
+element.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DomainError
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """One timed laser pulse."""
-
-    time: float                 # s
-    pulse_area: float           # rad, |Omega| tau
-    laser_phase: float = 0.0    # rad
-    wavevector_sign: int = +1   # +1 or -1
-    rabi_phase_arg: float = 0.0  # rad, phase of complex Omega
-
-    def __post_init__(self):
-        if not 0.0 <= self.pulse_area <= 4.0 * math.pi:
-            raise DomainError("pulse_area must lie in [0, 4 pi]")
-        if self.wavevector_sign not in (+1, -1):
-            raise DomainError("wavevector_sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -71,30 +56,19 @@ class ArmAmplitudes:
                               f"|c|^2 = {np.ravel(n)[np.argmax(off)]}")
 
 
-def transition_matrix(pulse_area: float, rabi_phase_arg: float = 0.0,
-                      laser_phase: float = 0.0) -> np.ndarray:
-    """Unitary acting on (c_b, c_f), the (ground, excited) amplitudes,
-    for one resonant pulse."""
-    lam_c = math.cos(0.5 * pulse_area)
-    lam_s = np.exp(1j * rabi_phase_arg) * math.sin(0.5 * pulse_area)
-    phase = np.exp(-1j * laser_phase)
-    return np.array(
-        [[lam_c, -1j * lam_s * phase],
-         [-1j * np.conj(lam_s) * np.conj(phase), lam_c]],
-        dtype=complex,
-    )
-
-
-def split(amplitudes: ArmAmplitudes, pulse: PulseSpec) -> ArmAmplitudes:
-    """Apply one pulse to an amplitude pair."""
-    m = transition_matrix(pulse.pulse_area, pulse.rabi_phase_arg, pulse.laser_phase)
-    vec = m @ np.array([amplitudes.c_b, amplitudes.c_f])
-    return ArmAmplitudes(complex(vec[0]), complex(vec[1]))
-
-
-def splitting_weights(pulse: PulseSpec) -> ArmAmplitudes:
-    """Arm weights created by a splitting pulse on a ground-state condensate."""
-    return split(ArmAmplitudes(1.0 + 0.0j, 0.0j), pulse)
+def splitting_weights(pulse_area: float,
+                      laser_phase: float = 0.0) -> ArmAmplitudes:
+    """Arm weights created by a splitting pulse of area `pulse_area` and
+    laser phase `laser_phase` on a ground-state condensate."""
+    if not 0.0 <= pulse_area <= 4.0 * math.pi:
+        raise DomainError("pulse_area must lie in [0, 4 pi]")
+    half = 0.5 * pulse_area
+    # At zero area the product leaves -0.0 parts in c_f; adding 0j makes
+    # them +0.0, as the unitary above applied to (1, 0) gives, so
+    # report.json writes 0.0.
+    return ArmAmplitudes(
+        complex(math.cos(half)),
+        -1j * math.sin(half) * cmath.exp(1j * laser_phase) + 0j)
 
 
 def real_weights(c_b: float | np.ndarray) -> ArmAmplitudes:

@@ -73,7 +73,7 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.n_samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     spec: SweepSpec
     values: np.ndarray               # the swept variable, one per sample

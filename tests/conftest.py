@@ -1,4 +1,6 @@
-"""Shared fixtures: the expensive encounter states are built once per session."""
+"""Shared fixtures: the expensive encounter states are built once per
+session.  The two-level pulse matrix is the reference for the closed-form
+splitting weights."""
 
 from __future__ import annotations
 
@@ -29,6 +31,20 @@ arm_weights = st.builds(
         cb * cmath.exp(1j * a),
         math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b)),
     st.floats(0.0, 1.0), _phase, _phase)
+
+
+def transition_matrix(pulse_area: float, rabi_phase_arg: float = 0.0,
+                      laser_phase: float = 0.0) -> np.ndarray:
+    """Unitary acting on (c_b, c_f), the (ground, excited) amplitudes,
+    for one resonant pulse."""
+    lam_c = math.cos(0.5 * pulse_area)
+    lam_s = np.exp(1j * rabi_phase_arg) * math.sin(0.5 * pulse_area)
+    phase = np.exp(-1j * laser_phase)
+    return np.array(
+        [[lam_c, -1j * lam_s * phase],
+         [-1j * np.conj(lam_s) * np.conj(phase), lam_c]],
+        dtype=complex,
+    )
 
 
 def stack_weights(weights) -> ArmAmplitudes:

@@ -25,7 +25,7 @@ from qbackflow.model import (
     expansion_rate,
     expansion_rate_derivative,
 )
-from qbackflow.pulses import PulseSpec, splitting_weights
+from qbackflow.pulses import splitting_weights
 from qbackflow.wavefield import (
     ENVELOPE_SAMPLES,
     Grid,
@@ -98,9 +98,8 @@ def test_criterion_1_flux_identity_oracle():
     worst = 0.0
     for _ in range(n_cases):
         params, env, tr, free, pulsed, t_f = _random_meeting_arms(rng)
-        weights = splitting_weights(PulseSpec(
-            time=0.0, pulse_area=rng.uniform(0.1, 4.0 * math.pi - 0.1),
-            laser_phase=rng.uniform(0.0, 2.0 * math.pi)))
+        weights = splitting_weights(rng.uniform(0.1, 4.0 * math.pi - 0.1),
+                                    rng.uniform(0.0, 2.0 * math.pi))
 
         sigma = params.oscillator_length * expansion_rate(
             t_f, params.trap_frequency)
@@ -427,8 +426,10 @@ def test_criterion_7_property_suite(ref_ctx_06):
     from qbackflow.model import sr88_params
     from qbackflow.observables import report
     from qbackflow.oracle import PropagatorConfig, gaussian_packet, propagate
-    from qbackflow.pulses import real_weights, transition_matrix
+    from qbackflow.pulses import real_weights
     from qbackflow.wavefield import free_arm_wavefunction
+
+    from conftest import transition_matrix
 
     rng = np.random.default_rng(7)
     checks = {}

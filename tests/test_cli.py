@@ -29,7 +29,6 @@ def test_parse_config_roundtrip():
         [0.0, 1.0, 0.0], [2e-4, -1.0, 0.0], [2e-4 + 5e-5, -1.0, 0.0],
         [2e-4 + 2 * 5e-5, -1.0, 0.0]] + [
         [5e-4 + j * 5e-5, 1.0, 0.0] for j in range(5)]
-    assert sc.encounter_time is None
     assert sc.raw == reduced_scale_config()
 
 
@@ -232,12 +231,12 @@ def test_main_rejects_nonfinite_and_bool_values(tmp_path, capsys, section,
     ("grid.fringe_samples", "20"),
     ("sweep.range[0]", True),
     ("encounter.auto", "no"),
+    ("encounter.auto", False),
 ])
 def test_main_rejects_bad_optional_keys(tmp_path, capsys, path, value):
     cfg = reduced_scale_config()
     cfg["sweep"] = {"variable": "real_cb", "range": [0.0, 1.0],
                     "n_samples": 5}
-    cfg["encounter"] = {"auto": False, "time_s": 1e-3}
     section, key = path.split(".")
     if key.startswith("range["):
         cfg[section]["range"][int(key[6])] = value
@@ -265,6 +264,7 @@ UNKNOWN_KEYS = {
     "pulse_arrays[0].laser_phase":
         lambda cfg: cfg["pulse_arrays"][0].update(laser_phase=0.5),
     "sweep.n_sample": lambda cfg: cfg["sweep"].update(n_sample=9),
+    "encounter.time_s": lambda cfg: cfg["encounter"].update(time_s=1e-2),
 }
 
 
@@ -289,15 +289,14 @@ UNREAD_KEYS = {
     "condensate.trap_frequency_rad_per_s":
         lambda cfg: cfg["condensate"].update(trap_frequency_rad_per_s=50.0),
     "weights.cb": lambda cfg: cfg["weights"].update(cb=0.9),
-    "encounter.time_s": lambda cfg: cfg["encounter"].update(time_s=1e-2),
 }
 
 
 @pytest.mark.parametrize("path", UNREAD_KEYS)
 def test_main_rejects_unread_keys(tmp_path, capsys, path):
-    # Next to a preset, in splitting-pulse weights or with an automatic
-    # encounter these keys would be dropped and the run would go on
-    # with values the config does not state.
+    # Next to a preset or in splitting-pulse weights these keys would be
+    # dropped and the run would go on with values the config does not
+    # state.
     cfg = preset_config("paper-0.6pi")
     UNREAD_KEYS[path](cfg)
     code = main(["run", "--config", _write_config(tmp_path, cfg),

@@ -242,7 +242,7 @@ def _scalar_ledger(params, env, tr, pulses):
         action = action.add(action_phase_dd(m * v, x, dt, m, g))
         internal = internal.add(internal_phase_dd(tr.energy(mu), dt))
         laser = (laser.add(product(float(mu), phi)).add(product(k, x_c))
-                 .add_float(-0.5 * math.pi))
+                 .add(DoubleDouble(-0.5 * math.pi)))
         dv = HBAR * k / m
         t0, x, v, mu = t, x_c, v_c + dv, -mu
         states.append((x, v))

@@ -119,7 +119,8 @@ def test_mod_two_pi_huge_phase():
     # N * 2pi + 0.3 for N = 1e12 reduces back to 0.3; a plain float64
     # carries only ~1e-3 rad of precision at this magnitude.
     n = 1.0e12
-    phase = product(n, TWO_PI_HI).add(product(n, TWO_PI_LO)).add_float(0.3)
+    phase = (product(n, TWO_PI_HI).add(product(n, TWO_PI_LO))
+             .add(DoubleDouble(0.3)))
     assert phase.mod_two_pi() == pytest.approx(0.3, abs=1e-9)
 
 
@@ -133,7 +134,7 @@ def test_mod_two_pi_rejects_nonfinite_phase(hi, lo):
 def test_ledger_difference_before_reduction():
     # Two ledgers near 1e13 rad differing by exactly 1.0 rad.
     a = product(1.6e12, TWO_PI_HI).add(product(1.6e12, TWO_PI_LO))
-    b = a.add_float(1.0)
+    b = a.add(DoubleDouble(1.0))
     assert b.add(a.neg()).value() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -127,6 +127,11 @@ def test_sweep_result_shape_and_refinement(reduced_ctx):
     lo = res.argmax_value - spec.values()[1]
     hi = res.argmax_value + spec.values()[1]
     assert lo <= res.refined_argmax_value <= hi
+    # A result holds arrays, so it compares and hashes by identity.
+    again = SweepEngine(reduced_ctx.state).sweep_pulse_area(spec)
+    assert hash(res) == hash(res)
+    assert res == res
+    assert res != again
 
 
 def test_argmax_ignores_rounding_between_mirror_samples(sweep_ctx,
