@@ -373,7 +373,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
                  grid_points: int | None = None):
     """Full run: report + optional spectrum (+ artifacts when out_dir given)."""
     import numpy as np
-    from .ioutil import atomic_write_text
+    from .ioutil import atomic_write_text, csv_text
     from .observables import classical_backflow_check, report
 
     ctx = build_state(cfg, grid_points)
@@ -416,23 +416,17 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
                                              ctx.grid.half_width)
         u = ctx.grid.offsets()
         sel = np.abs(u) <= window
-        rows = np.column_stack([
-            ctx.grid.positions()[sel], rep.flux_profile[sel],
-            rep.density_profile[sel], rep.critical_density_profile[sel]])
-        buf = ["x_m,flux_per_s,density_per_m,rho_crit_per_m"]
-        buf.extend(f"{r[0]:.17g},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g}"
-                   for r in rows)
-        atomic_write_text(os.path.join(out_dir, "profiles.csv"),
-                          "\n".join(buf) + "\n")
+        atomic_write_text(os.path.join(out_dir, "profiles.csv"), csv_text(
+            "x_m,flux_per_s,density_per_m,rho_crit_per_m",
+            [ctx.grid.positions()[sel], rep.flux_profile[sel],
+             rep.density_profile[sel], rep.critical_density_profile[sel]]))
         if spec_block is not None:
             # only samples carrying weight; the empty tails between and
             # beyond the arms would bloat the CSV
             keep = density > 1e-15 * density.max()
-            srows = ["k_per_m,density"]
-            srows.extend(f"{a:.17g},{b:.17g}"
-                         for a, b in zip(k[keep], density[keep]))
             atomic_write_text(os.path.join(out_dir, "spectrum.csv"),
-                              "\n".join(srows) + "\n")
+                              csv_text("k_per_m,density",
+                                       [k[keep], density[keep]]))
         if ctx.scenario.output_cfg.get("wavefield_dump", False):
             from .wavefield import combined_from_state, wavefield_to_binary
             wavefield_to_binary(combined_from_state(ctx.state),
@@ -466,9 +460,11 @@ def run_sweep(cfg: dict, out_dir: str | None = None,
 # -- validation -----------------------------------------------------------
 
 def oracle_grid_for(ctx: PipelineContext, oracle_points: int):
-    """Lab-frame grid holding both arms' full excursions plus envelope."""
+    """Lab-frame grid holding both arms' full excursions plus envelope, on
+    the smallest odd 3·5·7-smooth point count >= oracle_points."""
     import numpy as np
     from .model import expansion_rate
+    from .oracle import fft_length
     from .wavefield import Grid
     sc = ctx.scenario
     t_f = ctx.encounter_time
@@ -481,7 +477,7 @@ def oracle_grid_for(ctx: PipelineContext, oracle_points: int):
     lo, hi = min(span) - 10.0 * sigma_f, max(span) + 10.0 * sigma_f
     half = max(ctx.grid.center - lo, hi - ctx.grid.center)
     return Grid(center=ctx.grid.center, half_width=half,
-                n_points=oracle_points)
+                n_points=fft_length(oracle_points))
 
 
 def oracle_arm_field(ctx: PipelineContext, trajectories, grid,
@@ -525,6 +521,10 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
                        oracle_points: int = 513) -> dict:
     """Compare the analytic arms and combined state against the
     split-step propagator for a (reduced-scale) scenario.
+
+    oracle_points is a minimum: the grid takes the smallest odd
+    3·5·7-smooth point count at or above it (525 for 513, 1029 for
+    1025), where the propagator's FFTs run fastest.
 
     Returns per-field (max relative amplitude error, phase spread) pairs.
     """

@@ -1,9 +1,12 @@
-"""Atomic file writing: temp file in the target directory, then rename."""
+"""Artifact writing: CSV text, and atomic writes through a temp file in
+the target directory that is then renamed into place."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+
+import numpy as np
 
 
 def atomic_write_bytes(path: str, writer) -> None:
@@ -29,3 +32,14 @@ def atomic_write_bytes(path: str, writer) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, lambda fh: fh.write(text.encode()))
+
+
+def csv_text(header: str, columns) -> str:
+    """Equal-length float columns as CSV text under a header line.
+
+    Every cell is %.17g of the float, the text f"{x:.17g}" gives, so the
+    values read back exactly; one % format fills the whole body.
+    """
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = tuple(np.column_stack(columns).ravel().tolist())
+    return header + "\n" + (row * len(columns[0])) % cells

@@ -16,10 +16,19 @@ Strang step e^{-iV dt/2hbar} e^{-iT dt/hbar} e^{-iV dt/2hbar} beyond
 second order is therefore zero or a c-number, and each step equals the
 exact propagator up to a global phase of order dt^3, the same for every
 arm.  compare_fields removes that phase, so what remains is rounding
-that grows only with the step count: on the reduced scenario the worst
-amplitude error is 3.7e-13 at dt = 5e-7 s, 8.0e-13 at 2.5e-7 s and
-1.4e-12 at 1.25e-7 s.  The full complex field, global phase included,
+that grows only with the step count: on the reduced scenario's 525-point
+grid the worst error is 5.6e-14 at dt = 5e-7 s, 1.2e-13 at 2.5e-7 s and
+3.3e-13 at 1.25e-7 s.  The full complex field, global phase included,
 still converges as dt^2.
+
+Why the grid lengths are smooth: each step is one FFT pair, and
+pocketfft runs a length with a large prime factor (513 = 3^3 19,
+1025 = 5^2 41) through a generic O(p) pass.  fft_length rounds a point
+count up to an odd 3·5·7-smooth one (525, 1029), which takes only the
+fast radix passes: a Strang step on a two-row stack costs 12 % less at
+525 points than at 513 and 33 % less at 1029 than at 1025, and rounds
+less, so the errors above are smaller than the 3.7e-13 to 1.4e-12 the
+same scenario gives on 513 points.
 """
 
 from __future__ import annotations
@@ -89,6 +98,20 @@ class PropagatorConfig:
                 raise DomainError(
                     f"kick at t={ev.time} is {dist:.3e} s from a time-step "
                     "multiple; align pulse times with time_step")
+
+
+def fft_length(minimum: int) -> int:
+    """Smallest odd 3·5·7-smooth integer >= minimum: a grid length whose
+    FFTs take only pocketfft's fast radix-3, -5 and -7 passes."""
+    n = max(minimum, 1) | 1
+    while True:
+        rest = n
+        for p in (3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 2
 
 
 def _pulse_factor(grid: Grid, signed_k: float, phase: float) -> np.ndarray:

@@ -80,13 +80,18 @@ class DoubleDouble:
         return DoubleDouble(p, e)
 
     def div_float(self, x: float) -> "DoubleDouble":
-        q1 = self.hi / x
+        # A dividend below 2^-900 is scaled up by an exact 2^600 first, or
+        # the remainder's two_prod error term falls into the subnormals;
+        # up is 1.0 otherwise, so normal-range results are unchanged.
+        up = 1.0 + (abs(self.hi) < 2.0 ** -900) * (2.0 ** 600 - 1.0)
+        hi = self.hi * up
+        q1 = hi / x
         p, e = two_prod(q1, x)
         # remainder = self - q1*x, evaluated in double-double
-        s, f = two_sum(self.hi, -p)
-        f += self.lo - e
+        s, f = two_sum(hi, -p)
+        f += self.lo * up - e
         q2 = (s + f) / x
-        return DoubleDouble(q1, q2)
+        return DoubleDouble(q1 / up, q2 / up)
 
     def neg(self) -> "DoubleDouble":
         return DoubleDouble(-self.hi, -self.lo)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, csv_text
 from .model import DomainError
 from .observables import WeightKernel, weight_coefficients
 from .pulses import ArmAmplitudes, real_weights
@@ -86,12 +86,9 @@ class SweepResult:
     refined_max_backflow_rate: float
 
     def to_csv(self, path: str) -> None:
-        columns = (self.values, self.rates, self.rho_crit_max,
-                   self.density_min)
-        rows = "".join(f"{v:.17g},{r:.17g},{p:.17g},{d:.17g}\n"
-                       for v, r, p, d in zip(*(c.tolist() for c in columns)))
-        atomic_write_text(
-            path, "value,backflow_rate_m_per_s,rho_crit_max,density_min\n" + rows)
+        atomic_write_text(path, csv_text(
+            "value,backflow_rate_m_per_s,rho_crit_max,density_min",
+            [self.values, self.rates, self.rho_crit_max, self.density_min]))
 
     def summary(self) -> dict:
         return {

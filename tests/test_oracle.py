@@ -10,6 +10,7 @@ from qbackflow.oracle import (
     PropagatorConfig,
     compare_fields,
     energy_expectation,
+    fft_length,
     gaussian_packet,
     kick,
     momentum_expectation,
@@ -282,3 +283,23 @@ def test_strang_step_exact_up_to_global_phase():
     fine = oracle_arm_field(ctx, arms, grid, 2.5e-7).amplitudes
     overlap = np.vdot(fine, coarse)
     assert _max_dev(coarse * np.conj(overlap) / abs(overlap), fine) <= 1e-11
+
+
+def test_fft_length_is_next_odd_smooth_count():
+    smooth = [3 ** a * 5 ** b * 7 ** c for a in range(9)
+              for b in range(7) for c in range(6)]
+    for n in range(3, 5002):
+        assert fft_length(n) == min(m for m in smooth if m >= n), n
+
+
+def test_oracle_grid_rounds_points_up_and_keeps_half_width():
+    from qbackflow.cli import build_state, oracle_grid_for
+    from qbackflow.presets import reduced_scale_config
+
+    ctx = build_state(reduced_scale_config())
+    grids = {n: oracle_grid_for(ctx, n) for n in (3, 513, 1025)}
+    assert grids[513].n_points == 525
+    assert grids[1025].n_points == 1029
+    # the half-width rule does not see the point count
+    assert grids[513].half_width == grids[1025].half_width \
+        == grids[3].half_width

@@ -68,6 +68,7 @@ def test_doubledouble_mul_float(a, b):
 
 @given(st.floats(-1e60, 1e60),
        st.floats(-1e60, 1e60).filter(lambda x: abs(x) > 1e-60))
+@example(1.0388860654221522e-302, 1.8285646239548893e-58)
 def test_doubledouble_div_float(a, b):
     assume(a == 0.0 or 1e-250 <= abs(a / b) <= 1e250)
     d = DoubleDouble(a).div_float(b)
