@@ -11,6 +11,7 @@ Library layout:
 * :mod:`qbackflow.oracle`      — independent split-step propagator (validation)
 * :mod:`qbackflow.sweep`       — pulse-area / weight sweeps and peak finding
 * :mod:`qbackflow.presets`     — shipped scenario configurations
+* :mod:`qbackflow.config`      — configuration schema, validation, parsing
 * :mod:`qbackflow.cli`         — JSON-config batch entry point
 """
 

@@ -8,268 +8,26 @@ Subcommands:
                  propagator on the reduced-scale scenario.
 * ``presets``  — list shipped configurations or dump one as JSON.
 
-Configuration is a single JSON document with SI, unit-suffixed keys (see
-``presets.reference_config`` for a complete example).  Exit codes:
-0 success, 2 configuration/validation error, 3 physics/pipeline error.
+Configuration is a single JSON document with SI, unit-suffixed keys, as
+``config.SCHEMA`` defines them (``presets.reference_config`` builds one).
+Exit codes: 0 success, 2 configuration/validation error,
+3 physics/pipeline error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 from . import __version__
+from .config import ConfigError, Scenario, parse_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PIPELINE = 3
-
-
-class ConfigError(ValueError):
-    """A configuration document failed validation."""
-
-
-def _get(cfg: dict, key: str, kind, where: str, default=None, required=True,
-         positive=False):
-    if key not in cfg:
-        if not required:
-            return default
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return _typed(cfg[key], kind, f"{where}.{key}", positive)
-
-
-def _typed(value, kind, path: str, positive=False):
-    """`value` as `kind`: ints widen to float, bools pass only as bool,
-    floats must be finite and, if `positive`, numbers > 0."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       and kind is not bool):
-        raise ConfigError(f"{path}: expected {kind.__name__}, "
-                          f"got {type(value).__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {value}")
-    if positive and not value > 0:
-        raise ConfigError(f"{path}: must be positive, got {value}")
-    return value
-
-
-#: Keys of the optional sections; numbers must be positive.  `grid` holds
-#: the sizing knobs of `Grid.auto`.
-_SECTION_KEYS = {
-    "grid": (("half_width_factor", float), ("envelope_samples", int),
-             ("fringe_samples", int)),
-    "spectrum": (("enabled", bool), ("half_width_factor", float)),
-    "output": (("profile_window_m", float), ("wavefield_dump", bool)),
-}
-
-#: Every key the parser reads, by section (`pulse_arrays` for each
-#: array, `config` for the root); any other key is refused, so a
-#: misspelt one cannot be dropped.
-_KNOWN_KEYS = {
-    "condensate": ("preset", "mass_kg", "trap_frequency_rad_per_s",
-                   "launch_velocity_m_per_s"),
-    "environment": ("gravity_m_per_s2",),
-    "transition": ("wavelength_m",),
-    "splitting_pulse": ("time_s", "pulse_area_rad", "laser_phase_rad", "sign"),
-    "weights": ("mode", "cb"),
-    "pulse_arrays": ("count", "start_s", "interval_s", "sign",
-                     "laser_phase_rad"),
-    "encounter": ("auto",),
-    "sweep": ("variable", "range", "n_samples"),
-    **{name: tuple(key for key, _ in keys)
-       for name, keys in _SECTION_KEYS.items()},
-}
-_KNOWN_KEYS["config"] = tuple(_KNOWN_KEYS)
-
-
-def _refuse_unread(section: dict, keys, where: str, reason: str) -> None:
-    """Raise naming the first of `keys` given in `section`, a key the
-    chosen mode does not read, so it cannot be dropped silently."""
-    for key in keys:
-        if key in section:
-            raise ConfigError(f"{where}.{key}: not read {reason}")
-
-
-def _refuse_unknown_keys(cfg: dict) -> None:
-    """Raise naming the path of the first key no parser reads; a section
-    of the wrong type is left to the parser's type check."""
-    nodes = [("config", cfg, "config")]
-    nodes += [(name, cfg.get(name), name) for name in _KNOWN_KEYS["config"]]
-    arrays = cfg.get("pulse_arrays")
-    if isinstance(arrays, list):
-        nodes += [(f"pulse_arrays[{i}]", arr, "pulse_arrays")
-                  for i, arr in enumerate(arrays)]
-    for where, node, kind in nodes:
-        for key in node if isinstance(node, dict) else ():
-            if key not in _KNOWN_KEYS[kind]:
-                raise ConfigError(f"{where}.{key}: unknown key; known keys "
-                                  f"are {', '.join(_KNOWN_KEYS[kind])}")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    params: object            # CondensateParams
-    env: object               # Environment
-    transition: object        # TransitionParams
-    pulses: object            # (n, 3) float array of (time_s, sign,
-                              # laser_phase_rad), splitting pulse first
-    weights: object           # ArmAmplitudes
-    grid_cfg: dict            # the validated keys of each section
-    spectrum_cfg: dict
-    output_cfg: dict
-    sweep_spec: object | None  # SweepSpec
-    raw: dict
-
-
-def parse_config(cfg: dict) -> Scenario:
-    """Validate a configuration document into a Scenario."""
-    from .model import DomainError
-    try:
-        return _parse_config(cfg)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_config(cfg: dict) -> Scenario:
-    import numpy as np
-    from .kinematics import MAX_PULSES
-    from .model import (CondensateParams, DomainError, Environment,
-                        TransitionParams, sr88_params)
-    from .pulses import real_weights, splitting_weights
-    from .sweep import MAX_SAMPLES, SweepSpec
-
-    if not isinstance(cfg, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _refuse_unknown_keys(cfg)
-
-    cond = _get(cfg, "condensate", dict, "config")
-    if "preset" in cond:
-        if cond["preset"] != "sr88":
-            raise ConfigError(f"condensate.preset: unknown {cond['preset']!r}")
-        _refuse_unread(cond, ("mass_kg", "trap_frequency_rad_per_s"),
-                       "condensate", "next to condensate.preset")
-        params = sr88_params(
-            launch_velocity=_get(cond, "launch_velocity_m_per_s", float,
-                                 "condensate", default=0.2, required=False))
-    else:
-        params = CondensateParams(
-            mass=_get(cond, "mass_kg", float, "condensate", positive=True),
-            trap_frequency=_get(cond, "trap_frequency_rad_per_s", float,
-                                "condensate", positive=True),
-            launch_velocity=_get(cond, "launch_velocity_m_per_s", float,
-                                 "condensate"))
-
-    env_cfg = _get(cfg, "environment", dict, "config", default={}, required=False)
-    env = Environment(gravity=_get(env_cfg, "gravity_m_per_s2", float,
-                                   "environment", default=9.81, required=False))
-
-    tr_cfg = _get(cfg, "transition", dict, "config")
-    transition = TransitionParams(
-        wavelength=_get(tr_cfg, "wavelength_m", float, "transition",
-                        positive=True))
-
-    sp = _get(cfg, "splitting_pulse", dict, "config")
-    split_time = _get(sp, "time_s", float, "splitting_pulse")
-    split_area = _get(sp, "pulse_area_rad", float, "splitting_pulse")
-    if not 0.0 <= split_area <= 4.0 * math.pi:
-        raise ConfigError("splitting_pulse.pulse_area_rad: must lie in [0, 4 pi]")
-    split_phase = _get(sp, "laser_phase_rad", float, "splitting_pulse",
-                       default=0.0, required=False)
-    split_sign = _get(sp, "sign", int, "splitting_pulse", default=1,
-                      required=False)
-    if split_sign not in (1, -1):
-        raise ConfigError("splitting_pulse.sign: must be 1 or -1")
-
-    w_cfg = _get(cfg, "weights", dict, "config",
-                 default={"mode": "splitting_pulse"}, required=False)
-    mode = _get(w_cfg, "mode", str, "weights")
-    if mode == "real_cb":
-        real_cb = _get(w_cfg, "cb", float, "weights")
-        if not 0.0 <= real_cb <= 1.0:
-            raise ConfigError("weights.cb: must lie in [0, 1]")
-        weights = real_weights(real_cb)
-    elif mode == "splitting_pulse":
-        _refuse_unread(w_cfg, ("cb",), "weights",
-                       "in weights.mode 'splitting_pulse'")
-        weights = splitting_weights(split_area, split_phase)
-    else:
-        raise ConfigError(f"weights.mode: unknown {mode!r}")
-
-    # Pulse j of an array lands at start + j * interval; the splitting
-    # pulse is a one-pulse array.
-    heads = [(split_time, split_sign, split_phase, 0.0)]
-    counts = [1]
-    total = 1
-    arrays = _get(cfg, "pulse_arrays", list, "config", default=[],
-                  required=False)
-    for i, arr in enumerate(arrays):
-        where = f"pulse_arrays[{i}]"
-        if not isinstance(arr, dict):
-            raise ConfigError(f"{where}: expected object")
-        count = _get(arr, "count", int, where)
-        if count < 1:
-            raise ConfigError(f"{where}.count: must be >= 1")
-        total += count
-        if total > MAX_PULSES:
-            raise ConfigError(f"{where}.count: {count} pulses bring the "
-                              f"schedule to {total}, above the limit of "
-                              f"{MAX_PULSES} pulses")
-        start = _get(arr, "start_s", float, where)
-        interval = _get(arr, "interval_s", float, where, positive=True)
-        sign = _get(arr, "sign", int, where)
-        if sign not in (1, -1):
-            raise ConfigError(f"{where}.sign: must be 1 or -1")
-        heads.append((start, sign, _get(arr, "laser_phase_rad", float, where,
-                                        default=0.0, required=False), interval))
-        counts.append(count)
-    rows = np.repeat(np.array(heads), counts, axis=0)
-    j = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pulses = rows[:, :3]
-    pulses[:, 0] += j * rows[:, 3]
-    if not np.all(np.diff(pulses[:, 0]) > 0.0):
-        raise ConfigError("pulse times must be strictly increasing "
-                          "(splitting pulse first)")
-    if split_time < 0.0:
-        raise ConfigError("splitting_pulse.time_s: must be >= 0")
-
-    enc = _get(cfg, "encounter", dict, "config", default={}, required=False)
-    if not _get(enc, "auto", bool, "encounter", default=True, required=False):
-        raise ConfigError("encounter.auto: must be true; the encounter time "
-                          "is solved from the pulse schedule")
-
-    sections = {}
-    for name, keys in _SECTION_KEYS.items():
-        given = _get(cfg, name, dict, "config", default={}, required=False)
-        sections[name] = {key: _get(given, key, kind, name,
-                                    positive=kind is not bool)
-                          for key, kind in keys if key in given}
-
-    sweep_spec = None
-    if "sweep" in cfg:
-        sw = _get(cfg, "sweep", dict, "config")
-        rng = _get(sw, "range", list, "sweep")
-        if len(rng) != 2:
-            raise ConfigError("sweep.range: expected [lo, hi]")
-        lo, hi = (_typed(v, float, f"sweep.range[{i}]")
-                  for i, v in enumerate(rng))
-        variable = _get(sw, "variable", str, "sweep")
-        n_samples = _get(sw, "n_samples", int, "sweep")
-        try:
-            sweep_spec = SweepSpec(variable, lo, hi, n_samples)
-        except DomainError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
-        if sweep_spec.n_samples > MAX_SAMPLES:
-            raise ConfigError(f"sweep.n_samples: {sweep_spec.n_samples} "
-                              f"samples exceed the limit of {MAX_SAMPLES}")
-
-    return Scenario(params, env, transition, pulses, weights,
-                    sections["grid"], sections["spectrum"], sections["output"],
-                    sweep_spec, cfg)
 
 
 # -- pipeline -------------------------------------------------------------
@@ -339,11 +97,11 @@ def spectrum_state(ctx: PipelineContext):
     from .model import DomainError
     from .observables import MomentumState
     scfg = ctx.scenario.spectrum_cfg
-    if not scfg.get("enabled", False):
+    if not scfg["enabled"]:
         return None
     try:
-        return MomentumState.from_encounter(
-            ctx.state, scfg.get("half_width_factor", 6.0))
+        return MomentumState.from_encounter(ctx.state,
+                                            scfg["half_width_factor"])
     except DomainError as exc:
         raise ConfigError(f"spectrum: {exc}") from exc
 
@@ -427,7 +185,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
             atomic_write_text(os.path.join(out_dir, "spectrum.csv"),
                               csv_text("k_per_m,density",
                                        [k[keep], density[keep]]))
-        if ctx.scenario.output_cfg.get("wavefield_dump", False):
+        if ctx.scenario.output_cfg["wavefield_dump"]:
             from .wavefield import combined_from_state, wavefield_to_binary
             wavefield_to_binary(combined_from_state(ctx.state),
                                 os.path.join(out_dir, "wavefield.bin"))
@@ -575,20 +333,24 @@ def run_validation() -> bool:
 
 # -- entry point ----------------------------------------------------------
 
+def _preset_config(name: str) -> dict:
+    from .presets import preset_config
+    try:
+        return preset_config(name)
+    except KeyError as exc:   # its one argument is the message
+        raise ConfigError(exc.args[0]) from exc
+
+
 def _load_config(args) -> dict:
     if getattr(args, "preset", None):
-        from .presets import preset_config
-        try:
-            return preset_config(args.preset)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _preset_config(args.preset)
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 return json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or a huge integer
             raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
     raise ConfigError("provide --config PATH or --preset NAME")
 
@@ -618,12 +380,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "presets":
-            from .presets import PRESETS, preset_config
+            from .presets import PRESETS
             if args.preset:
-                try:
-                    print(json.dumps(preset_config(args.preset), indent=2))
-                except KeyError as exc:
-                    raise ConfigError(str(exc)) from exc
+                print(json.dumps(_preset_config(args.preset), indent=2))
             else:
                 for name in sorted(PRESETS):
                     print(name)

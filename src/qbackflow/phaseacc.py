@@ -140,7 +140,11 @@ def fsum_dd(terms: list[float]) -> DoubleDouble:
     math.fsum rounds the exact sum once; a second pass with that total
     subtracted returns the remainder, itself correctly rounded.  This is
     an accurate sum in twice the working precision in the sense of
-    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).
+    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).  A sum
+    that is not finite comes back as NaN, for the caller to refuse.
     """
-    hi = math.fsum(terms)
-    return DoubleDouble(hi, math.fsum(chain(terms, (-hi,))))
+    try:
+        hi = math.fsum(terms)
+        return DoubleDouble(hi, math.fsum(chain(terms, (-hi,))))
+    except (OverflowError, ValueError):  # inf - inf, or beyond the range
+        return DoubleDouble(math.nan)

@@ -158,6 +158,7 @@ def test_criterion_2_full_reference_oracle_nightly():
     instead of hanging; it would run the comparison if the budget fit.
     """
     from qbackflow.cli import build_state, oracle_cross_check, oracle_grid_for
+    from qbackflow.oracle import fft_length
     from qbackflow.presets import preset_config
 
     budget_s = 12.0 * 3600.0
@@ -173,7 +174,9 @@ def test_criterion_2_full_reference_oracle_nightly():
                 for t in np.linspace(0.0, ctx.encounter_time, 200))
     k_need = 1.5 * (m_over_h * v_max + 8.0 / sc.params.oscillator_length)
     spacing = math.pi / k_need
-    n_points = int(2.0 * oracle_grid_for(ctx, 3).half_width / spacing) | 1
+    # the length oracle_cross_check propagates for this many points
+    n_points = fft_length(
+        int(2.0 * oracle_grid_for(ctx, 3).half_width / spacing) | 1)
     dt_nyquist = 0.25 * math.pi / (
         HBAR * (math.pi / spacing) ** 2 / (2.0 * sc.params.mass))
 

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from qbackflow.cli import (
@@ -30,6 +32,18 @@ def test_parse_config_roundtrip():
         [2e-4 + 2 * 5e-5, -1.0, 0.0]] + [
         [5e-4 + j * 5e-5, 1.0, 0.0] for j in range(5)]
     assert sc.raw == reduced_scale_config()
+
+
+def test_parse_config_takes_numpy_floats():
+    # a float subclass is a float; library callers may build configs
+    # from numpy scalars
+    cfg = reduced_scale_config()
+    cfg["environment"]["gravity_m_per_s2"] = np.float64(2.0)
+    cfg["sweep"] = {"variable": "real_cb", "n_samples": 5,
+                    "range": [np.float64(0.0), np.float64(1.0)]}
+    sc = parse_config(cfg)
+    assert sc.env.gravity == 2.0
+    assert (sc.sweep_spec.lo, sc.sweep_spec.hi) == (0.0, 1.0)
 
 
 def test_parse_config_missing_sections():
@@ -352,6 +366,42 @@ def test_main_refuses_oversized_schedules(tmp_path, capsys, command, path,
     assert limit >= 100 * 8012
 
 
+@pytest.mark.parametrize("section, key", [
+    ("environment", "gravity_m_per_s2"),
+    ("grid", "fringe_samples"),
+])
+def test_main_refuses_integers_no_float_holds(tmp_path, capsys, section,
+                                              key):
+    # JSON integers are unbounded; one beyond the float range is refused
+    # with its key path, not by an OverflowError in the pipeline.
+    cfg = reduced_scale_config()
+    cfg[section][key] = 10 ** 400
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"configuration error: {section}.{key}: integer too large for a "
+        "float\n")
+
+
+@pytest.mark.parametrize("content", [
+    # one digit more than Python's int-string limit (4,300 by default)
+    pytest.param(b'{"grid": {"fringe_samples": ' + b"9" * 4301 + b"}}",
+                 id="huge-integer", marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="this Python reads integers of any length")),
+    pytest.param(b"\xff{}", id="not-utf-8"),
+])
+def test_main_undecodable_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    code = main(["run", "--config", str(path),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {path}: invalid JSON: ")
+
+
 def test_main_unreadable_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.json")])
     assert code == EXIT_VALIDATION
@@ -445,6 +495,14 @@ def test_main_presets_dump(capsys):
 
 def test_main_unknown_preset(capsys):
     assert main(["presets", "--preset", "nope"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["presets", "run"])
+def test_main_unknown_preset_message(capsys, command):
+    assert main([command, "--preset", "nope"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "configuration error: unknown preset 'nope'; available: "
+        "paper-0.6pi, paper-0.75pi, paper-fig8a, paper-fig8b\n")
 
 
 def test_main_validate(capsys):

@@ -96,6 +96,14 @@ def test_fsum_dd_is_exact_to_double_double(terms):
         Fraction(math.ulp(total.hi)) * Fraction(2) ** -52)
 
 
+@pytest.mark.parametrize("terms", [[math.inf, -math.inf], [math.inf, 1.0],
+                                   [1e308, 1e308], [math.nan, 1.0]])
+def test_fsum_dd_of_a_non_finite_sum_is_not_finite(terms):
+    # math.fsum raises on inf - inf and on overflow; a trajectory's
+    # ledger is summed here and refused only when it is reduced mod 2 pi
+    assert not math.isfinite(fsum_dd(terms).value())
+
+
 @given(st.lists(st.tuples(st.floats(-1e30, 1e30), st.floats(-1e30, 1e30),
                           st.floats(0.5, 1e10)), min_size=1, max_size=20))
 def test_array_operands_act_elementwise(rows):
