@@ -64,10 +64,10 @@ def resolve_encounter(sc: Scenario, free, pulsed) -> float:
 
 def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
                grid_points: int | None):
-    from .model import DomainError, expansion_rate
+    from .model import DomainError, expansion
     from .wavefield import Grid
-    sigma = sc.params.oscillator_length * expansion_rate(
-        t_f, sc.params.trap_frequency)
+    sigma = sc.params.oscillator_length * expansion(
+        t_f, sc.params.trap_frequency)[0]
     try:
         grid = Grid.auto(center, sigma, beat_wavenumber=q, **sc.grid_cfg)
         if grid_points is not None:
@@ -106,19 +106,6 @@ def spectrum_state(ctx: PipelineContext):
         raise ConfigError(f"spectrum: {exc}") from exc
 
 
-def _spectrum_block(ctx: PipelineContext) -> dict | None:
-    from .observables import momentum_spectrum
-    ms = spectrum_state(ctx)
-    if ms is None:
-        return None
-    return {
-        "negative_weight": ms.negative_weight,
-        "peak_wavenumbers_per_m": sorted([ms.k_f, ms.k_f + ms.q]),
-        "cross_term_bound": ms.cross_term_bound,
-        "_spectrum": (ms.grid.positions(), momentum_spectrum(ms)),
-    }
-
-
 def _provenance(ctx: PipelineContext) -> dict:
     return {"package_version": __version__, "config": ctx.scenario.raw,
             "grid": {"center_m": ctx.grid.center,
@@ -132,13 +119,12 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
     """Full run: report + optional spectrum (+ artifacts when out_dir given)."""
     import numpy as np
     from .ioutil import atomic_write_text, csv_text
-    from .observables import classical_backflow_check, report
+    from .observables import (classical_backflow_check, momentum_spectrum,
+                              report)
 
     ctx = build_state(cfg, grid_points)
     rep = report(ctx.state)
-    check = classical_backflow_check(ctx.scenario.params,
-                                     abs(ctx.scenario.params.launch_velocity))
-    spec_block = _spectrum_block(ctx)
+    ms = spectrum_state(ctx)
     v_f = ctx.state.free_velocity
     v_b = ctx.pulsed_arm.velocity(ctx.encounter_time)
     doc = {
@@ -155,16 +141,17 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
             "c_b": [ctx.weights.c_b.real, ctx.weights.c_b.imag],
             "c_f": [ctx.weights.c_f.real, ctx.weights.c_f.imag],
         },
-        "classical_check": {
-            "plane_wave_ratio": check.plane_wave_ratio,
-            "spreading_ratio": check.spreading_ratio,
-            "passed": check.passed,
-        },
+        "classical_check": classical_backflow_check(
+            ctx.scenario.params, abs(ctx.scenario.params.launch_velocity)),
         "provenance": _provenance(ctx),
     }
-    if spec_block is not None:
-        k, density = spec_block.pop("_spectrum")
-        doc["momentum_spectrum"] = spec_block
+    if ms is not None:
+        doc["momentum_spectrum"] = {
+            "negative_weight": ms.negative_weight,
+            "peak_wavenumbers_per_m": sorted([ms.k_f, ms.k_f + ms.q]),
+            "cross_term_bound": ms.cross_term_bound,
+        }
+        k, density = ms.grid.positions(), momentum_spectrum(ms)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -178,7 +165,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
             "x_m,flux_per_s,density_per_m,rho_crit_per_m",
             [ctx.grid.positions()[sel], rep.flux_profile[sel],
              rep.density_profile[sel], rep.critical_density_profile[sel]]))
-        if spec_block is not None:
+        if ms is not None:
             # only samples carrying weight; the empty tails between and
             # beyond the arms would bloat the CSV
             keep = density > 1e-15 * density.max()
@@ -221,13 +208,13 @@ def oracle_grid_for(ctx: PipelineContext, oracle_points: int):
     """Lab-frame grid holding both arms' full excursions plus envelope, on
     the smallest odd 3·5·7-smooth point count >= oracle_points."""
     import numpy as np
-    from .model import expansion_rate
+    from .model import expansion
     from .oracle import fft_length
     from .wavefield import Grid
     sc = ctx.scenario
     t_f = ctx.encounter_time
-    sigma_f = sc.params.oscillator_length * expansion_rate(
-        t_f, sc.params.trap_frequency)
+    sigma_f = sc.params.oscillator_length * expansion(
+        t_f, sc.params.trap_frequency)[0]
     span = [ctx.grid.center]
     for arm in (ctx.free_arm, ctx.pulsed_arm):
         for t in np.linspace(0.0, t_f, 64):
@@ -249,15 +236,15 @@ def oracle_arm_field(ctx: PipelineContext, trajectories, grid,
     from .wavefield import WaveField
     sc = ctx.scenario
     t_f = ctx.encounter_time
-    # Pulses act as -i e^{i mu phi_L} e^{i s k x}; mu is the internal
-    # state before the pulse, which toggles from ground at launch.
+    # Pulses act as -i e^{i mu phi_L} e^{i s k x}; mu is the arm's
+    # internal state before the pulse.
     times, signs, phases = sc.pulses.T
-    pulses = list(zip(times.tolist(),
-                      (signs * sc.transition.wavevector_magnitude).tolist(),
-                      (np.resize([1, -1], len(times)) * phases).tolist()))
+    ks = signs * sc.transition.wavevector_magnitude
     kicks = tuple(KickEvent(*pulse, row)
                   for row, trajectory in enumerate(trajectories)
-                  if trajectory.kick_count for pulse in pulses)
+                  if trajectory.kick_count
+                  for pulse in zip(times.tolist(), ks.tolist(), (
+                      trajectory.internal_states[:-1] * phases).tolist()))
     config = PropagatorConfig(
         time_step=time_step, grid=grid, mass=sc.params.mass,
         gravity=sc.env.gravity, kick_events=kicks,

@@ -27,8 +27,15 @@ class Key:
 
 
 POSITIVE = (lambda v: v > 0, "must be positive, got {}")
+NONNEGATIVE = (lambda v: v >= 0, "must be >= 0, got {}")
 SIGN = (lambda v: v in (1, -1), "must be 1 or -1")
 UNKNOWN = "unknown {!r}"
+
+
+def _pulse_area_ok(area: float) -> bool:
+    from .pulses import MAX_PULSE_AREA   # pulses imports numpy
+    return 0.0 <= area <= MAX_PULSE_AREA
+
 
 #: Every key path a document may hold ("[]": each element of a list):
 #: its JSON kind (None: any value), default, and rule (a test of the
@@ -45,13 +52,13 @@ SCHEMA = {
     "condensate.launch_velocity_m_per_s":
         Key(float, modes={None: REQUIRED, "sr88": 0.2}),
     "environment": Key(dict, {}),
-    "environment.gravity_m_per_s2": Key(float, 9.81),
+    "environment.gravity_m_per_s2": Key(float, 9.81, NONNEGATIVE),
     "transition": Key(dict),
     "transition.wavelength_m": Key(float, rule=POSITIVE),
     "splitting_pulse": Key(dict),
     "splitting_pulse.time_s": Key(float),
     "splitting_pulse.pulse_area_rad": Key(float, rule=(
-        lambda v: 0.0 <= v <= 4.0 * math.pi, "must lie in [0, 4 pi]")),
+        _pulse_area_ok, "must lie in [0, 4 pi]")),
     "splitting_pulse.laser_phase_rad": Key(float, 0.0),
     "splitting_pulse.sign": Key(int, 1, SIGN),
     "weights": Key(dict, {"mode": "splitting_pulse"}, mode="mode",
@@ -184,8 +191,8 @@ def parse_config(cfg: dict) -> Scenario:
     """Validate a configuration document into a Scenario."""
     import numpy as np
     from .kinematics import MAX_PULSES
-    from .model import (CondensateParams, DomainError, Environment,
-                        TransitionParams, sr88_params)
+    from .model import (SPEED_OF_LIGHT, CondensateParams, DomainError,
+                        Environment, TransitionParams, sr88_params)
     from .pulses import real_weights, splitting_weights
     from .sweep import MAX_SAMPLES, SweepSpec
 
@@ -207,6 +214,12 @@ def parse_config(cfg: dict) -> Scenario:
                                      split["laser_phase_rad"]))
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    recoil = transition.recoil_velocity_for(params.mass)
+    if not recoil < SPEED_OF_LIGHT:   # inf too
+        raise ConfigError(f"transition.wavelength_m: the one-photon recoil "
+                          f"hbar k / m is {recoil:.3g} m/s for m = "
+                          f"{params.mass:.4g} kg, not below the speed of "
+                          "light")
 
     # Pulse j of an array lands at start + j * interval; the splitting
     # pulse is a one-pulse array.

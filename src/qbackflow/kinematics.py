@@ -23,8 +23,7 @@ then one per pulse) holding the time, position, velocity and internal
 state, plus the three reduced ledgers.  There is no per-segment object:
 a query at time t finds its entry by one binary search and reads the
 arrays there.  :meth:`ArmTrajectory.kicks` appends a whole pulse
-array in one vectorised pass, and :meth:`ArmTrajectory.kick` is its
-one-pulse case:
+array, of one pulse or many, in one vectorised pass:
 
 * the post-pulse states come from the free-fall recurrence written as
   sequential cumulative sums, which round exactly as a pulse-by-pulse
@@ -170,14 +169,6 @@ class ArmTrajectory:
         return float(self.times[-1])
 
     # -- construction -------------------------------------------------
-
-    def kick(self, pulse_time: float, signed_k: float,
-             laser_phase: float = 0.0) -> "ArmTrajectory":
-        """Close the live segment at pulse_time and start a kicked one.
-
-        The one-pulse case of :meth:`kicks`.
-        """
-        return self.kicks([pulse_time], [signed_k], [laser_phase])
 
     # Extreme inputs overflow to inf or NaN here; a non-finite phase is
     # refused, with its value, when it is reduced mod 2 pi.

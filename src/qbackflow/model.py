@@ -40,26 +40,18 @@ def derive_oscillator_length(mass: float, trap_frequency: float) -> float:
     return length
 
 
-def expansion_rate(t: float, trap_frequency: float) -> float:
-    """Width growth factor b(t) = sqrt(1 + omega^2 t^2) after trap release."""
+def expansion(t: float, trap_frequency: float) -> tuple[float, float]:
+    """(b, db/dt) after trap release: the width growth factor
+    b(t) = sqrt(1 + omega^2 t^2) and its rate db/dt = omega^2 t / b(t)."""
     if t < 0.0:
         raise DomainError("time must be nonnegative (sequences only move forward)")
+    what = "b(t)"
     try:
-        return math.sqrt(1.0 + (trap_frequency * t) ** 2)
+        b = math.sqrt(1.0 + (trap_frequency * t) ** 2)
+        what = "db/dt"
+        return b, trap_frequency ** 2 * t / b
     except OverflowError:
-        raise DomainError(f"expansion rate b(t) overflows at omega = "
-                          f"{trap_frequency} rad/s, t = {t} s") from None
-
-
-def expansion_rate_derivative(t: float, trap_frequency: float) -> float:
-    """db/dt = omega^2 t / b(t)."""
-    if t < 0.0:
-        raise DomainError("time must be nonnegative")
-    try:
-        return (trap_frequency ** 2 * t
-                / math.sqrt(1.0 + (trap_frequency * t) ** 2))
-    except OverflowError:
-        raise DomainError(f"expansion rate db/dt overflows at omega = "
+        raise DomainError(f"expansion rate {what} overflows at omega = "
                           f"{trap_frequency} rad/s, t = {t} s") from None
 
 

@@ -111,8 +111,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HBAR, CondensateParams, DomainError, expansion_rate,
-                    expansion_rate_derivative)
+from .model import HBAR, CondensateParams, DomainError, expansion
 from .pulses import ArmAmplitudes
 from .wavefield import EncounterState, Grid, WaveField, com_wavefunction
 
@@ -202,8 +201,7 @@ class MomentumState:
         """The k window reaches half_width_factor / a_x beyond both arms."""
         params = state.params
         a = params.oscillator_length
-        b = expansion_rate(state.time, params.trap_frequency)
-        bdot = expansion_rate_derivative(state.time, params.trap_frequency)
+        b, bdot = expansion(state.time, params.trap_frequency)
         k_f = params.mass * state.free_velocity / HBAR
         grid = Grid.auto(k_f + 0.5 * state.q, 1.0 / a,
                          half_width_factor=(half_width_factor
@@ -226,24 +224,6 @@ class MomentumState:
         w = self.weights
         return 2.0 * abs(w.c_f * w.c_b) * math.exp(
             -0.25 * (self.q * self.oscillator_length) ** 2)
-
-
-@dataclass(frozen=True)
-class ClassicalBackflowCheck:
-    """The two dimensionless ratios excluding classical backflow.
-
-    plane_wave_ratio = m v a_x / hbar must be large (the packet behaves
-    like a plane wave of definite positive momentum); spreading_ratio =
-    a_x omega / v must be small (spreading is slow against the drift).
-    """
-
-    plane_wave_ratio: float
-    spreading_ratio: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.plane_wave_ratio >= PLANE_WAVE_THRESHOLD
-                and self.spreading_ratio <= SPREADING_THRESHOLD)
 
 
 def weight_coefficients(weights: ArmAmplitudes) -> np.ndarray:
@@ -276,8 +256,7 @@ class WeightKernel:
     def from_state(cls, state: EncounterState) -> "WeightKernel":
         """Sample R^2 and grad(theta) of the encounter on its grid."""
         grid, params, q = state.grid, state.params, state.q
-        b = expansion_rate(state.time, params.trap_frequency)
-        bdot = expansion_rate_derivative(state.time, params.trap_frequency)
+        b, bdot = expansion(state.time, params.trap_frequency)
         u = grid.offsets()
         r2 = np.abs(com_wavefunction(grid, state.time, params)) ** 2
         gt = (params.mass / HBAR) * (state.free_velocity + (bdot / b) * u)
@@ -453,14 +432,21 @@ def momentum_spectrum(ms: MomentumState) -> np.ndarray:
 
 
 def classical_backflow_check(params: CondensateParams,
-                             velocity: float) -> ClassicalBackflowCheck:
-    """Diagnose whether apparent backflow could be merely classical."""
+                             velocity: float) -> dict:
+    """Whether apparent backflow could be merely classical, as report.json's
+    classical_check block.
+
+    plane_wave_ratio = m v a_x / hbar must be large (the packet behaves
+    like a plane wave of definite positive momentum); spreading_ratio =
+    a_x omega / v must be small (spreading is slow against the drift).
+    """
     if velocity < 0.0:
         raise DomainError("velocity must be nonnegative")
     a = params.oscillator_length
     r1 = params.mass * velocity * a / HBAR
     r2 = math.inf if velocity == 0.0 else a * params.trap_frequency / velocity
-    return ClassicalBackflowCheck(r1, r2)
+    return {"plane_wave_ratio": r1, "spreading_ratio": r2,
+            "passed": r1 >= PLANE_WAVE_THRESHOLD and r2 <= SPREADING_THRESHOLD}
 
 
 def _interval_count(mask: np.ndarray) -> int:

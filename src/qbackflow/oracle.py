@@ -244,19 +244,7 @@ def propagate(initial: WaveField, config: PropagatorConfig,
     return out
 
 
-# -- diagnostics used by the validation suite -----------------------------
-
-def position_expectation(fld: WaveField) -> float:
-    d = fld.density()
-    return float(np.sum(fld.grid.positions() * d) / np.sum(d))
-
-
-def position_spread(fld: WaveField) -> float:
-    d = fld.density()
-    x = fld.grid.positions()
-    mean = float(np.sum(x * d) / np.sum(d))
-    return math.sqrt(float(np.sum((x - mean) ** 2 * d) / np.sum(d)))
-
+# -- numerical references ------------------------------------------------
 
 def momentum_spectrum_fft(fld: WaveField) -> tuple[np.ndarray, np.ndarray]:
     """(ascending wavenumbers, |<k|Psi>|^2 normalized to unit integral):
@@ -280,20 +268,6 @@ def momentum_spectrum_fft(fld: WaveField) -> tuple[np.ndarray, np.ndarray]:
             f"aliasing: spectral weight {edge:.3e} within 2% of the Nyquist "
             f"wavenumber {k[-1]:.3e} 1/m; refine the grid spacing")
     return k, density
-
-
-def momentum_expectation(fld: WaveField) -> float:
-    k, spec = momentum_spectrum_fft(fld)
-    return float(HBAR * np.sum(k * spec) * (k[1] - k[0]))
-
-
-def energy_expectation(fld: WaveField, config: PropagatorConfig) -> float:
-    """<H> for the config's Hamiltonian (diagnostic for drift checks)."""
-    k, spec = momentum_spectrum_fft(fld)
-    kinetic = (HBAR ** 2 / (2.0 * config.mass)
-               * np.sum(k * k * spec) * (k[1] - k[0]))
-    pot = config.mass * config.gravity * position_expectation(fld)
-    return float(kinetic + pot)
 
 
 def compare_fields(analytic: WaveField, numeric: WaveField

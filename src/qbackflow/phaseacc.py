@@ -65,10 +65,6 @@ class DoubleDouble:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("DoubleDouble is immutable")
 
-    @staticmethod
-    def from_product(a: float, b: float) -> "DoubleDouble":
-        return DoubleDouble(*two_prod(a, b))
-
     def add(self, other: "DoubleDouble") -> "DoubleDouble":
         s, e = two_sum(self.hi, other.hi)
         e += self.lo + other.lo
@@ -121,14 +117,9 @@ class DoubleDouble:
         return f"DoubleDouble({self.hi!r}, {self.lo!r})"
 
 
-
 def product(*factors: float) -> DoubleDouble:
-    """Double-double product of plain floats, left to right."""
-    if not factors:
-        return DoubleDouble(1.0)
-    if len(factors) == 1:
-        return DoubleDouble(factors[0])
-    acc = DoubleDouble.from_product(factors[0], factors[1])
+    """Double-double product of two or more plain floats, left to right."""
+    acc = DoubleDouble(*two_prod(factors[0], factors[1]))
     for f in factors[2:]:
         acc = acc.mul_float(f)
     return acc

@@ -37,6 +37,10 @@ import numpy as np
 
 from .model import DomainError
 
+#: Largest pulse area accepted anywhere: a splitting pulse, a sweep range
+#: and the sweep weights all end at two full Rabi cycles.
+MAX_PULSE_AREA = 4.0 * math.pi
+
 
 @dataclass(frozen=True)
 class ArmAmplitudes:
@@ -60,7 +64,7 @@ def splitting_weights(pulse_area: float,
                       laser_phase: float = 0.0) -> ArmAmplitudes:
     """Arm weights created by a splitting pulse of area `pulse_area` and
     laser phase `laser_phase` on a ground-state condensate."""
-    if not 0.0 <= pulse_area <= 4.0 * math.pi:
+    if not 0.0 <= pulse_area <= MAX_PULSE_AREA:
         raise DomainError("pulse_area must lie in [0, 4 pi]")
     half = 0.5 * pulse_area
     # At zero area the product leaves -0.0 parts in c_f; adding 0j makes

@@ -26,7 +26,7 @@ import numpy as np
 from .ioutil import atomic_write_text, csv_text
 from .model import DomainError
 from .observables import WeightKernel, weight_coefficients
-from .pulses import ArmAmplitudes, real_weights
+from .pulses import MAX_PULSE_AREA, ArmAmplitudes, real_weights
 from .wavefield import EncounterState
 
 #: Golden-section refinement stops when the bracket shrinks below this
@@ -64,7 +64,7 @@ class SweepSpec:
         if not self.lo < self.hi:
             raise DomainError("sweep range must satisfy lo < hi")
         if self.variable == "pulse_area" and not (
-                0.0 <= self.lo and self.hi <= 4.0 * math.pi + 1e-12):
+                0.0 <= self.lo and self.hi <= MAX_PULSE_AREA):
             raise DomainError("pulse_area range must lie within [0, 4 pi]")
         if self.variable == "real_cb" and not (0.0 <= self.lo and self.hi <= 1.0):
             raise DomainError("real_cb range must lie within [0, 1]")
@@ -106,7 +106,7 @@ def canonical_pulse_area_weights(
         pulse_area: float | np.ndarray) -> ArmAmplitudes:
     """Sweep weights (|cos(A/2)|, -i |sin(A/2)|) per area (module docstring)."""
     area = np.asarray(pulse_area, dtype=float)
-    if not np.all((0.0 <= area) & (area <= 4.0 * math.pi + 1e-12)):
+    if not np.all((0.0 <= area) & (area <= MAX_PULSE_AREA)):
         raise DomainError("pulse_area must lie in [0, 4 pi]")
     half = 0.5 * area
     return ArmAmplitudes(np.abs(np.cos(half)), -1j * np.abs(np.sin(half)))

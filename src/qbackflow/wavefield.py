@@ -24,13 +24,7 @@ import numpy as np
 
 from .ioutil import atomic_write_bytes
 from .kinematics import ArmTrajectory
-from .model import (
-    HBAR,
-    CondensateParams,
-    DomainError,
-    expansion_rate,
-    expansion_rate_derivative,
-)
+from .model import HBAR, CondensateParams, DomainError, expansion
 from .pulses import ArmAmplitudes
 
 #: Default grid sizing: half width in units of the expanded envelope
@@ -168,8 +162,7 @@ def com_wavefunction(grid: Grid, t: float,
     if t < 0.0:
         raise DomainError("t must be nonnegative")
     a = params.oscillator_length
-    b = expansion_rate(t, params.trap_frequency)
-    bdot = expansion_rate_derivative(t, params.trap_frequency)
+    b, bdot = expansion(t, params.trap_frequency)
     u = grid.offsets()
     envelope = (math.pi ** -0.25 / math.sqrt(a * b)
                 * np.exp(-0.5 * (u / (a * b)) ** 2))

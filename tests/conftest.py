@@ -1,6 +1,7 @@
 """Shared fixtures: the expensive encounter states are built once per
 session.  The two-level pulse matrix is the reference for the closed-form
-splitting weights."""
+splitting weights, and the moments of a sampled field check the
+propagator."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qbackflow.cli import build_state
-from qbackflow.model import HBAR, expansion_rate, expansion_rate_derivative
+from qbackflow.model import HBAR, expansion
 from qbackflow.oracle import momentum_spectrum_fft
 from qbackflow.presets import preset_config, reduced_scale_config, reference_config
 from qbackflow.pulses import ArmAmplitudes
@@ -51,6 +52,32 @@ def stack_weights(weights) -> ArmAmplitudes:
     """One array-valued ArmAmplitudes holding a sequence of weight pairs."""
     return ArmAmplitudes(np.array([w.c_b for w in weights], dtype=complex),
                          np.array([w.c_f for w in weights], dtype=complex))
+
+
+def position_expectation(fld) -> float:
+    d = fld.density()
+    return float(np.sum(fld.grid.positions() * d) / np.sum(d))
+
+
+def position_spread(fld) -> float:
+    d = fld.density()
+    x = fld.grid.positions()
+    mean = float(np.sum(x * d) / np.sum(d))
+    return math.sqrt(float(np.sum((x - mean) ** 2 * d) / np.sum(d)))
+
+
+def momentum_expectation(fld) -> float:
+    k, spec = momentum_spectrum_fft(fld)
+    return float(HBAR * np.sum(k * spec) * (k[1] - k[0]))
+
+
+def energy_expectation(fld, config) -> float:
+    """<H> for a PropagatorConfig's Hamiltonian (drift checks)."""
+    k, spec = momentum_spectrum_fft(fld)
+    kinetic = (HBAR ** 2 / (2.0 * config.mass)
+               * np.sum(k * k * spec) * (k[1] - k[0]))
+    pot = config.mass * config.gravity * position_expectation(fld)
+    return float(kinetic + pot)
 
 
 @pytest.fixture(scope="session")
@@ -99,8 +126,7 @@ def spectrum_safe_grid(ctx, half_width_factor: float) -> Grid:
     the largest local wavenumber within half_width_factor envelopes."""
     sc = ctx.scenario
     t_f = ctx.encounter_time
-    b = expansion_rate(t_f, sc.params.trap_frequency)
-    bdot = expansion_rate_derivative(t_f, sc.params.trap_frequency)
+    b, bdot = expansion(t_f, sc.params.trap_frequency)
     sigma = sc.params.oscillator_length * b
     m_over_h = sc.params.mass / HBAR
     k_need = (m_over_h * max(abs(ctx.free_arm.velocity(t_f)),

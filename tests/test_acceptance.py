@@ -22,8 +22,7 @@ from qbackflow.model import (
     CondensateParams,
     Environment,
     TransitionParams,
-    expansion_rate,
-    expansion_rate_derivative,
+    expansion,
 )
 from qbackflow.pulses import splitting_weights
 from qbackflow.wavefield import (
@@ -66,7 +65,8 @@ def _random_meeting_arms(rng):
         if abs(net + sign) > 2:
             sign = -sign
         net += sign
-        pulsed = pulsed.kick(t, sign * k, rng.uniform(0.0, 2.0 * math.pi))
+        pulsed = pulsed.kicks([t], [sign * k],
+                               [rng.uniform(0.0, 2.0 * math.pi)])
         t += rng.uniform(3e-5, 1e-4)
     def opposing(r, net):
         # closing iff the integer net recoil opposes the separation
@@ -82,7 +82,8 @@ def _random_meeting_arms(rng):
         assert pulsed.kick_count < 10
         sign = -1 if (r > 0.0 or (r == 0.0 and net >= 0)) else 1
         net += sign
-        pulsed = pulsed.kick(t, sign * k, rng.uniform(0.0, 2.0 * math.pi))
+        pulsed = pulsed.kicks([t], [sign * k],
+                               [rng.uniform(0.0, 2.0 * math.pi)])
         if opposing(r, net):
             break       # this kick closes; crossing may precede t + dt
         t += rng.uniform(3e-5, 1e-4)
@@ -101,10 +102,8 @@ def test_criterion_1_flux_identity_oracle():
         weights = splitting_weights(rng.uniform(0.1, 4.0 * math.pi - 0.1),
                                     rng.uniform(0.0, 2.0 * math.pi))
 
-        sigma = params.oscillator_length * expansion_rate(
-            t_f, params.trap_frequency)
-        b = expansion_rate(t_f, params.trap_frequency)
-        bdot = expansion_rate_derivative(t_f, params.trap_frequency)
+        b, bdot = expansion(t_f, params.trap_frequency)
+        sigma = params.oscillator_length * b
         m_over_h = params.mass / HBAR
         q = m_over_h * (pulsed.velocity(t_f) - free.velocity(t_f))
         half_width = 5.0 * sigma
@@ -383,13 +382,13 @@ def test_criterion_5_real_weight_sweep(fig8b_result):
 # -- criterion 6: classical-backflow exclusion -------------------------------
 
 def test_criterion_6_momentum_spectra_of_presets(fft_spectrum):
-    from qbackflow.cli import _spectrum_block, build_state
+    from qbackflow.cli import run_scenario
     from qbackflow.presets import PRESETS, preset_config
 
     details = []
     ok = True
     for name in sorted(PRESETS):
-        ctx = build_state(preset_config(name))
+        doc, _, ctx = run_scenario(preset_config(name))
         t_f = ctx.encounter_time
         m_over_h = ctx.scenario.params.mass / HBAR
         expected = sorted([m_over_h * ctx.free_arm.velocity(t_f),
@@ -407,9 +406,7 @@ def test_criterion_6_momentum_spectra_of_presets(fft_spectrum):
                         for g, e in zip(got, expected)))
 
         # closed form, as run writes it
-        block = _spectrum_block(ctx)
-        assert block is not None
-        block.pop("_spectrum")
+        block = doc["momentum_spectrum"]
         block_ok = (block["negative_weight"] < 1e-6
                     and block["cross_term_bound"] < 1e-6
                     and block["peak_wavenumbers_per_m"]
@@ -490,9 +487,9 @@ def test_criterion_7_property_suite(ref_ctx_06):
         e = Environment(gravity=grav)
         tr = sc.transition
         free = ArmTrajectory.launch(p, e, tr)
-        pulsed = ArmTrajectory.launch(p, e, tr).kick(
-            0.0, tr.wavevector_magnitude).kick(
-            1e-3, -2.0 * tr.wavevector_magnitude)
+        pulsed = ArmTrajectory.launch(p, e, tr).kicks(
+            [0.0, 1e-3], [tr.wavevector_magnitude,
+                          -2.0 * tr.wavevector_magnitude])
         times[grav] = solve_encounter(free, pulsed, pulsed.end_time)
     ref = times[9.81]
     checks["gravity-invariant encounter"] = all(
@@ -522,9 +519,10 @@ def test_criterion_7_property_suite(ref_ctx_06):
 
 def test_criterion_8_oracle_convergence():
     from qbackflow.cli import build_state
-    from qbackflow.oracle import (PropagatorConfig, gaussian_packet,
-                                  position_expectation, propagate)
+    from qbackflow.oracle import PropagatorConfig, gaussian_packet, propagate
     from qbackflow.presets import reduced_scale_config
+
+    from conftest import position_expectation
 
     ctx = build_state(reduced_scale_config())
     sc = ctx.scenario

@@ -12,14 +12,17 @@ from qbackflow.cli import (
     EXIT_VALIDATION,
     ConfigError,
     build_state,
+    build_trajectories,
     main,
     parse_config,
     run_scenario,
     run_sweep,
 )
 from qbackflow.kinematics import MAX_PULSES
+from qbackflow.model import HBAR, SPEED_OF_LIGHT, DomainError
 from qbackflow.presets import PRESETS, preset_config, reduced_scale_config
-from qbackflow.sweep import MAX_SAMPLES
+from qbackflow.pulses import MAX_PULSE_AREA
+from qbackflow.sweep import MAX_SAMPLES, canonical_pulse_area_weights
 
 
 # -- config validation -----------------------------------------------------
@@ -80,6 +83,37 @@ def test_parse_config_field_errors():
     cfg["weights"] = {"mode": "real_cb", "cb": 1.5}
     with pytest.raises(ConfigError, match="cb"):
         parse_config(cfg)
+
+    cfg = reduced_scale_config()
+    cfg["environment"] = {"gravity_m_per_s2": -1.0}
+    with pytest.raises(ConfigError, match=r"^environment\.gravity_m_per_s2: "
+                       r"must be >= 0, got -1\.0$"):
+        parse_config(cfg)
+
+
+def _fig8a_config():
+    return preset_config("paper-fig8a")
+
+
+@pytest.mark.parametrize("config", [reduced_scale_config, _fig8a_config],
+                         ids=["reduced", "paper-fig8a"])
+def test_parse_config_refuses_recoil_at_light_speed(config):
+    cfg = config()
+    mass = parse_config(cfg).params.mass
+    # the wavelength whose one-photon recoil hbar k / m is c
+    at_c = 2.0 * math.pi * HBAR / (mass * SPEED_OF_LIGHT)
+    for wavelength in (1e-300, 0.5 * at_c):
+        cfg["transition"]["wavelength_m"] = wavelength
+        with pytest.raises(ConfigError, match=r"^transition\.wavelength_m: "
+                           "the one-photon recoil .* not below the speed "
+                           "of light$"):
+            parse_config(cfg)
+    # below c every ledger term is finite, so later checks see numbers
+    cfg["transition"]["wavelength_m"] = 2.0 * at_c
+    _, pulsed = build_trajectories(parse_config(cfg))
+    assert all(math.isfinite(ledger.value()) for ledger in (
+        pulsed.action_phase_total, pulsed.laser_phase_total,
+        pulsed.internal_phase_total))
 
 
 def test_parse_config_requires_increasing_pulse_times():
@@ -205,6 +239,41 @@ def test_main_sweep_ok(tmp_path, capsys):
     assert code == EXIT_OK
     assert "max backflow rate" in capsys.readouterr().out
     assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("config", [reduced_scale_config, _fig8a_config],
+                         ids=["reduced", "paper-fig8a"])
+def test_main_absurd_wavelength_exits_2_naming_it(tmp_path, capsys, config):
+    cfg = config()
+    cfg["transition"]["wavelength_m"] = 1e-300
+    code = main(["run", "--config", _write_config(tmp_path, cfg),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "configuration error: transition.wavelength_m: the one-photon "
+        "recoil hbar k / m is 4.53e+291 m/s for m = 1.461e-25 kg, not below "
+        "the speed of light\n")
+
+
+def test_run_and_sweep_share_the_pulse_area_bound(tmp_path, capsys):
+    # a splitting pulse and a sweep range end at the same 4 pi
+    for area, expected in ((MAX_PULSE_AREA, EXIT_OK),
+                           (MAX_PULSE_AREA + 5e-13, EXIT_VALIDATION)):
+        run_cfg, sweep_cfg = _fig8a_config(), _fig8a_config()
+        run_cfg["splitting_pulse"]["pulse_area_rad"] = area
+        sweep_cfg["sweep"]["range"] = [0.0, area]
+        codes = [main([command, "--config", _write_config(tmp_path, cfg),
+                       "--out-dir", str(tmp_path / "o")])
+                 for command, cfg in (("run", run_cfg), ("sweep", sweep_cfg))]
+        assert codes == [expected, expected], area
+    assert capsys.readouterr().err == (
+        "configuration error: splitting_pulse.pulse_area_rad: must lie in "
+        "[0, 4 pi]\n"
+        "configuration error: sweep: pulse_area range must lie within "
+        "[0, 4 pi]\n")
+    canonical_pulse_area_weights(MAX_PULSE_AREA)
+    with pytest.raises(DomainError, match="must lie in"):
+        canonical_pulse_area_weights(MAX_PULSE_AREA + 5e-13)
 
 
 def test_main_invalid_config_exits_2(tmp_path, capsys):

@@ -115,7 +115,7 @@ def test_trajectory_path_and_kick():
     params, env, tr, free, pulsed = _arms()
     k = tr.wavevector_magnitude
     t1 = 1e-3
-    pulsed = pulsed.kick(t1, k, laser_phase=0.4)
+    pulsed = pulsed.kicks([t1], [k], [0.4])
     # position continuous, velocity jumps by hbar k / m
     assert pulsed.position(t1) == pytest.approx(free.position(t1), rel=1e-15)
     dv = HBAR * k / params.mass
@@ -131,14 +131,14 @@ def test_trajectory_path_and_kick():
 
 def test_kick_ordering_enforced():
     _, _, tr, _, pulsed = _arms()
-    pulsed = pulsed.kick(1e-3, tr.wavevector_magnitude)
+    pulsed = pulsed.kicks([1e-3], [tr.wavevector_magnitude])
     with pytest.raises(OrderingError):
-        pulsed.kick(0.5e-3, tr.wavevector_magnitude)
+        pulsed.kicks([0.5e-3], [tr.wavevector_magnitude])
 
 
 def test_phase_query_before_last_pulse_rejected():
     _, _, tr, _, pulsed = _arms()
-    pulsed = pulsed.kick(1e-3, tr.wavevector_magnitude)
+    pulsed = pulsed.kicks([1e-3], [tr.wavevector_magnitude])
     with pytest.raises(DomainError):
         pulsed.phases_at(0.5e-3)
 
@@ -150,7 +150,7 @@ def test_phases_at_incremental_consistency():
     k = tr.wavevector_magnitude
     t1, phi = 1e-3, 0.7
     before_action, before_laser, before_internal = pulsed.phases_at(t1)
-    kicked = pulsed.kick(t1, k, laser_phase=phi)
+    kicked = pulsed.kicks([t1], [k], [phi])
     assert kicked.action_phase_total.value() == pytest.approx(
         before_action.value(), rel=1e-14)
     assert kicked.internal_phase_total.value() == pytest.approx(
@@ -164,7 +164,7 @@ def test_phases_at_incremental_consistency():
 def test_solve_encounter_exact_linear_root():
     _, _, tr, free, pulsed = _arms()
     k = tr.wavevector_magnitude
-    pulsed = pulsed.kick(0.0, k).kick(1e-3, -2 * k)
+    pulsed = pulsed.kicks([0.0, 1e-3], [k, -2 * k])
     t = solve_encounter(free, pulsed, pulsed.end_time)
     assert t > 1e-3
     assert abs(pulsed.position(t) - free.position(t)) <= 1e-12 * abs(
@@ -178,7 +178,7 @@ def test_solve_encounter_gravity_invariant():
     for g in (0.0, 2.0, 9.81):
         _, _, tr, free, pulsed = _arms(gravity=g, launch=0.05)
         k = tr.wavevector_magnitude
-        pulsed = pulsed.kick(0.0, k).kick(1e-3, -2 * k)
+        pulsed = pulsed.kicks([0.0, 1e-3], [k, -2 * k])
         times[g] = solve_encounter(free, pulsed, pulsed.end_time)
     ref = times[9.81]
     assert times[0.0] == pytest.approx(ref, rel=1e-12)
@@ -188,7 +188,7 @@ def test_solve_encounter_gravity_invariant():
 def test_no_encounter_reports_min_separation():
     _, _, tr, free, pulsed = _arms()
     k = tr.wavevector_magnitude
-    pulsed = pulsed.kick(0.0, k)  # arms separate forever
+    pulsed = pulsed.kicks([0.0], [k])  # arms separate forever
     t0 = 1e-3
     with pytest.raises(NoEncounterError) as err:
         solve_encounter(free, pulsed, t0)
@@ -296,10 +296,10 @@ def test_array_ledger_matches_scalar_ledger(pulses, t_first, g, launch):
     assert _dd_gap(bulk.laser_phase_total, ref["laser"]) <= 1e-9
     assert _dd_gap(bulk.internal_phase_total, ref["internal"]) <= 1e-9
 
-    # one pulse at a time through kick() builds the same trajectory
+    # one pulse at a time through kicks() builds the same trajectory
     stepped = arm
     for t, k, phi in seq:
-        stepped = stepped.kick(t, k, phi)
+        stepped = stepped.kicks([t], [k], [phi])
     np.testing.assert_array_equal(stepped.positions, bulk.positions)
     np.testing.assert_array_equal(stepped.velocities, bulk.velocities)
     np.testing.assert_array_equal(stepped.internal_states,

@@ -9,16 +9,15 @@ from qbackflow.oracle import (
     PropagationError,
     PropagatorConfig,
     compare_fields,
-    energy_expectation,
     fft_length,
     gaussian_packet,
     kick,
-    momentum_expectation,
-    position_expectation,
-    position_spread,
     propagate,
 )
 from qbackflow.wavefield import Grid, WaveField
+
+from conftest import (energy_expectation, momentum_expectation,
+                      position_expectation, position_spread)
 
 MASS = 1.46e-25
 

@@ -8,7 +8,7 @@ from qbackflow.model import (
     HBAR,
     DomainError,
     Environment,
-    expansion_rate,
+    expansion,
     sr88_params,
     sr88_transition,
 )
@@ -69,7 +69,7 @@ def test_grid_refuses_oversized_requests():
 def test_com_wavefunction_norm_and_width():
     params = sr88_params()
     t = 5e-3
-    sigma = params.oscillator_length * expansion_rate(t, params.trap_frequency)
+    sigma = params.oscillator_length * expansion(t, params.trap_frequency)[0]
     g = Grid.auto(0.0, sigma)
     psi = com_wavefunction(g, t, params)
     norm = float(np.sum(np.abs(psi) ** 2) * g.spacing)
@@ -88,10 +88,10 @@ def _meeting_arms(t_f_hint=2e-3):
     free = ArmTrajectory.launch(params, env, tr)
     pulsed = ArmTrajectory.launch(params, env, tr)
     k = tr.wavevector_magnitude
-    pulsed = pulsed.kick(0.0, k).kick(1e-3, -2 * k)
+    pulsed = pulsed.kicks([0.0, 1e-3], [k, -2 * k])
     t_f = solve_encounter(free, pulsed, pulsed.end_time)
-    sigma = params.oscillator_length * expansion_rate(
-        t_f, params.trap_frequency)
+    sigma = params.oscillator_length * expansion(
+        t_f, params.trap_frequency)[0]
     q = params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / HBAR
     grid = Grid.auto(free.position(t_f), sigma, beat_wavenumber=q,
                      half_width_factor=5.0)
