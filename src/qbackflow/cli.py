@@ -225,47 +225,45 @@ def oracle_grid_for(ctx: PipelineContext, oracle_points: int):
                 n_points=fft_length(oracle_points))
 
 
-def oracle_arm_field(ctx: PipelineContext, trajectories, grid,
-                     time_step: float):
-    """Propagate the arms numerically as one field stack, a row per
-    trajectory, including pulse and internal-state scalar phases, so each
-    row's absolute phase is comparable to the analytic evaluation (up to
-    one arm-independent global phase)."""
+def oracle_arm_field(ctx: PipelineContext, grid, time_step: float):
+    """Propagate the arms numerically as one field stack, row 0 the free
+    arm and row 1 the pulsed one, including pulse and internal-state
+    scalar phases, so each row's absolute phase is comparable to the
+    analytic evaluation (up to one arm-independent global phase)."""
     import numpy as np
     from .oracle import KickEvent, PropagatorConfig, gaussian_packet, propagate
     from .wavefield import WaveField
     sc = ctx.scenario
     t_f = ctx.encounter_time
-    # Pulses act as -i e^{i mu phi_L} e^{i s k x}; mu is the arm's
-    # internal state before the pulse.
+    arms = (ctx.free_arm, ctx.pulsed_arm)
+    # Every pulse acts on the pulsed arm as -i e^{i mu phi_L} e^{i s k x};
+    # mu is its internal state before the pulse.
     times, signs, phases = sc.pulses.T
     ks = signs * sc.transition.wavevector_magnitude
-    kicks = tuple(KickEvent(*pulse, row)
-                  for row, trajectory in enumerate(trajectories)
-                  if trajectory.kick_count
-                  for pulse in zip(times.tolist(), ks.tolist(), (
-                      trajectory.internal_states[:-1] * phases).tolist()))
+    kicks = tuple(KickEvent(*pulse, 1) for pulse in zip(
+        times.tolist(), ks.tolist(),
+        (ctx.pulsed_arm.internal_states[:-1] * phases).tolist()))
     config = PropagatorConfig(
         time_step=time_step, grid=grid, mass=sc.params.mass,
         gravity=sc.env.gravity, kick_events=kicks,
         trap_frequency=sc.params.trap_frequency)
-    initial = WaveField(grid, np.stack([gaussian_packet(
+    packet = gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,
-        center=trajectory.positions[0],
-        mass=sc.params.mass).amplitudes for trajectory in trajectories]), 0.0)
-    out = propagate(initial, config, t_f)
+        center=ctx.free_arm.positions[0], mass=sc.params.mass).amplitudes
+    out = propagate(WaveField(grid, np.stack([packet, packet]), 0.0),
+                    config, t_f)
     # The internal-state energy is the one scalar the propagator does
     # not model; it differs between the arms, so fold it in exactly.
-    internal = np.array([trajectory.phases_at(t_f)[2].mod_two_pi()
-                         for trajectory in trajectories])
+    internal = np.array([arm.phases_at(t_f)[2].mod_two_pi() for arm in arms])
     return WaveField(grid, out.amplitudes * np.exp(1j * internal)[:, None],
                      t_f)
 
 
 def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
                        oracle_points: int = 513) -> dict:
-    """Compare the analytic arms and combined state against the
-    split-step propagator for a (reduced-scale) scenario.
+    """Compare the arm and combined fields of the ``EncounterState`` that
+    ``report()`` reads, on the oracle grid, against the split-step
+    propagator for a (reduced-scale) scenario.
 
     oracle_points is a minimum: the grid takes the smallest odd
     3·5·7-smooth point count at or above it (525 for 513, 1029 for
@@ -273,9 +271,10 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
 
     Returns per-field (max relative amplitude error, phase spread) pairs.
     """
+    from dataclasses import replace
     from .oracle import SNAP_TOLERANCE, compare_fields
-    from .wavefield import (WaveField, combine, free_arm_wavefunction,
-                            pulsed_arm_wavefunction)
+    from .wavefield import (WaveField, combine, combined_from_state,
+                            free_arm_wavefunction, pulsed_arm_wavefunction)
 
     ctx = build_state(cfg)
     t_f = ctx.encounter_time
@@ -284,22 +283,15 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
         raise ConfigError("encounter time is not a multiple of time_step; "
                           "pick a scenario with commensurate pulse timing")
     grid = oracle_grid_for(ctx, oracle_points)
+    state = replace(ctx.state, grid=grid)
 
-    analytic_free = free_arm_wavefunction(grid, ctx.free_arm, t_f)
-    analytic_pulsed = pulsed_arm_wavefunction(grid, ctx.pulsed_arm, t_f)
-    analytic_combined = combine(analytic_free, analytic_pulsed, ctx.weights)
-
-    free, pulsed = oracle_arm_field(ctx, (ctx.free_arm, ctx.pulsed_arm),
-                                    grid, time_step).amplitudes
-    numeric_free = WaveField(grid, free, t_f)
-    numeric_pulsed = WaveField(grid, pulsed, t_f)
-    numeric_combined = WaveField(
-        grid, ctx.weights.c_f * free + ctx.weights.c_b * pulsed, t_f)
-
+    free, pulsed = (WaveField(grid, row, t_f) for row in
+                    oracle_arm_field(ctx, grid, time_step).amplitudes)
     return {
-        "free_arm": compare_fields(analytic_free, numeric_free),
-        "pulsed_arm": compare_fields(analytic_pulsed, numeric_pulsed),
-        "combined": compare_fields(analytic_combined, numeric_combined),
+        "free_arm": compare_fields(free_arm_wavefunction(state), free),
+        "pulsed_arm": compare_fields(pulsed_arm_wavefunction(state), pulsed),
+        "combined": compare_fields(combined_from_state(state),
+                                   combine(free, pulsed, ctx.weights)),
         "encounter_time_s": t_f,
     }
 
@@ -329,6 +321,8 @@ def _preset_config(name: str) -> dict:
 
 
 def _load_config(args) -> dict:
+    if getattr(args, "preset", None) and getattr(args, "config", None):
+        raise ConfigError("give --config or --preset, not both")
     if getattr(args, "preset", None):
         return _preset_config(args.preset)
     if getattr(args, "config", None):

@@ -11,8 +11,9 @@ and v_arm the arm's COM velocity at T_f.  The combined state is the
 weighted sum c_f Psi_f + c_b Psi_b, whose density beats at the wavenumber
 q = m (v_b - v_f) / hbar.  :class:`EncounterState` holds this
 factorization in closed form, as scalars on a grid; the
-:class:`~qbackflow.observables.WeightKernel` samples it.
-"""
+:class:`~qbackflow.observables.WeightKernel` samples it, and the arm
+fields and :func:`combined_from_state` evaluate it for the wavefield
+dump and the split-step oracle."""
 
 from __future__ import annotations
 
@@ -39,14 +40,6 @@ FRINGE_SAMPLES = 20
 MAX_GRID_POINTS = 4_000_001
 
 _BINARY_MAGIC = b"QBWF\x00\x01\x00\x00"
-
-
-class GridMismatchError(ValueError):
-    """Two fields were combined on incompatible grids."""
-
-
-class EnvelopeMismatchError(ValueError):
-    """The two arms' COM envelopes disagree (different expansion ages)."""
 
 
 @dataclass(frozen=True)
@@ -170,60 +163,6 @@ def com_wavefunction(grid: Grid, t: float,
     return envelope * np.exp(1j * chirp)
 
 
-def _arm_field(grid: Grid, trajectory: ArmTrajectory,
-               t_final: float) -> WaveField:
-    """Evaluate one arm: envelope times scalar phase times plane wave."""
-    if t_final < trajectory.end_time:
-        raise DomainError(
-            f"encounter time {t_final} s precedes the arm's last pulse or "
-            f"launch at {trajectory.end_time} s")
-    x_c = trajectory.position(t_final)
-    if abs(x_c - grid.center) > 1e-9:
-        raise DomainError(
-            f"grid center {grid.center} m is not the arm's COM position "
-            f"{x_c} m at t = {t_final} s")
-    theta = trajectory.total_phase_at(t_final).mod_two_pi()
-    v = trajectory.velocity(t_final)
-    params = trajectory.params
-    com = com_wavefunction(grid, t_final, params)
-    u = grid.offsets()
-    phase = theta + (params.mass * v / HBAR) * u
-    return WaveField(grid, com * np.exp(1j * phase), t_final)
-
-
-def free_arm_wavefunction(grid: Grid, trajectory: ArmTrajectory,
-                          T_f: float) -> WaveField:
-    """Freely falling arm at the encounter time."""
-    if trajectory.kick_count != 0:
-        raise DomainError("the free arm must not contain pulses")
-    return _arm_field(grid, trajectory, T_f)
-
-
-def pulsed_arm_wavefunction(grid: Grid, trajectory: ArmTrajectory,
-                            T_f: float) -> WaveField:
-    """LMT arm at the encounter time, from its accumulated trajectory."""
-    return _arm_field(grid, trajectory, T_f)
-
-
-def combine(free: WaveField, pulsed: WaveField,
-            weights: ArmAmplitudes) -> WaveField:
-    """Weighted sum c_f * Psi_f + c_b * Psi_b of the two arms."""
-    if free.grid != pulsed.grid:
-        raise GridMismatchError("arms must share one grid")
-    if free.time != pulsed.time:
-        raise GridMismatchError(
-            f"arm times differ: {free.time} s vs {pulsed.time} s")
-    env_f = np.abs(free.amplitudes)
-    env_b = np.abs(pulsed.amplitudes)
-    scale = float(env_f.max())
-    if scale == 0.0 or float(np.max(np.abs(env_f - env_b))) > 1e-9 * scale:
-        raise EnvelopeMismatchError(
-            "arm envelopes differ: the arms did not meet with a common "
-            "expansion age")
-    amps = weights.c_f * free.amplitudes + weights.c_b * pulsed.amplitudes
-    return WaveField(free.grid, amps, free.time)
-
-
 def beat_wavenumber(free_arm: ArmTrajectory, pulsed_arm: ArmTrajectory,
                     T_f: float) -> float:
     """q = m (v_b - v_f) / hbar at T_f, refused when it is rounding noise.
@@ -272,20 +211,41 @@ def encounter_state(grid: Grid, free_arm: ArmTrajectory,
         theta_b=theta_f + delta, weights=weights)
 
 
-def combined_from_state(state: EncounterState) -> WaveField:
-    """Eq.-14-style factored evaluation of the combined state.
-
-    Psi(u) = phi_COM e^{i theta_f} e^{i m v_f u / hbar}
-             * [c_f + c_b e^{i q u} e^{i (theta_b - theta_f)}].
-    """
+def _arm(state: EncounterState, theta: float, dk: float) -> WaveField:
+    """phi_COM e^{i (theta + (k_f + dk) u)}, k_f = m v_f / hbar, on the
+    state's grid at its time."""
     u = state.grid.offsets()
-    carrier = (state.theta_f
-               + (state.params.mass * state.free_velocity / HBAR) * u)
-    beat = (state.weights.c_f
-            + state.weights.c_b * np.exp(1j * (state.q * u + state.delta_theta)))
+    k = state.params.mass * state.free_velocity / HBAR + dk
     amps = (com_wavefunction(state.grid, state.time, state.params)
-            * np.exp(1j * carrier) * beat)
+            * np.exp(1j * (theta + k * u)))
     return WaveField(state.grid, amps, state.time)
+
+
+def free_arm_wavefunction(state: EncounterState) -> WaveField:
+    """Freely falling arm phi_COM e^{i (theta_f + k_f u)}."""
+    return _arm(state, state.theta_f, 0.0)
+
+
+def pulsed_arm_wavefunction(state: EncounterState) -> WaveField:
+    """LMT arm phi_COM e^{i (theta_b + (k_f + q) u)}."""
+    return _arm(state, state.theta_b, state.q)
+
+
+def combine(free: WaveField, pulsed: WaveField,
+            weights: ArmAmplitudes) -> WaveField:
+    """Weighted sum c_f * Psi_f + c_b * Psi_b of the two arms."""
+    if free.grid != pulsed.grid or free.time != pulsed.time:
+        raise DomainError(
+            f"arms must share one grid and time; times {free.time} s and "
+            f"{pulsed.time} s")
+    amps = weights.c_f * free.amplitudes + weights.c_b * pulsed.amplitudes
+    return WaveField(free.grid, amps, free.time)
+
+
+def combined_from_state(state: EncounterState) -> WaveField:
+    """The combined state c_f Psi_f + c_b Psi_b of the state's two arms."""
+    return combine(free_arm_wavefunction(state),
+                   pulsed_arm_wavefunction(state), state.weights)
 
 
 # -- export --------------------------------------------------------------
@@ -312,7 +272,14 @@ def wavefield_from_binary(path: str) -> WaveField:
         magic = fh.read(len(_BINARY_MAGIC))
         if magic != _BINARY_MAGIC:
             raise ValueError(f"{path}: not a wavefield binary dump")
-        n_f, spacing, center, time = struct.unpack("<4d", fh.read(32))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise ValueError(f"{path}: truncated wavefield header")
+        n_f, spacing, center, time = struct.unpack("<4d", header)
+        # refused before the body read it sizes; NaN fails every test
+        if not (3 <= n_f <= MAX_GRID_POINTS and n_f % 2 == 1):
+            raise ValueError(f"{path}: point count {n_f!r} is not an odd "
+                             f"integer in [3, {MAX_GRID_POINTS}]")
         n = int(n_f)
         raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
     if len(raw) != 2 * n:

@@ -444,8 +444,7 @@ def test_criterion_7_property_suite(ref_ctx_06):
                     2e-3)
     checks["oracle norm 1e-10"] = abs(out.norm() - psi0.norm()) <= 1e-10
     sc = ref_ctx_06.scenario
-    analytic = free_arm_wavefunction(ref_ctx_06.grid, ref_ctx_06.free_arm,
-                                     ref_ctx_06.encounter_time)
+    analytic = free_arm_wavefunction(ref_ctx_06.state)
     checks["analytic norm 1e-6"] = abs(analytic.norm() - 1.0) <= 1e-6
 
     # transition-matrix unitarity at 1e-12 over random pulses

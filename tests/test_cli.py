@@ -285,6 +285,18 @@ def test_main_invalid_config_exits_2(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_main_refuses_preset_with_config(tmp_path, capsys, command):
+    path = _write_config(tmp_path, preset_config("paper-fig8a"))
+    out = tmp_path / "o"
+    code = main([command, "--preset", "paper-fig8a", "--config", path,
+                 "--out-dir", str(out)])
+    assert code == EXIT_VALIDATION
+    assert ("configuration error: give --config or --preset, not both"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, index, key, value", [
     ("pulse_arrays", 1, "start_s", math.nan),
     ("environment", None, "gravity_m_per_s2", math.inf),

@@ -277,9 +277,8 @@ def test_strang_step_exact_up_to_global_phase():
 
     ctx = build_state(reduced_scale_config())
     grid = oracle_grid_for(ctx, 513)
-    arms = (ctx.free_arm, ctx.pulsed_arm)
-    coarse = oracle_arm_field(ctx, arms, grid, 5e-7).amplitudes
-    fine = oracle_arm_field(ctx, arms, grid, 2.5e-7).amplitudes
+    coarse = oracle_arm_field(ctx, grid, 5e-7).amplitudes
+    fine = oracle_arm_field(ctx, grid, 2.5e-7).amplitudes
     overlap = np.vdot(fine, coarse)
     assert _max_dev(coarse * np.conj(overlap) / abs(overlap), fine) <= 1e-11
 

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -12,12 +14,12 @@ from qbackflow.model import (
     sr88_params,
     sr88_transition,
 )
+from qbackflow.presets import PRESETS, preset_config, reduced_scale_config
 from qbackflow.pulses import ArmAmplitudes
 from qbackflow.wavefield import (
     MAX_GRID_POINTS,
-    EnvelopeMismatchError,
+    _BINARY_MAGIC,
     Grid,
-    GridMismatchError,
     WaveField,
     combine,
     combined_from_state,
@@ -98,61 +100,72 @@ def _meeting_arms(t_f_hint=2e-3):
     return params, env, tr, free, pulsed, t_f, grid
 
 
-def test_arm_fields_normalized_and_combinable():
+def _meeting_state():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, free, t_f)
-    b = pulsed_arm_wavefunction(grid, pulsed, t_f)
+    w = ArmAmplitudes(math.sqrt(0.5), 1j * math.sqrt(0.5))
+    return encounter_state(grid, free, pulsed, t_f, w)
+
+
+def test_arm_fields_normalized_and_combinable():
+    st = _meeting_state()
+    f = free_arm_wavefunction(st)
+    b = pulsed_arm_wavefunction(st)
     assert f.norm() == pytest.approx(1.0, abs=1e-6)
     assert b.norm() == pytest.approx(1.0, abs=1e-6)
-    w = ArmAmplitudes(math.sqrt(0.5), 1j * math.sqrt(0.5))
-    c = combine(f, b, w)
+    c = combine(f, b, st.weights)
     assert c.norm() == pytest.approx(1.0, abs=1e-2)  # beat modulates the norm
+    assert np.array_equal(combined_from_state(st).amplitudes, c.amplitudes)
 
 
 def test_free_arm_rejects_kicked_trajectory():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    with pytest.raises(DomainError):
-        free_arm_wavefunction(grid, pulsed, t_f)
+    with pytest.raises(DomainError, match="must not contain pulses"):
+        encounter_state(grid, pulsed, pulsed, t_f, ArmAmplitudes(1.0, 0j))
 
 
 def test_grid_center_must_match_com():
     params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
     off = Grid(center=grid.center + 1e-6, half_width=grid.half_width,
                n_points=grid.n_points)
-    with pytest.raises(DomainError):
-        free_arm_wavefunction(off, free, t_f)
+    with pytest.raises(DomainError, match="grid center"):
+        encounter_state(off, free, pulsed, t_f, ArmAmplitudes(1.0, 0j))
 
 
 def test_combine_rejects_mismatched_times():
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, free, t_f)
-    other = WaveField(grid, f.amplitudes, t_f + 1.0)
-    with pytest.raises(GridMismatchError):
+    f = free_arm_wavefunction(_meeting_state())
+    other = WaveField(f.grid, f.amplitudes, f.time + 1.0)
+    with pytest.raises(DomainError, match="one grid and time"):
         combine(f, other, ArmAmplitudes(1.0 + 0j, 0j))
 
 
-def test_combine_rejects_mismatched_envelopes():
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, free, t_f)
-    warped = WaveField(grid, f.amplitudes * np.linspace(1.0, 1.1,
-                                                        grid.n_points), t_f)
-    with pytest.raises(EnvelopeMismatchError):
-        combine(f, warped, ArmAmplitudes(1.0 + 0j, 0j))
+def _ledger_arm(grid, trajectory, t_f):
+    """One arm from its own trajectory: envelope x e^{i (theta + m v u /
+    hbar)}, theta the arm's whole phase ledger reduced at t_f."""
+    params = trajectory.params
+    theta = trajectory.total_phase_at(t_f).mod_two_pi()
+    k = params.mass * trajectory.velocity(t_f) / HBAR
+    return (com_wavefunction(grid, t_f, params)
+            * np.exp(1j * (theta + k * grid.offsets())))
 
 
-def test_factored_state_matches_direct_combination():
-    # combined_from_state (single-envelope factored form) agrees with
-    # the explicit weighted sum of the two arm fields.
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    w = ArmAmplitudes(0.6 + 0j, -0.8j)
-    st = encounter_state(grid, free, pulsed, t_f, w)
-    direct = combine(
-        free_arm_wavefunction(grid, free, t_f),
-        pulsed_arm_wavefunction(grid, pulsed, t_f), w)
-    factored = combined_from_state(st)
-    peak = float(np.abs(direct.amplitudes).max())
-    assert float(np.max(np.abs(factored.amplitudes - direct.amplitudes))
-                 ) <= 1e-10 * peak
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["reduced"])
+def test_state_fields_match_each_arms_ledger(name):
+    # The state's fields take theta_b as theta_f plus the exact ledger
+    # difference and k_b as k_f + q; each arm's own ledger and velocity
+    # must give the same fields to rounding.
+    from qbackflow.cli import build_state
+    cfg = (reduced_scale_config() if name == "reduced"
+           else preset_config(name))
+    ctx = build_state(cfg)
+    st, t_f = ctx.state, ctx.encounter_time
+    ref_f = _ledger_arm(st.grid, ctx.free_arm, t_f)
+    ref_b = _ledger_arm(st.grid, ctx.pulsed_arm, t_f)
+    ref_c = st.weights.c_f * ref_f + st.weights.c_b * ref_b
+    for field, ref in ((free_arm_wavefunction(st), ref_f),
+                       (pulsed_arm_wavefunction(st), ref_b),
+                       (combined_from_state(st), ref_c)):
+        peak = float(np.abs(ref).max())
+        assert float(np.max(np.abs(field.amplitudes - ref))) <= 1e-11 * peak
 
 
 def test_encounter_state_invariants():
@@ -173,8 +186,8 @@ def test_encounter_state_invariants():
 
 
 def test_binary_round_trip_bitwise(tmp_path):
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
-    f = free_arm_wavefunction(grid, free, t_f)
+    f = free_arm_wavefunction(_meeting_state())
+    grid, t_f = f.grid, f.time
     path = str(tmp_path / "field.bin")
     wavefield_to_binary(f, path)
     back = wavefield_from_binary(path)
@@ -190,3 +203,15 @@ def test_binary_rejects_foreign_file(tmp_path):
     with pytest.raises(ValueError):
         wavefield_from_binary(str(path))
 
+
+@pytest.mark.parametrize("payload", [
+    struct.pack("<4d", count, 1.0, 0.0, 0.0) + bytes(64)
+    for count in (math.nan, math.inf, 1e300, -5.0, 3.5, 4.0, 1.0,
+                  2.0 * MAX_GRID_POINTS + 1.0)] + [bytes(5)],
+    ids=["nan", "inf", "1e300", "-5", "3.5", "4", "1", "2max+1", "short"])
+def test_binary_refuses_bad_header(tmp_path, payload):
+    # refused before the body is read, so no count can ask for a huge read
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_BINARY_MAGIC + payload)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        wavefield_from_binary(str(path))
