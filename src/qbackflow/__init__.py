@@ -15,23 +15,4 @@ Library layout:
 * :mod:`qbackflow.cli`         — JSON-config batch entry point
 """
 
-from .model import (
-    CondensateParams,
-    DomainError,
-    Environment,
-    TransitionParams,
-    sr88_params,
-    sr88_transition,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CondensateParams",
-    "DomainError",
-    "Environment",
-    "TransitionParams",
-    "sr88_params",
-    "sr88_transition",
-    "__version__",
-]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .config import ConfigError, Scenario, parse_config
+from .presets import PRESETS, preset_config, reduced_scale_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,7 +60,7 @@ def resolve_encounter(sc: Scenario, free, pulsed) -> float:
             "the splitting pulse is the only pulse, so the arms separate "
             "from it and never re-meet; add pulse_arrays that turn the "
             "pulsed arm back", 0.0)
-    return solve_encounter(free, pulsed, pulsed.end_time)
+    return solve_encounter(free, pulsed)
 
 
 def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
@@ -297,7 +298,6 @@ def oracle_cross_check(cfg: dict, *, time_step: float = 2.5e-7,
 
 
 def run_validation() -> bool:
-    from .presets import reduced_scale_config
     results = oracle_cross_check(reduced_scale_config())
     ok = True
     for name in ("free_arm", "pulsed_arm", "combined"):
@@ -312,20 +312,12 @@ def run_validation() -> bool:
 
 # -- entry point ----------------------------------------------------------
 
-def _preset_config(name: str) -> dict:
-    from .presets import preset_config
-    try:
-        return preset_config(name)
-    except KeyError as exc:   # its one argument is the message
-        raise ConfigError(exc.args[0]) from exc
-
-
 def _load_config(args) -> dict:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigError("give --config or --preset, not both")
-    if getattr(args, "preset", None):
-        return _preset_config(args.preset)
-    if getattr(args, "config", None):
+    if args.preset:
+        return preset_config(args.preset)
+    if args.config:
         try:
             with open(args.config) as fh:
                 return json.load(fh)
@@ -361,9 +353,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "presets":
-            from .presets import PRESETS
             if args.preset:
-                print(json.dumps(_preset_config(args.preset), indent=2))
+                print(json.dumps(preset_config(args.preset), indent=2))
             else:
                 for name in sorted(PRESETS):
                     print(name)
@@ -385,15 +376,13 @@ def main(argv: list[str] | None = None) -> int:
                   f"density min {100 * rep.density_min_fraction:.4g}%")
             print(f"artifacts written to {args.out_dir}")
             return EXIT_OK
-        if args.command == "sweep":
-            result, _ = run_sweep(cfg, args.out_dir, args.grid_points)
-            print(f"max backflow rate {result.max_backflow_rate:.6g} m/s "
-                  f"at {result.spec.variable} = {result.argmax_value:.6g} "
-                  f"(refined {result.refined_argmax_value:.6g})")
-            print(f"artifacts written to {args.out_dir}")
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError,) as exc:
+        result, _ = run_sweep(cfg, args.out_dir, args.grid_points)
+        print(f"max backflow rate {result.max_backflow_rate:.6g} m/s "
+              f"at {result.spec.variable} = {result.argmax_value:.6g} "
+              f"(refined {result.refined_argmax_value:.6g})")
+        print(f"artifacts written to {args.out_dir}")
+        return EXIT_OK
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # physics/pipeline errors
@@ -403,7 +392,3 @@ def main(argv: list[str] | None = None) -> int:
             kind = "physics error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -262,22 +262,21 @@ class ArmTrajectory:
         return a.add(l).add(i)
 
 
-def solve_encounter(free_arm: ArmTrajectory, pulsed_arm: ArmTrajectory,
-                    after_time: float) -> float:
-    """Earliest time >= after_time at which the arm COMs coincide.
+def solve_encounter(free_arm: ArmTrajectory,
+                    pulsed_arm: ArmTrajectory) -> float:
+    """Earliest time, from the arms' last pulse on, when the COMs coincide.
 
     Gravity cancels in the relative coordinate, so after the last pulse
     the separation is linear in time and the root is exact.
     """
-    if after_time < max(free_arm.end_time, pulsed_arm.end_time):
-        raise DomainError("after_time must not precede the arms' last pulses")
-    r = pulsed_arm.position(after_time) - free_arm.position(after_time)
-    w = pulsed_arm.velocity(after_time) - free_arm.velocity(after_time)
-    scale = max(abs(free_arm.position(after_time)), abs(pulsed_arm.position(after_time)), 1e-30)
+    t0 = max(free_arm.end_time, pulsed_arm.end_time)
+    r = pulsed_arm.position(t0) - free_arm.position(t0)
+    w = pulsed_arm.velocity(t0) - free_arm.velocity(t0)
+    scale = max(abs(free_arm.position(t0)), abs(pulsed_arm.position(t0)), 1e-30)
     if abs(r) <= 1e-12 * scale:
-        return after_time
+        return t0
     if w == 0.0 or (r > 0) == (w > 0):
         raise NoEncounterError(
-            f"arms separate after t={after_time}: separation {abs(r):.3e} m, "
+            f"arms separate after t={t0}: separation {abs(r):.3e} m, "
             f"relative velocity {w:.3e} m/s", abs(r))
-    return after_time - r / w
+    return t0 - r / w

@@ -114,12 +114,11 @@ class TransitionParams:
         raise DomainError(f"internal_state must be +1 or -1, got {internal_state}")
 
 
-def sr88_params(launch_velocity: float = 0.2,
-                trap_frequency: float = 2.0 * math.pi * 70.0) -> CondensateParams:
+def sr88_params(launch_velocity: float = 0.2) -> CondensateParams:
     """The 88Sr condensate used throughout: 88 u, 2 pi x 70 rad/s trap, 0.2 m/s launch."""
     return CondensateParams(
         mass=88.0 * ATOMIC_MASS_UNIT,
-        trap_frequency=trap_frequency,
+        trap_frequency=2.0 * math.pi * 70.0,
         launch_velocity=launch_velocity,
     )
 

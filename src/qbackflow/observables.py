@@ -465,8 +465,6 @@ def _measure_fringe_wavelength(density: np.ndarray, grid: Grid) -> float:
     center = grid.n_points // 2
     order = np.argsort(np.abs(peaks - center), kind="stable")
     a, b = sorted(peaks[order[:2]])
-    if a == b:
-        return float("nan")
     return float((b - a) * grid.spacing)
 
 

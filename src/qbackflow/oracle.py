@@ -130,8 +130,7 @@ def kick(fld: WaveField, signed_k: float, phase: float = 0.0) -> WaveField:
 
 
 def gaussian_packet(grid: Grid, width: float, velocity: float = 0.0,
-                    center: float | None = None,
-                    mass: float = 1.0) -> WaveField:
+                    center: float | None = None, *, mass: float) -> WaveField:
     """Minimum-uncertainty Gaussian of given width, moving at velocity,
     at t = 0."""
     if width <= 0.0:

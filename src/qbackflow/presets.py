@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+from .config import ConfigError
+
 #: Number of photon recoils separating the arms at encounter.
 REFERENCE_RECOIL_COUNT = 12
 
@@ -80,27 +82,19 @@ def reduced_scale_config() -> dict:
     }
 
 
-def _fig8a_config() -> dict:
+def _fig8_config(variable: str, hi: float, n_samples: int) -> dict:
     cfg = reference_config(0.75 * math.pi,
                            half_width_factor=3.0, fringe_samples=12)
-    cfg["sweep"] = {"variable": "pulse_area",
-                    "range": [0.0, 4.0 * math.pi], "n_samples": 401}
-    return cfg
-
-
-def _fig8b_config() -> dict:
-    cfg = reference_config(0.75 * math.pi,
-                           half_width_factor=3.0, fringe_samples=12)
-    cfg["sweep"] = {"variable": "real_cb", "range": [0.0, 1.0],
-                    "n_samples": 201}
+    cfg["sweep"] = {"variable": variable, "range": [0.0, hi],
+                    "n_samples": n_samples}
     return cfg
 
 
 PRESETS = {
     "paper-0.6pi": lambda: reference_config(0.6 * math.pi),
     "paper-0.75pi": lambda: reference_config(0.75 * math.pi),
-    "paper-fig8a": _fig8a_config,
-    "paper-fig8b": _fig8b_config,
+    "paper-fig8a": lambda: _fig8_config("pulse_area", 4.0 * math.pi, 401),
+    "paper-fig8b": lambda: _fig8_config("real_cb", 1.0, 201),
 }
 
 
@@ -108,6 +102,6 @@ def preset_config(name: str) -> dict:
     try:
         factory = PRESETS[name]
     except KeyError:
-        raise KeyError(
+        raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     return factory()

@@ -57,8 +57,10 @@ class Grid:
         if self.n_points > MAX_GRID_POINTS:
             raise DomainError(f"{self.n_points} grid points exceed the "
                               f"limit of {MAX_GRID_POINTS}")
-        if self.half_width <= 0.0:
-            raise DomainError("half_width must be positive")
+        if not math.isfinite(self.center):
+            raise DomainError(f"center {self.center} is not finite")
+        if not 0.0 < self.half_width < math.inf:   # also refuses NaN
+            raise DomainError("half_width must be positive and finite")
         object.__setattr__(self, "spacing",
                            2.0 * self.half_width / (self.n_points - 1))
 
@@ -281,11 +283,18 @@ def wavefield_from_binary(path: str) -> WaveField:
             raise ValueError(f"{path}: point count {n_f!r} is not an odd "
                              f"integer in [3, {MAX_GRID_POINTS}]")
         n = int(n_f)
+        half_width = 0.5 * spacing * (n - 1)
+        if not 0.0 < half_width < math.inf:
+            raise ValueError(f"{path}: grid spacing {spacing!r} is not "
+                             "finite and positive")
+        if not (math.isfinite(center) and math.isfinite(time)):
+            raise ValueError(f"{path}: center {center!r} or time {time!r} "
+                             "is not finite")
         raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
     if len(raw) != 2 * n:
         raise ValueError(f"{path}: truncated wavefield dump")
     amps = raw[0::2] + 1j * raw[1::2]
-    grid = Grid(center=center, half_width=0.5 * spacing * (n - 1), n_points=n)
+    grid = Grid(center=center, half_width=half_width, n_points=n)
     if abs(grid.spacing - spacing) > 1e-15 * max(spacing, 1e-300):
         raise ValueError(f"{path}: inconsistent grid header")
     return WaveField(grid, amps, time)

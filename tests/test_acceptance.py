@@ -87,7 +87,7 @@ def _random_meeting_arms(rng):
         if opposing(r, net):
             break       # this kick closes; crossing may precede t + dt
         t += rng.uniform(3e-5, 1e-4)
-    t_f = solve_encounter(free, pulsed, pulsed.end_time)
+    t_f = solve_encounter(free, pulsed)
     return params, env, transition, free, pulsed, t_f
 
 
@@ -489,7 +489,7 @@ def test_criterion_7_property_suite(ref_ctx_06):
         pulsed = ArmTrajectory.launch(p, e, tr).kicks(
             [0.0, 1e-3], [tr.wavevector_magnitude,
                           -2.0 * tr.wavevector_magnitude])
-        times[grav] = solve_encounter(free, pulsed, pulsed.end_time)
+        times[grav] = solve_encounter(free, pulsed)
     ref = times[9.81]
     checks["gravity-invariant encounter"] = all(
         t == pytest.approx(ref, rel=1e-12) for t in times.values())

@@ -68,6 +68,14 @@ def test_grid_refuses_oversized_requests():
         Grid(0.0, 1.0, MAX_GRID_POINTS + 2)
 
 
+@pytest.mark.parametrize("center, half_width", [
+    (0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+    (0.0, math.inf), (math.inf, math.nan)])
+def test_grid_refuses_non_finite_geometry(center, half_width):
+    with pytest.raises(DomainError, match="center|half_width"):
+        Grid(center, half_width, 3)
+
+
 def test_com_wavefunction_norm_and_width():
     params = sr88_params()
     t = 5e-3
@@ -91,7 +99,7 @@ def _meeting_arms(t_f_hint=2e-3):
     pulsed = ArmTrajectory.launch(params, env, tr)
     k = tr.wavevector_magnitude
     pulsed = pulsed.kicks([0.0, 1e-3], [k, -2 * k])
-    t_f = solve_encounter(free, pulsed, pulsed.end_time)
+    t_f = solve_encounter(free, pulsed)
     sigma = params.oscillator_length * expansion(
         t_f, params.trap_frequency)[0]
     q = params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / HBAR
@@ -207,8 +215,15 @@ def test_binary_rejects_foreign_file(tmp_path):
 @pytest.mark.parametrize("payload", [
     struct.pack("<4d", count, 1.0, 0.0, 0.0) + bytes(64)
     for count in (math.nan, math.inf, 1e300, -5.0, 3.5, 4.0, 1.0,
-                  2.0 * MAX_GRID_POINTS + 1.0)] + [bytes(5)],
-    ids=["nan", "inf", "1e300", "-5", "3.5", "4", "1", "2max+1", "short"])
+                  2.0 * MAX_GRID_POINTS + 1.0)] + [bytes(5)] + [
+    struct.pack("<4d", 3.0, spacing, center, time) + bytes(48)
+    for spacing, center, time in (
+        (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (-1.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0), (1.0, math.nan, 0.0),
+        (1.0, -math.inf, 0.0), (1.0, 0.0, math.nan), (1.0, 0.0, math.inf))],
+    ids=["nan", "inf", "1e300", "-5", "3.5", "4", "1", "2max+1", "short",
+         "spacing-nan", "spacing-inf", "spacing-neg", "spacing-0",
+         "center-nan", "center-inf", "time-nan", "time-inf"])
 def test_binary_refuses_bad_header(tmp_path, payload):
     # refused before the body is read, so no count can ask for a huge read
     path = tmp_path / "bad.bin"
