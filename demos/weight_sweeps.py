@@ -23,8 +23,9 @@ import os
 import sys
 
 from qbackflow.cli import build_state
+from qbackflow.config import SweepSpec
 from qbackflow.presets import preset_config
-from qbackflow.sweep import SweepEngine, SweepSpec
+from qbackflow.sweep import SweepEngine
 
 OUT = sys.argv[1] if len(sys.argv) > 1 else "demo-out"
 os.makedirs(OUT, exist_ok=True)

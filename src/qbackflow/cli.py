@@ -70,13 +70,12 @@ def _auto_grid(sc: Scenario, center: float, t_f: float, q: float,
     sigma = sc.params.oscillator_length * expansion(
         t_f, sc.params.trap_frequency)[0]
     try:
-        grid = Grid.auto(center, sigma, beat_wavenumber=q, **sc.grid_cfg)
-        if grid_points is not None:
-            grid = Grid(center=grid.center, half_width=grid.half_width,
-                        n_points=grid_points)
+        if grid_points is None:
+            return Grid.auto(center, sigma, beat_wavenumber=q, **sc.grid_cfg)
+        return Grid(center, sc.grid_cfg["half_width_factor"] * sigma,
+                    grid_points)
     except DomainError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    return grid
 
 
 def build_state(cfg: dict, grid_points: int | None = None) -> PipelineContext:

@@ -1,5 +1,6 @@
-"""The JSON scenario configuration: one schema, one validating walk of
-a document over it, and the Scenario built from the result."""
+"""The JSON scenario configuration: one schema with its defaults and
+limits, one validating walk of a document over it, and the Scenario
+built from the result, with its SweepSpec."""
 
 from __future__ import annotations
 
@@ -7,9 +8,22 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .model import (MAX_PULSE_AREA, SPEED_OF_LIGHT, CondensateParams,
+                    DomainError, Environment, TransitionParams, sr88_params)
+
 REQUIRED = object()   # the default of a key a document must give
 OPTIONAL = object()   # the default of a key left out when absent
 _LIMIT = 2 ** 1024 - 2 ** 970   # the smallest integer float() cannot hold
+
+#: Largest pulse schedule accepted, refused at parse time: parsing and
+#: building the arms peak at about 380 bytes per pulse (1.05 GiB more
+#: for 4e6 pulses than for 1e6), so ~0.4 GB here.
+MAX_PULSES = 1_000_000
+
+#: Largest sweep accepted, refused at parse time: a sweep and its CSV
+#: peak at about 500 bytes per sample, whatever the grid (380 MiB more
+#: for 1e6 samples than for 2e5 on the fig8 grid), so ~0.5 GB here.
+MAX_SAMPLES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -30,11 +44,6 @@ POSITIVE = (lambda v: v > 0, "must be positive, got {}")
 NONNEGATIVE = (lambda v: v >= 0, "must be >= 0, got {}")
 SIGN = (lambda v: v in (1, -1), "must be 1 or -1")
 UNKNOWN = "unknown {!r}"
-
-
-def _pulse_area_ok(area: float) -> bool:
-    from .pulses import MAX_PULSE_AREA   # pulses imports numpy
-    return 0.0 <= area <= MAX_PULSE_AREA
 
 
 #: Every key path a document may hold ("[]": each element of a list):
@@ -58,7 +67,7 @@ SCHEMA = {
     "splitting_pulse": Key(dict),
     "splitting_pulse.time_s": Key(float),
     "splitting_pulse.pulse_area_rad": Key(float, rule=(
-        _pulse_area_ok, "must lie in [0, 4 pi]")),
+        lambda v: 0.0 <= v <= MAX_PULSE_AREA, "must lie in [0, 4 pi]")),
     "splitting_pulse.laser_phase_rad": Key(float, 0.0),
     "splitting_pulse.sign": Key(int, 1, SIGN),
     "weights": Key(dict, {"mode": "splitting_pulse"}, mode="mode",
@@ -85,9 +94,9 @@ SCHEMA = {
     "sweep.range[]": Key(float),
     "sweep.n_samples": Key(int),
     "grid": Key(dict, {}),
-    "grid.half_width_factor": Key(float, OPTIONAL, POSITIVE),
-    "grid.envelope_samples": Key(int, OPTIONAL, POSITIVE),
-    "grid.fringe_samples": Key(int, OPTIONAL, POSITIVE),
+    "grid.half_width_factor": Key(float, 8.0, POSITIVE),
+    "grid.envelope_samples": Key(int, 50, POSITIVE),
+    "grid.fringe_samples": Key(int, 20, POSITIVE),
     "spectrum": Key(dict, {}),
     "spectrum.enabled": Key(bool, False),
     "spectrum.half_width_factor": Key(float, 6.0, POSITIVE),
@@ -173,28 +182,49 @@ def _value(value, path: str, key: Key, where: str, name):
 
 
 @dataclass(frozen=True)
+class SweepSpec:
+    variable: str            # "pulse_area" | "real_cb"
+    lo: float
+    hi: float
+    n_samples: int
+
+    def __post_init__(self):
+        if self.variable not in ("pulse_area", "real_cb"):
+            raise DomainError(f"unknown sweep variable {self.variable!r}")
+        if self.n_samples < 2:
+            raise DomainError("n_samples must be >= 2")
+        if not self.lo < self.hi:
+            raise DomainError("sweep range must satisfy lo < hi")
+        if self.variable == "pulse_area" and not (
+                0.0 <= self.lo and self.hi <= MAX_PULSE_AREA):
+            raise DomainError("pulse_area range must lie within [0, 4 pi]")
+        if self.variable == "real_cb" and not (0.0 <= self.lo and self.hi <= 1.0):
+            raise DomainError("real_cb range must lie within [0, 1]")
+
+    def values(self):
+        import numpy as np
+        return np.linspace(self.lo, self.hi, self.n_samples)
+
+
+@dataclass(frozen=True)
 class Scenario:
-    params: object            # CondensateParams
-    env: object               # Environment
-    transition: object        # TransitionParams
+    params: CondensateParams
+    env: Environment
+    transition: TransitionParams
     pulses: object            # (n, 3) float array of (time_s, sign,
                               # laser_phase_rad), splitting pulse first
     weights: object           # ArmAmplitudes
     grid_cfg: dict            # each section validated, defaults applied
     spectrum_cfg: dict
     output_cfg: dict
-    sweep_spec: object | None  # SweepSpec
+    sweep_spec: SweepSpec | None
     raw: dict
 
 
 def parse_config(cfg: dict) -> Scenario:
     """Validate a configuration document into a Scenario."""
     import numpy as np
-    from .kinematics import MAX_PULSES
-    from .model import (SPEED_OF_LIGHT, CondensateParams, DomainError,
-                        Environment, TransitionParams, sr88_params)
     from .pulses import real_weights, splitting_weights
-    from .sweep import MAX_SAMPLES, SweepSpec
 
     if not isinstance(cfg, dict):
         raise ConfigError("configuration root must be a JSON object")
@@ -206,14 +236,17 @@ def parse_config(cfg: dict) -> Scenario:
                   CondensateParams(cond["mass_kg"],
                                    cond["trap_frequency_rad_per_s"],
                                    cond["launch_velocity_m_per_s"]))
-        env = Environment(doc["environment"]["gravity_m_per_s2"])
-        transition = TransitionParams(doc["transition"]["wavelength_m"])
-        weights = (real_weights(doc["weights"]["cb"])
-                   if doc["weights"]["mode"] == "real_cb" else
-                   splitting_weights(split["pulse_area_rad"],
-                                     split["laser_phase_rad"]))
     except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"condensate: {exc}") from exc
+    try:
+        transition = TransitionParams(doc["transition"]["wavelength_m"])
+    except DomainError as exc:
+        raise ConfigError(f"transition.wavelength_m: {exc}") from exc
+    env = Environment(doc["environment"]["gravity_m_per_s2"])
+    weights = (real_weights(doc["weights"]["cb"])
+               if doc["weights"]["mode"] == "real_cb" else
+               splitting_weights(split["pulse_area_rad"],
+                                 split["laser_phase_rad"]))
     recoil = transition.recoil_velocity_for(params.mass)
     if not recoil < SPEED_OF_LIGHT:   # inf too
         raise ConfigError(f"transition.wavelength_m: the one-photon recoil "
@@ -237,9 +270,12 @@ def parse_config(cfg: dict) -> Scenario:
     j = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     pulses = rows[:, :3]
     pulses[:, 0] += j * rows[:, 3]
-    if not np.all(np.diff(pulses[:, 0]) > 0.0):
-        raise ConfigError("pulse times must be strictly increasing "
-                          "(splitting pulse first)")
+    increasing = np.diff(pulses[:, 0]) > 0.0
+    if not increasing.all():   # name the later pulse's array
+        i = np.searchsorted(np.cumsum(counts), increasing.argmin() + 1,
+                            "right")
+        raise ConfigError(f"pulse_arrays[{i - 1}].start_s: pulse times must "
+                          "be strictly increasing (splitting pulse first)")
     if split["time_s"] < 0.0:
         raise ConfigError("splitting_pulse.time_s: must be >= 0")
 

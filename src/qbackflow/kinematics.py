@@ -53,11 +53,6 @@ from .phaseacc import DoubleDouble, fsum_dd, product, two_prod
 GROUND = +1
 EXCITED = -1
 
-#: Largest pulse schedule accepted, refused at parse time: parsing and
-#: building the arms peak at about 380 bytes per pulse (1.05 GiB more
-#: for 4e6 pulses than for 1e6), so ~0.4 GB here.
-MAX_PULSES = 1_000_000
-
 
 class OrderingError(ValueError):
     """A pulse was applied before the trajectory's current end."""

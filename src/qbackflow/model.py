@@ -21,6 +21,10 @@ HBAR = 1.054571817e-34          # J s
 ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 SPEED_OF_LIGHT = 299792458.0    # m / s
 
+#: Largest pulse area accepted anywhere: a splitting pulse, a sweep range
+#: and the sweep weights all end at two full Rabi cycles.
+MAX_PULSE_AREA = 4.0 * math.pi
+
 
 class DomainError(ValueError):
     """An input is outside the physical domain of an operation."""

@@ -35,11 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DomainError
-
-#: Largest pulse area accepted anywhere: a splitting pulse, a sweep range
-#: and the sweep weights all end at two full Rabi cycles.
-MAX_PULSE_AREA = 4.0 * math.pi
+from .model import MAX_PULSE_AREA, DomainError
 
 
 @dataclass(frozen=True)

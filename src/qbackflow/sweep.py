@@ -20,23 +20,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ioutil import atomic_write_text, csv_text
-from .model import DomainError
+from .model import MAX_PULSE_AREA, DomainError
 from .observables import WeightKernel, weight_coefficients
-from .pulses import MAX_PULSE_AREA, ArmAmplitudes, real_weights
+from .pulses import ArmAmplitudes, real_weights
 from .wavefield import EncounterState
+
+if TYPE_CHECKING:
+    from .config import SweepSpec
 
 #: Golden-section refinement stops when the bracket shrinks below this
 #: fraction of the sweep range.
 REFINE_FRACTION = 1e-4
-
-#: Largest sweep accepted, refused at parse time: a sweep and its CSV
-#: peak at about 500 bytes per sample, whatever the grid (380 MiB more
-#: for 1e6 samples than for 2e5 on the fig8 grid), so ~0.5 GB here.
-MAX_SAMPLES = 1_000_000
 
 #: Samples within this fraction of the largest rate tie for the argmax,
 #: and the first of them wins.  Mirror samples of the pulse-area sweep
@@ -45,32 +44,6 @@ MAX_SAMPLES = 1_000_000
 ARGMAX_TIE_FRACTION = 1e-12
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-VARIABLES = ("pulse_area", "real_cb")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str            # "pulse_area" | "real_cb"
-    lo: float
-    hi: float
-    n_samples: int
-
-    def __post_init__(self):
-        if self.variable not in VARIABLES:
-            raise DomainError(f"unknown sweep variable {self.variable!r}")
-        if self.n_samples < 2:
-            raise DomainError("n_samples must be >= 2")
-        if not self.lo < self.hi:
-            raise DomainError("sweep range must satisfy lo < hi")
-        if self.variable == "pulse_area" and not (
-                0.0 <= self.lo and self.hi <= MAX_PULSE_AREA):
-            raise DomainError("pulse_area range must lie within [0, 4 pi]")
-        if self.variable == "real_cb" and not (0.0 <= self.lo and self.hi <= 1.0):
-            raise DomainError("real_cb range must lie within [0, 1]")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n_samples)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,13 +28,6 @@ from .kinematics import ArmTrajectory
 from .model import HBAR, CondensateParams, DomainError, expansion
 from .pulses import ArmAmplitudes
 
-#: Default grid sizing: half width in units of the expanded envelope
-#: width a_x * b(T_f), and the minimum number of samples per envelope
-#: width and per beat fringe.
-DEFAULT_HALF_WIDTH_FACTOR = 8.0
-ENVELOPE_SAMPLES = 50
-FRINGE_SAMPLES = 20
-
 #: Largest grid accepted, refused before anything is allocated: a run
 #: holds about 120 bytes of working arrays per point, so ~0.5 GB here.
 MAX_GRID_POINTS = 4_000_001
@@ -72,16 +65,15 @@ class Grid:
         return self.center + self.offsets()
 
     @staticmethod
-    def auto(center: float, envelope_width: float,
+    def auto(center: float, envelope_width: float, *,
+             half_width_factor: float, envelope_samples: int,
              beat_wavenumber: float | None = None,
-             half_width_factor: float = DEFAULT_HALF_WIDTH_FACTOR,
-             envelope_samples: int = ENVELOPE_SAMPLES,
-             fringe_samples: int = FRINGE_SAMPLES) -> "Grid":
+             fringe_samples: int | None = None) -> "Grid":
         """Grid sized to resolve both the envelope and the beat fringes.
 
         half_width = half_width_factor * envelope_width; spacing at most
-        envelope_width / envelope_samples and, when a beat wavenumber is
-        given, at most the fringe wavelength 2 pi / q over fringe_samples.
+        envelope_width / envelope_samples and, when a nonzero beat
+        wavenumber q is given, at most the fringe 2 pi / q over fringe_samples.
         """
         if envelope_width <= 0.0:
             raise DomainError("envelope_width must be positive")

@@ -13,16 +13,12 @@ import pytest
 from hypothesis import strategies as st
 
 from qbackflow.cli import build_state
+from qbackflow.config import SCHEMA, SweepSpec
 from qbackflow.model import HBAR, expansion
 from qbackflow.oracle import momentum_spectrum_fft
 from qbackflow.presets import preset_config, reduced_scale_config, reference_config
 from qbackflow.pulses import ArmAmplitudes
-from qbackflow.wavefield import (
-    ENVELOPE_SAMPLES,
-    Grid,
-    combined_from_state,
-    encounter_state,
-)
+from qbackflow.wavefield import Grid, combined_from_state, encounter_state
 
 _phase = st.floats(0.0, 2.0 * math.pi)
 
@@ -110,14 +106,12 @@ def sweep_engine(sweep_ctx):
 
 @pytest.fixture(scope="session")
 def fig8a_result(sweep_engine):
-    from qbackflow.sweep import SweepSpec
     return sweep_engine.sweep_pulse_area(
         SweepSpec("pulse_area", 0.0, 4.0 * math.pi, 401))
 
 
 @pytest.fixture(scope="session")
 def fig8b_result(sweep_engine):
-    from qbackflow.sweep import SweepSpec
     return sweep_engine.sweep_real_weights(SweepSpec("real_cb", 0.0, 1.0, 201))
 
 
@@ -133,8 +127,9 @@ def spectrum_safe_grid(ctx, half_width_factor: float) -> Grid:
                              abs(ctx.pulsed_arm.velocity(t_f)))
               + 8.0 / sigma + m_over_h * (bdot / b) * half_width_factor * sigma)
     samples = math.ceil(1.5 * k_need * sigma / math.pi)
+    envelope_samples = max(SCHEMA["grid.envelope_samples"].default, samples)
     return Grid.auto(ctx.grid.center, sigma, half_width_factor=half_width_factor,
-                     envelope_samples=max(ENVELOPE_SAMPLES, samples))
+                     envelope_samples=envelope_samples)
 
 
 @pytest.fixture(scope="session")

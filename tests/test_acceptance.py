@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from qbackflow.config import SCHEMA
 from qbackflow.kinematics import ArmTrajectory, solve_encounter
 from qbackflow.model import (
     ATOMIC_MASS_UNIT,
@@ -26,7 +27,6 @@ from qbackflow.model import (
 )
 from qbackflow.pulses import splitting_weights
 from qbackflow.wavefield import (
-    ENVELOPE_SAMPLES,
     Grid,
     combined_from_state,
     encounter_state,
@@ -112,8 +112,10 @@ def test_criterion_1_flux_identity_oracle():
         k_total = (abs(q) + m_over_h * abs(free.velocity(t_f))
                    + m_over_h * (bdot / b) * half_width + 4.0 / sigma)
         samples = math.ceil(sigma * k_total * 130.0 / (2.0 * math.pi))
+        envelope_samples = max(SCHEMA["grid.envelope_samples"].default,
+                               samples)
         grid = Grid.auto(free.position(t_f), sigma, half_width_factor=5.0,
-                         envelope_samples=max(ENVELOPE_SAMPLES, samples))
+                         envelope_samples=envelope_samples)
 
         state = encounter_state(grid, free, pulsed, t_f, weights)
         analytic = report(state).flux_profile

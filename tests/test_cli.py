@@ -20,11 +20,10 @@ from qbackflow.cli import (
     run_scenario,
     run_sweep,
 )
-from qbackflow.kinematics import MAX_PULSES
-from qbackflow.model import HBAR, SPEED_OF_LIGHT, DomainError
+from qbackflow.config import MAX_PULSES, MAX_SAMPLES
+from qbackflow.model import HBAR, MAX_PULSE_AREA, SPEED_OF_LIGHT, DomainError
 from qbackflow.presets import PRESETS, preset_config, reduced_scale_config
-from qbackflow.pulses import MAX_PULSE_AREA
-from qbackflow.sweep import MAX_SAMPLES, canonical_pulse_area_weights
+from qbackflow.sweep import canonical_pulse_area_weights
 
 
 # -- config validation -----------------------------------------------------
@@ -211,6 +210,12 @@ def test_run_sweep_artifacts(tmp_path):
 def test_grid_points_override():
     ctx = build_state(reduced_scale_config(), grid_points=4097)
     assert ctx.grid.n_points == 4097
+    # the override replaces an auto point count too large to build
+    cfg = reduced_scale_config()
+    cfg["grid"]["fringe_samples"] = 10 ** 9
+    grid = build_state(cfg, grid_points=1001).grid
+    assert grid.n_points == 1001
+    assert grid.half_width == ctx.grid.half_width
 
 
 # -- command-line interface ------------------------------------------------
@@ -574,12 +579,34 @@ def _split_before_launch(cfg):
     return cfg
 
 
+def _arrays_out_of_order(cfg):
+    cfg["pulse_arrays"][1]["start_s"] = 1e-4   # before pulse_arrays[0] ends
+    return cfg
+
+
+def _oscillator_length_inf(cfg):
+    cfg["condensate"].update(mass_kg=1e-300, trap_frequency_rad_per_s=1e-300)
+    return cfg
+
+
+def _photon_energy_zero(cfg):
+    cfg["transition"]["wavelength_m"] = 1e300
+    return cfg
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_spectrum_too_wide,
      "spectrum: 3.2e+10 grid points exceed the limit of 4000001"),
     (_split_before_launch, "splitting_pulse.time_s: must be >= 0"),
     (lambda cfg: [cfg], "configuration root must be a JSON object"),
-], ids=["spectrum-grid", "negative-split-time", "list-root"])
+    (_arrays_out_of_order, "pulse_arrays[1].start_s: pulse times must be "
+     "strictly increasing (splitting pulse first)"),
+    (_oscillator_length_inf, "condensate: oscillator length "
+     "sqrt(hbar / (m omega)) is inf for m = 1e-300 kg, omega = 1e-300 rad/s"),
+    (_photon_energy_zero, "transition.wavelength_m: photon energy at "
+     "wavelength 1e+300 m underflows to 0"),
+], ids=["spectrum-grid", "negative-split-time", "list-root",
+        "pulse-order", "oscillator-length", "photon-energy"])
 def test_main_refusal_messages(tmp_path, capsys, mutate, message):
     path = _write_config(tmp_path, mutate(reduced_scale_config()))
     code = main(["run", "--config", path, "--out-dir", str(tmp_path / "o")])
@@ -619,6 +646,23 @@ def test_presets_command_imports_no_numpy():
               "assert main(['presets']) == 0\n"
               "assert main(['presets', '--preset', 'paper-0.6pi']) == 0\n"
               "print(sorted(m for m in sys.modules if 'numpy' in m))\n")
+    src = os.path.dirname(os.path.dirname(qbackflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_run_command_imports_neither_sweep_nor_oracle(tmp_path):
+    # a run needs neither the sweep engine nor the validation propagator;
+    # this checks structure, not timing
+    import qbackflow
+    script = ("import sys\n"
+              "from qbackflow.cli import main\n"
+              "assert main(['run', '--preset', 'paper-0.6pi', '--out-dir', "
+              f"{str(tmp_path)!r}]) == 0\n"
+              "print(sorted(m for m in ('qbackflow.sweep', 'qbackflow.oracle')"
+              " if m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(qbackflow.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,

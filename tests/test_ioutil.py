@@ -4,7 +4,7 @@ import stat
 import numpy as np
 import pytest
 
-from qbackflow.ioutil import atomic_write_text, csv_text
+from qbackflow.ioutil import atomic_write_bytes, atomic_write_text, csv_text
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
@@ -19,6 +19,20 @@ def test_atomic_write_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert path.read_text() == "{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_atomic_write_failure_keeps_target(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+
+    def writer(fh):
+        fh.write(b"half a rep")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_bytes(str(path), writer)
+    assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 

@@ -147,6 +147,46 @@ def test_edge_guard_trips():
         propagate(psi0, cfg, 2e-2)
 
 
+def test_nyquist_guard_trips():
+    # a kick to 0.95 k_Nyquist at t = 0 puts 15 % of the weight at the
+    # Nyquist edge before the first step
+    params = sr88_params(launch_velocity=0.0)
+    g = _grid(half_width=30.0 * params.oscillator_length, n=513)
+    psi0 = gaussian_packet(g, params.oscillator_length, mass=params.mass)
+    cfg = PropagatorConfig(
+        time_step=2e-6, grid=g, mass=params.mass, gravity=0.0,
+        kick_events=(KickEvent(0.0, 0.95 * math.pi / g.spacing),))
+    with pytest.raises(PropagationError, match=r"^momentum in row 0 reached "
+                       r"the Nyquist edge at t=0\.0: weight 1\.521e-01"):
+        propagate(psi0, cfg, 2e-4)
+
+
+def _unnormalized(psi):
+    return WaveField(psi.grid, 2.0 * psi.amplitudes, psi.time)
+
+
+def _other_grid(psi):
+    g = psi.grid
+    return gaussian_packet(Grid(g.center, 1.5 * g.half_width, g.n_points),
+                           1e-5, mass=MASS)
+
+
+@pytest.mark.parametrize("initial, t_final, kicks, message", [
+    (lambda psi: psi, -2e-6, (), "t_final must not precede"),
+    (_unnormalized, 1e-4, (), "initial field norm 3.99.* is not 1"),
+    (_other_grid, 1e-4, (), "initial field and config use different grids"),
+    (lambda psi: psi, 1e-4, (KickEvent(2e-4, 1e5),),
+     r"kick at t=0\.0002 outside \[0\.0, 0\.0001\]"),
+], ids=["t-final-early", "norm", "grid", "kick-late"])
+def test_propagate_refuses_bad_arguments(initial, t_final, kicks, message):
+    g = _grid()
+    psi0 = gaussian_packet(g, 1e-5, mass=MASS)
+    cfg = PropagatorConfig(time_step=2e-6, grid=g, mass=MASS,
+                           kick_events=kicks)
+    with pytest.raises(DomainError, match=message):
+        propagate(initial(psi0), cfg, t_final)
+
+
 def test_time_step_commensurability_enforced():
     params = sr88_params(launch_velocity=0.0)
     g = _grid()
@@ -200,6 +240,14 @@ def test_compare_fields_global_phase_removed():
     amp, phase = compare_fields(psi, rotated)
     assert amp <= 1e-15
     assert phase <= 1e-12
+
+
+def test_compare_fields_refuses_two_grids():
+    g = _grid(n=257)
+    psi = gaussian_packet(g, 1e-5, mass=MASS)
+    shifted = gaussian_packet(_grid(n=257, center=1e-6), 1e-5, mass=MASS)
+    with pytest.raises(DomainError, match="fields must share one grid"):
+        compare_fields(psi, shifted)
 
 
 def _max_dev(a, b):

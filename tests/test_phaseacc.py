@@ -122,6 +122,13 @@ def test_mod_two_pi_small_values():
     # interval is (-pi, pi]
     r = DoubleDouble(math.pi + 1e-3).mod_two_pi()
     assert r == pytest.approx(1e-3 - math.pi, abs=1e-15)
+    # +-3 pi / 2 pi = +-1.5 rounds to +-2, so the remainder lands on
+    # the far side of +-pi and wraps back
+    for phase, wrapped in ((3.0 * math.pi, math.pi),
+                           (-3.0 * math.pi, -math.pi)):
+        r = DoubleDouble(phase).mod_two_pi()
+        assert -math.pi < r <= math.pi
+        assert r == pytest.approx(wrapped, abs=1e-15)
 
 
 def test_mod_two_pi_huge_phase():

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbackflow.config import SweepSpec
 from qbackflow.model import DomainError
 from qbackflow.observables import (FLUX, backflow_rate, report,
                                    weight_coefficients)
 from qbackflow.pulses import real_weights
-from qbackflow.sweep import (
-    SweepEngine,
-    SweepSpec,
-    canonical_pulse_area_weights,
-)
+from qbackflow.sweep import SweepEngine, canonical_pulse_area_weights
 
 from conftest import arm_weights, stack_weights
 

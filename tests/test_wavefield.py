@@ -46,7 +46,8 @@ def test_grid_validation_and_geometry():
 
 def test_grid_auto_resolves_envelope_and_fringe():
     sigma, q = 1e-6, 1e7
-    g = Grid.auto(0.0, sigma, beat_wavenumber=q)
+    g = Grid.auto(0.0, sigma, half_width_factor=8.0, envelope_samples=50,
+                  beat_wavenumber=q, fringe_samples=20)
     assert g.half_width == pytest.approx(8.0 * sigma)
     assert g.spacing <= sigma / 50.0 + 1e-18
     assert g.spacing <= (2.0 * math.pi / q) / 20.0 + 1e-18
@@ -60,9 +61,11 @@ def test_grid_refuses_oversized_requests():
                   envelope_samples=35_733_333)
     for width, factor in ((1.0, 1e300), (math.nan, 8.0), (math.inf, 8.0)):
         with pytest.raises(DomainError, match="grid points exceed"):
-            Grid.auto(0.0, width, half_width_factor=factor)
+            Grid.auto(0.0, width, half_width_factor=factor,
+                      envelope_samples=50)
     with pytest.raises(DomainError, match="grid points exceed"):
-        Grid.auto(0.0, 1.0, beat_wavenumber=1e300)
+        Grid.auto(0.0, 1.0, half_width_factor=8.0, envelope_samples=50,
+                  beat_wavenumber=1e300, fringe_samples=20)
     assert Grid(0.0, 1.0, MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
     with pytest.raises(DomainError, match=f"{MAX_GRID_POINTS + 2} grid"):
         Grid(0.0, 1.0, MAX_GRID_POINTS + 2)
@@ -80,7 +83,7 @@ def test_com_wavefunction_norm_and_width():
     params = sr88_params()
     t = 5e-3
     sigma = params.oscillator_length * expansion(t, params.trap_frequency)[0]
-    g = Grid.auto(0.0, sigma)
+    g = Grid.auto(0.0, sigma, half_width_factor=8.0, envelope_samples=50)
     psi = com_wavefunction(g, t, params)
     norm = float(np.sum(np.abs(psi) ** 2) * g.spacing)
     assert norm == pytest.approx(1.0, abs=1e-6)
@@ -103,8 +106,9 @@ def _meeting_arms(t_f_hint=2e-3):
     sigma = params.oscillator_length * expansion(
         t_f, params.trap_frequency)[0]
     q = params.mass * (pulsed.velocity(t_f) - free.velocity(t_f)) / HBAR
-    grid = Grid.auto(free.position(t_f), sigma, beat_wavenumber=q,
-                     half_width_factor=5.0)
+    grid = Grid.auto(free.position(t_f), sigma, half_width_factor=5.0,
+                     envelope_samples=50, beat_wavenumber=q,
+                     fringe_samples=20)
     return params, env, tr, free, pulsed, t_f, grid
 
 
@@ -212,21 +216,31 @@ def test_binary_rejects_foreign_file(tmp_path):
         wavefield_from_binary(str(path))
 
 
-@pytest.mark.parametrize("payload", [
-    struct.pack("<4d", count, 1.0, 0.0, 0.0) + bytes(64)
+@pytest.mark.parametrize("payload, message", [
+    (struct.pack("<4d", count, 1.0, 0.0, 0.0) + bytes(64), "point count")
     for count in (math.nan, math.inf, 1e300, -5.0, 3.5, 4.0, 1.0,
-                  2.0 * MAX_GRID_POINTS + 1.0)] + [bytes(5)] + [
-    struct.pack("<4d", 3.0, spacing, center, time) + bytes(48)
-    for spacing, center, time in (
-        (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (-1.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0), (1.0, math.nan, 0.0),
-        (1.0, -math.inf, 0.0), (1.0, 0.0, math.nan), (1.0, 0.0, math.inf))],
+                  2.0 * MAX_GRID_POINTS + 1.0)] + [
+    (bytes(5), "truncated wavefield header")] + [
+    (struct.pack("<4d", 3.0, spacing, center, time) + bytes(48), message)
+    for spacing, center, time, message in (
+        (math.nan, 0.0, 0.0, "grid spacing"),
+        (math.inf, 0.0, 0.0, "grid spacing"),
+        (-1.0, 0.0, 0.0, "grid spacing"), (0.0, 0.0, 0.0, "grid spacing"),
+        (1.0, math.nan, 0.0, "center"), (1.0, -math.inf, 0.0, "center"),
+        (1.0, 0.0, math.nan, "center"), (1.0, 0.0, math.inf, "center"),
+        # the spacing recomputed from the half width overflows to inf
+        (1e308, 0.0, 0.0, "inconsistent grid header"))] + [
+    # a 3-point body one sample short
+    (struct.pack("<4d", 3.0, 1.0, 0.0, 0.0) + bytes(32),
+     "truncated wavefield dump")],
     ids=["nan", "inf", "1e300", "-5", "3.5", "4", "1", "2max+1", "short",
          "spacing-nan", "spacing-inf", "spacing-neg", "spacing-0",
-         "center-nan", "center-inf", "time-nan", "time-inf"])
-def test_binary_refuses_bad_header(tmp_path, payload):
+         "center-nan", "center-inf", "time-nan", "time-inf",
+         "spacing-overflow", "body-short"])
+def test_binary_refuses_bad_header(tmp_path, payload, message):
     # refused before the body is read, so no count can ask for a huge read
     path = tmp_path / "bad.bin"
     path.write_bytes(_BINARY_MAGIC + payload)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                       f"{message}"):
         wavefield_from_binary(str(path))
