@@ -25,6 +25,9 @@ MAX_PULSES = 1_000_000
 #: for 1e6 samples than for 2e5 on the fig8 grid), so ~0.5 GB here.
 MAX_SAMPLES = 1_000_000
 
+#: The values of sweep.variable.
+SWEEP_VARIABLES = ("pulse_area", "real_cb")
+
 
 class ConfigError(ValueError):
     """A configuration document failed validation."""
@@ -88,11 +91,13 @@ SCHEMA = {
     "encounter.auto": Key(bool, True, (lambda v: v, "must be true; the "
                           "encounter time is solved from the pulse schedule")),
     "sweep": Key(dict, OPTIONAL),
-    "sweep.variable": Key(str),
+    "sweep.variable": Key(str, rule=(lambda v: v in SWEEP_VARIABLES, UNKNOWN)),
     "sweep.range": Key(list, rule=(lambda v: len(v) == 2,
                                    "expected [lo, hi]")),
     "sweep.range[]": Key(float),
-    "sweep.n_samples": Key(int),
+    "sweep.n_samples": Key(int, rule=(
+        lambda v: 2 <= v <= MAX_SAMPLES,
+        f"{{}} is below 2 or above the limit of {MAX_SAMPLES} samples")),
     "grid": Key(dict, {}),
     "grid.half_width_factor": Key(float, 8.0, POSITIVE),
     "grid.envelope_samples": Key(int, 50, POSITIVE),
@@ -189,12 +194,12 @@ class SweepSpec:
     n_samples: int
 
     def __post_init__(self):
-        if self.variable not in ("pulse_area", "real_cb"):
+        if self.variable not in SWEEP_VARIABLES:
             raise DomainError(f"unknown sweep variable {self.variable!r}")
         if self.n_samples < 2:
             raise DomainError("n_samples must be >= 2")
         if not self.lo < self.hi:
-            raise DomainError("sweep range must satisfy lo < hi")
+            raise DomainError("range must satisfy lo < hi")
         if self.variable == "pulse_area" and not (
                 0.0 <= self.lo and self.hi <= MAX_PULSE_AREA):
             raise DomainError("pulse_area range must lie within [0, 4 pi]")
@@ -264,13 +269,19 @@ def parse_config(cfg: dict) -> Scenario:
             raise ConfigError(f"pulse_arrays[{i - 1}].count: {counts[i]} "
                               f"pulses bring the schedule to {total}, above "
                               f"the limit of {MAX_PULSES} pulses")
+    for i, arr in enumerate(doc["pulse_arrays"]):
+        if not math.isfinite(arr["start_s"]
+                             + (arr["count"] - 1) * arr["interval_s"]):
+            raise ConfigError(f"pulse_arrays[{i}].interval_s: the last of "
+                              f"{arr['count']} pulses lands at a time "
+                              "beyond the float range")
     rows = np.repeat(np.array([(arr["start_s"], arr["sign"],
                                 arr["laser_phase_rad"], arr["interval_s"])
                                for arr in arrays]), counts, axis=0)
     j = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     pulses = rows[:, :3]
     pulses[:, 0] += j * rows[:, 3]
-    increasing = np.diff(pulses[:, 0]) > 0.0
+    increasing = pulses[1:, 0] > pulses[:-1, 0]   # no difference to overflow
     if not increasing.all():   # name the later pulse's array
         i = np.searchsorted(np.cumsum(counts), increasing.argmin() + 1,
                             "right")
@@ -284,10 +295,7 @@ def parse_config(cfg: dict) -> Scenario:
         try:
             sweep_spec = SweepSpec(sweep["variable"], *sweep["range"],
                                    sweep["n_samples"])
-        except DomainError as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
-        if sweep_spec.n_samples > MAX_SAMPLES:
-            raise ConfigError(f"sweep.n_samples: {sweep_spec.n_samples} "
-                              f"samples exceed the limit of {MAX_SAMPLES}")
+        except DomainError as exc:   # SCHEMA checked the other keys
+            raise ConfigError(f"sweep.range: {exc}") from exc
     return Scenario(params, env, transition, pulses, weights, doc["grid"],
                     doc["spectrum"], doc["output"], sweep_spec, cfg)

@@ -41,20 +41,17 @@ the scalars of report, sweep samples and refinement; :func:`report` is
 its one-row case plus the profiles.
 
 Only the flux needs every column.  The density is read at its peak and
-in a window of a few fringes about x_c, and it is bounded column by
-column: |c_f + c_b e^{i phi}|^2 <= n + 2|w|, so |Psi|^2 <= (n + 2|w|) R^2.
-A column whose bound is below the largest density m0 found in the window
-cannot hold the peak, so the peak lies between the first and the last
-column with R^2 >= m0 / (n + 2|w|).  The largest density over that range
-and the window is the grid maximum exactly, not an estimate.  R^2 is one
-Gaussian centred on the window, so the range almost always lies inside
-the window's columns; only when some R^2 outside them reaches the level
-is the range looked up and evaluated too.  Rounding moves each computed
-density by a few 1e-16 relative, far inside the 1e-12 slack on the
-bound (``PEAK_BOUND_SLACK``).  The ranges start and end on multiples of
-``SPAN_ALIGN`` columns, or at the grid's end, so every column goes
-through the same BLAS kernel path as in a full-grid product and reads
-the same bits.
+in a window of a few fringes about x_c, on columns fixed when the kernel
+is built.  It is (n + 2|w| cos(phi + arg w)) R^2 with n >= 2|w|, and a
+column within half a fringe of x_c lies within phase q dx / 2 of a fringe
+maximum, so the peak is at least (1 + cos(q dx / 2)) / 2 (n + 2|w|) R^2_c,
+R^2_c the least R^2 over those columns.  No column exceeds (n + 2|w|)
+R^2, so the peak lies where R^2 >= (1 + cos(q dx / 2)) / 2 R^2_c: the
+whole grid once q dx >= 2 pi, else one range about x_c, where the
+Gaussian R^2 is centred.  ``WeightKernel.peak`` is that range, widened
+by ``PEAK_BOUND_SLACK`` for rounding, joined with the window and aligned
+to ``SPAN_ALIGN`` columns or the grid's end, so that BLAS takes every
+column through the same path as in a full-grid product.
 
 The flux needs every column only where it can be negative.  As
 Re(w e^{i phi}) >= -|w|,
@@ -132,17 +129,18 @@ SPECTRUM_SAMPLES = 16
 PLANE_WAVE_THRESHOLD = 100.0
 SPREADING_THRESHOLD = 0.1
 
-#: Largest number of coefficient rows x grid points in one kernel product;
-#: products keep the row count this gives, since a one-row product takes
-#: another BLAS path and rounds differently.
+#: Largest number of coefficient rows x columns in one kernel product: a
+#: chunk of rows over the grid (flux) or a block over the peak columns
+#: (density).  Products keep these row counts, as a one-row product
+#: takes another BLAS path and rounds differently.
 CHUNK_ELEMENTS = 2 ** 16
 
-#: Relative slack on the density peak bound and on the bound that
-#: clears rows of backflow (module docstring).
+#: Slack on the density peak bound and on the bound that clears rows of
+#: backflow (module docstring).
 PEAK_BOUND_SLACK = 1e-12
 
-#: Column ranges of partial density products start and end on multiples
-#: of this, so the BLAS kernels split them as they split the whole grid.
+#: The peak columns start and end on multiples of this, so the BLAS
+#: kernels split them as they split the whole grid.
 SPAN_ALIGN = 16
 
 #: Column blocks of the coefficient matrix, and row blocks of the kernel
@@ -226,6 +224,13 @@ class MomentumState:
             -0.25 * (self.q * self.oscillator_length) ** 2)
 
 
+def aligned_span(first: int, stop: int, n_points: int) -> slice:
+    """[first, stop) widened to SPAN_ALIGN multiples, or to the end."""
+    lo = first // SPAN_ALIGN * SPAN_ALIGN
+    hi = -(-stop // SPAN_ALIGN) * SPAN_ALIGN
+    return slice(lo, hi if hi <= n_points - n_points % SPAN_ALIGN else n_points)
+
+
 def weight_coefficients(weights: ArmAmplitudes) -> np.ndarray:
     """Coefficient matrix of one weight pair or an array of them, one row
     per pair."""
@@ -248,6 +253,7 @@ class WeightKernel:
     rho_base_max: float   # extrema of the critical-density base over the
     rho_base_min: float   # envelope support (NaN if the support is empty)
     window: slice         # +-DENSITY_MIN_WINDOW_FRINGES about x_c
+    peak: slice           # columns that can hold the density peak
     spacing: float        # m
     q: float              # 1/m, beat wavenumber
     grad_theta: tuple[float, float]  # 1/m, sampled grad(theta) min, max
@@ -289,8 +295,18 @@ class WeightKernel:
                  if q != 0.0 else grid.half_width)
         bins = min(grid.n_points // 2, max(1, int(reach / grid.spacing)))
         center = grid.n_points // 2
-        return cls(basis, *extrema, slice(center - bins, center + bins + 1),
-                   grid.spacing, q, (float(gt.min()), float(gt.max())))
+        window = slice(center - bins, center + bins + 1)
+        # Peak columns (module docstring): half a fringe and a step about x_c.
+        step = abs(q) * grid.spacing   # fringe phase per column
+        half = int(math.pi / step) + 1 if step * center > math.pi else center
+        fraction = 0.5 * (1.0 + math.cos(min(0.5 * step, math.pi)))
+        r2c = float(r2[center - half:center + half + 1].min())
+        cols = np.flatnonzero(r2 >= (fraction - PEAK_BOUND_SLACK) * r2c)
+        peak = aligned_span(min(int(cols[0]), window.start),
+                            max(int(cols[-1]) + 1, window.stop),
+                            grid.n_points)
+        return cls(basis, *extrema, window, peak, grid.spacing, q,
+                   (float(gt.min()), float(gt.max())))
 
     def profile(self, coefficients: np.ndarray, block: slice) -> np.ndarray:
         """One profile per coefficient row, for one block of the basis."""
@@ -314,66 +330,35 @@ class WeightKernel:
     def scalars(self, coefficients: np.ndarray) -> tuple[np.ndarray, ...]:
         """(backflow rate, rho_crit max fraction, density min fraction) of
         every coefficient row: one full-grid flux product per chunk of
-        rows unless none of them can flow back, and the density only
-        where its peak and minimum can be (module docstring)."""
+        rows unless none of them can flow back, and one density product
+        over the peak columns per block of rows (module docstring)."""
+        basis, rows = self.basis, len(coefficients)
         possible = self.backflow_possible(coefficients)
-        basis, n_points = self.basis, self.basis.shape[1]
-        r2 = basis[DENSITY.start]
-        rows = len(coefficients)
-        chunk = max(1, CHUNK_ELEMENTS // n_points)
-        work = np.empty((min(chunk, rows), n_points))
-        lo, hi = self._span(self.window.start, self.window.stop)
-        width = hi - lo
-        block = max(chunk, CHUNK_ELEMENTS // width // chunk * chunk)
-        local = np.empty((min(block, rows), width))
-        window = slice(self.window.start - lo, self.window.stop - lo)
-        outside = max(r2[:lo].max(initial=0.0), r2[hi:].max(initial=0.0))
-        n, re_2w, im_2w = coefficients[:, DENSITY].T
-        bound = (n + np.hypot(re_2w, im_2w)) * (1.0 + PEAK_BOUND_SLACK)
-        rate, peak, density_min = np.zeros((3, rows))  # rate 0: no backflow
-        for start in range(0, rows, block):
-            stop = min(start + block, rows)
-            for i in range(start, stop, chunk):
-                c = coefficients[i:min(i + chunk, stop)]
-                if possible[i:i + len(c)].any():
-                    flux = np.matmul(c[:, FLUX], basis[FLUX],
-                                     out=work[:len(c)])
-                    rate[i:i + len(c)] = _backflow_rates(flux, self.spacing,
-                                                         flux)
-                np.matmul(c[:, DENSITY], basis[DENSITY, lo:hi],
-                          out=local[i - start:i - start + len(c)])
-            density = local[:stop - start]
-            density_min[start:stop] = self._density_min(density[:, window])
-            m0 = peak[start:stop]
-            np.max(density, axis=1, out=m0)
-            # Rows where a column outside [lo, hi) may beat m0 (0 / 0, so
-            # never, for a zero row, whose density is refused below).
-            with np.errstate(divide="ignore", invalid="ignore"):
-                level = m0 / bound[start:stop]
-            wide = level <= outside
-            firsts = np.arange(0, stop - start, chunk)
-            for k in np.flatnonzero(np.logical_or.reduceat(wide, firsts)):
-                part = slice(k * chunk, min((k + 1) * chunk, stop - start))
-                cols = np.flatnonzero(r2 >= level[part][wide[part]].min())
-                a, b = self._span(cols[0], cols[-1] + 1)
-                c = coefficients[start + part.start:start + part.stop]
-                extra = np.matmul(c[:, DENSITY], basis[DENSITY, a:b],
-                                  out=work.reshape(-1)[:len(c) * (b - a)]
-                                  .reshape(len(c), b - a))
-                np.maximum(m0[part], extra.max(axis=1), out=m0[part])
+        chunk = max(1, CHUNK_ELEMENTS // basis.shape[1])
+        work = np.empty((min(chunk, rows), basis.shape[1]))
+        rate = np.zeros(rows)   # 0: no backflow
+        for i in range(0, rows, chunk):
+            c = coefficients[i:i + chunk]
+            if possible[i:i + chunk].any():
+                flux = np.matmul(c[:, FLUX], basis[FLUX], out=work[:len(c)])
+                rate[i:i + len(c)] = _backflow_rates(flux, self.spacing, flux)
+        columns = basis[DENSITY, self.peak]
+        block = max(1, CHUNK_ELEMENTS // columns.shape[1])
+        work = np.empty((min(block, rows), columns.shape[1]))
+        window = slice(self.window.start - self.peak.start,
+                       self.window.stop - self.peak.start)
+        peak, density_min = np.empty((2, rows))
+        for i in range(0, rows, block):
+            c = coefficients[i:i + block]
+            density = np.matmul(c[:, DENSITY], columns, out=work[:len(c)])
+            np.max(density, axis=1, out=peak[i:i + len(c)])
+            density_min[i:i + len(c)] = self._density_min(density[:, window])
         if not (peak > 0.0).all():
             raise DomainError("combined density vanishes everywhere")
         contrast = coefficients[:, RHO_CRIT.start]
         rho_max = contrast * np.where(contrast >= 0.0, self.rho_base_max,
                                       self.rho_base_min)
         return rate, rho_max / peak, density_min / peak
-
-    def _span(self, first: int, stop: int) -> tuple[int, int]:
-        """[first, stop) widened to SPAN_ALIGN multiples, or to the end."""
-        n_points = self.basis.shape[1]
-        lo = first // SPAN_ALIGN * SPAN_ALIGN
-        hi = -(-stop // SPAN_ALIGN) * SPAN_ALIGN
-        return lo, (hi if hi <= n_points - n_points % SPAN_ALIGN else n_points)
 
     @staticmethod
     def _density_min(local: np.ndarray) -> np.ndarray:

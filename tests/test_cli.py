@@ -276,7 +276,7 @@ def test_run_and_sweep_share_the_pulse_area_bound(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: splitting_pulse.pulse_area_rad: must lie in "
         "[0, 4 pi]\n"
-        "configuration error: sweep: pulse_area range must lie within "
+        "configuration error: sweep.range: pulse_area range must lie within "
         "[0, 4 pi]\n")
     canonical_pulse_area_weights(MAX_PULSE_AREA)
     with pytest.raises(DomainError, match="must lie in"):
@@ -410,8 +410,11 @@ def test_main_rejects_unread_keys(tmp_path, capsys, path):
 @pytest.mark.parametrize("key, value, message", [
     ("variable", 3, "sweep.variable: expected str, got int"),
     ("n_samples", None, "sweep: missing required key 'n_samples'"),
-    ("variable", "detuning", "sweep: unknown sweep variable 'detuning'"),
-    ("n_samples", 1, "sweep: n_samples must be >= 2"),
+    ("variable", "detuning", "sweep.variable: unknown 'detuning'"),
+    ("n_samples", 1,
+     "sweep.n_samples: 1 is below 2 or above the limit of 1000000 samples"),
+    ("range", [1.0, 1.0], "sweep.range: range must satisfy lo < hi"),
+    ("range", [0.0, 1.5], "sweep.range: real_cb range must lie within [0, 1]"),
 ])
 def test_main_sweep_errors_name_the_key_once(tmp_path, capsys, key, value,
                                              message):
@@ -584,6 +587,19 @@ def _arrays_out_of_order(cfg):
     return cfg
 
 
+def _last_pulse_overflows(cfg):
+    cfg["pulse_arrays"][1].update(interval_s=1e303, count=200000)
+    return cfg
+
+
+def _pulse_span_overflows(cfg):
+    # finite pulse times whose differences overflow
+    cfg["splitting_pulse"]["time_s"] = -1e308
+    for i, arr in enumerate(cfg["pulse_arrays"]):
+        arr.update(start_s=(1.0 + 0.1 * i) * 1e308, interval_s=1e300)
+    return cfg
+
+
 def _oscillator_length_inf(cfg):
     cfg["condensate"].update(mass_kg=1e-300, trap_frequency_rad_per_s=1e-300)
     return cfg
@@ -601,12 +617,16 @@ def _photon_energy_zero(cfg):
     (lambda cfg: [cfg], "configuration root must be a JSON object"),
     (_arrays_out_of_order, "pulse_arrays[1].start_s: pulse times must be "
      "strictly increasing (splitting pulse first)"),
+    (_last_pulse_overflows, "pulse_arrays[1].interval_s: the last of 200000 "
+     "pulses lands at a time beyond the float range"),
+    (_pulse_span_overflows, "splitting_pulse.time_s: must be >= 0"),
     (_oscillator_length_inf, "condensate: oscillator length "
      "sqrt(hbar / (m omega)) is inf for m = 1e-300 kg, omega = 1e-300 rad/s"),
     (_photon_energy_zero, "transition.wavelength_m: photon energy at "
      "wavelength 1e+300 m underflows to 0"),
 ], ids=["spectrum-grid", "negative-split-time", "list-root",
-        "pulse-order", "oscillator-length", "photon-energy"])
+        "pulse-order", "last-pulse-overflow", "pulse-span-overflow",
+        "oscillator-length", "photon-energy"])
 def test_main_refusal_messages(tmp_path, capsys, mutate, message):
     path = _write_config(tmp_path, mutate(reduced_scale_config()))
     code = main(["run", "--config", path, "--out-dir", str(tmp_path / "o")])

@@ -15,6 +15,7 @@ from qbackflow.observables import (
     BackflowReport,
     WeightKernel,
     _backflow_rates,
+    aligned_span,
     backflow_rate,
     classical_backflow_check,
     flux_finite_difference,
@@ -263,8 +264,8 @@ EDGE_WEIGHTS = (real_weights(0.0), real_weights(1.0),
 
 @pytest.fixture(scope="module")
 def kernels(sweep_ctx, reduced_ctx):
-    """fig8 (4-row products), reduced (81 rows) and a fig8 grid of
-    60,001 points, where every product is one row."""
+    """fig8 (4-row flux products), reduced (81 rows) and a fig8 grid of
+    60,001 points, where every flux product is one row."""
     from qbackflow.cli import build_state
     from qbackflow.presets import preset_config
     fine = build_state(preset_config("paper-fig8a"), grid_points=60001)
@@ -272,74 +273,122 @@ def kernels(sweep_ctx, reduced_ctx):
             for ctx in (sweep_ctx, reduced_ctx, fine)]
 
 
+@pytest.fixture(scope="module")
+def coarse_kernel():
+    """paper-0.6pi on 1,001 points: under one sample per fringe."""
+    from qbackflow.cli import build_state
+    from qbackflow.presets import preset_config
+    return WeightKernel.from_state(
+        build_state(preset_config("paper-0.6pi"), grid_points=1001).state)
+
+
+def _density_block(kernel):
+    return max(1, CHUNK_ELEMENTS // (kernel.peak.stop - kernel.peak.start))
+
+
 def _full_grid_scalars(kernel, weights):
-    """Every profile on every column, one product per row chunk, with
-    the chunk's own coefficient matrix."""
+    """Every profile on every column, with the rows grouped as the kernel
+    groups them (flux per chunk, density per block), each group with its
+    own coefficient matrix."""
     chunk = max(1, CHUNK_ELEMENTS // kernel.basis.shape[1])
+    rates = [_backflow_rates(kernel.profile(weight_coefficients(
+                 stack_weights(weights[i:i + chunk])), FLUX), kernel.spacing)
+             for i in range(0, len(weights), chunk)]
+    block = _density_block(kernel)
     rows = []
-    for i in range(0, len(weights), chunk):
-        c = weight_coefficients(stack_weights(weights[i:i + chunk]))
+    for i in range(0, len(weights), block):
+        c = weight_coefficients(stack_weights(weights[i:i + block]))
         density = kernel.profile(c, DENSITY)
         peak = density.max(axis=1)
         contrast = c[:, RHO_CRIT.start]
         rho_max = contrast * np.where(contrast >= 0.0, kernel.rho_base_max,
                                       kernel.rho_base_min)
         rows.append(np.column_stack([
-            _backflow_rates(kernel.profile(c, FLUX), kernel.spacing),
             rho_max / peak,
             kernel._density_min(density[:, kernel.window]) / peak]))
-    return np.concatenate(rows)
+    return np.column_stack([np.concatenate(rates), np.concatenate(rows)])
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(arm_weights, max_size=11))
-def test_kernel_scalars_match_full_grid(kernels, batch):
-    # Skipping the density columns that cannot hold the peak changes no
-    # bit, whatever the batch size and the row count of the products.
-    weights = EDGE_WEIGHTS + tuple(batch)
-    for kernel in kernels:
-        np.testing.assert_array_equal(
-            np.column_stack(kernel.scalars(
-                weight_coefficients(stack_weights(weights)))),
-            _full_grid_scalars(kernel, weights))
+def _random_weights(rng, rows):
+    """Normalized complex weights with random moduli and phases."""
+    return [ArmAmplitudes(cb * cmath.exp(1j * a),
+                          math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b))
+            for cb, a, b in rng.random((rows, 3)) * (1.0, 6.3, 6.3)]
 
 
-@pytest.mark.parametrize("where", ["left edge", "right edge", "slope"])
-def test_kernel_peak_beyond_an_offset_window(kernels, where):
-    # A window away from x_c does not hold the peak, so the candidate
-    # columns reach past it: far past it in the envelope's tails (to the
-    # grid's end on the right), and to R^2 near 0.87 of its maximum on
-    # the slope, where the equal-arm bound 2 R^2 lies above that maximum.
-    kernel = kernels[0]
-    n_points = kernel.basis.shape[1]
-    start = {"left edge": 0, "right edge": n_points - 3,
-             "slope": n_points // 2 + n_points // 16}[where]
-    kernel = replace(kernel, window=slice(start, start + 3))
-    weights = EDGE_WEIGHTS + tuple(real_weights(cb) for cb in (0.1, 0.5, 0.8))
+def _assert_scalars_match_full_grid(kernel, weights):
     np.testing.assert_array_equal(
         np.column_stack(kernel.scalars(
             weight_coefficients(stack_weights(weights)))),
         _full_grid_scalars(kernel, weights))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(arm_weights, max_size=11))
+def test_kernel_scalars_match_full_grid(kernels, batch):
+    # Reading the density on the peak columns only changes no bit,
+    # whatever the batch size and the row count of the products.
+    for kernel in kernels:
+        _assert_scalars_match_full_grid(kernel, EDGE_WEIGHTS + tuple(batch))
+
+
+def test_kernel_scalars_match_full_grid_past_a_block(kernels):
+    # One row past a density block: the last density product, and on
+    # the 60,001-point grid every flux product, has one row.
+    rng = np.random.default_rng(5)
+    for kernel in kernels:
+        _assert_scalars_match_full_grid(
+            kernel, _random_weights(rng, _density_block(kernel) + 1))
+
+
+def _fringe_maximum_weights(kernel, offsets, cb):
+    """Weights with |c_b| = cb whose density has a fringe maximum at each
+    offset, in steps, from the centre column."""
+    centre = kernel.basis.shape[1] // 2
+    phase = math.atan2(kernel.basis[6, centre], kernel.basis[5, centre])
+    step = kernel.q * kernel.spacing
+    return [ArmAmplitudes(cb * cmath.exp(-1j * (phase + step * offset)),
+                          math.sqrt(1.0 - cb * cb))
+            for offset in offsets]
+
+
+def test_kernel_peak_columns_hold_the_peak(kernels, coarse_kernel):
+    # The columns fixed when the kernel is built hold the window and the
+    # full-grid density peak of equal and unequal arms, wherever the
+    # central fringe maximum falls within half a step of the centre
+    # column; under one sample per fringe they are the whole grid.
+    offsets = np.linspace(-0.5, 0.5, 41)
+    for kernel in kernels + [coarse_kernel]:
+        peak, window = kernel.peak, kernel.window
+        assert peak.start <= window.start and window.stop <= peak.stop
+        for cb in (math.sqrt(0.5), 0.3, 0.6, 0.9):
+            weights = _fringe_maximum_weights(kernel, offsets, cb)
+            c = weight_coefficients(stack_weights(weights))
+            argmax = kernel.profile(c, DENSITY).argmax(axis=1)
+            assert ((peak.start <= argmax) & (argmax < peak.stop)).all()
+            _assert_scalars_match_full_grid(kernel, weights)
+    n_points = coarse_kernel.basis.shape[1]
+    assert coarse_kernel.q * coarse_kernel.spacing >= 2.0 * math.pi
+    assert coarse_kernel.peak == slice(0, n_points)
+
+
 def test_kernel_peak_in_the_window_last_column(kernels):
     # The last few columns of a product round apart from a full-grid
     # product unless its columns start and end on SPAN_ALIGN multiples;
-    # a peak in the window's last column shows those bits.
-    rng = np.random.default_rng(3)
-    weights = [ArmAmplitudes(cb * cmath.exp(1j * a),
-                             math.sqrt(1.0 - cb * cb) * cmath.exp(1j * b))
-               for cb, a, b in rng.random((12, 3)) * (1.0, 6.3, 6.3)]
+    # a peak in the window's last column, with the peak columns built
+    # from the window by the kernel's alignment rule, shows those bits.
+    weights = _random_weights(np.random.default_rng(3), 12)
     for kernel in (kernels[0], kernels[2]):
+        n_points = kernel.basis.shape[1]
         for w in weights:
-            c = weight_coefficients(w)
-            last = int(kernel.profile(c, DENSITY).argmax())
+            last = int(kernel.profile(weight_coefficients(w),
+                                      DENSITY).argmax())
             for width in (49, 50, 51, 201):
                 edge = replace(kernel,
-                               window=slice(last + 1 - width, last + 1))
-                np.testing.assert_array_equal(
-                    np.column_stack(edge.scalars(c)),
-                    _full_grid_scalars(edge, [w]))
+                               window=slice(last + 1 - width, last + 1),
+                               peak=aligned_span(last + 1 - width, last + 1,
+                                                 n_points))
+                _assert_scalars_match_full_grid(edge, [w])
 
 
 def test_kernel_scalars_refuse_a_vanishing_density(kernels):
