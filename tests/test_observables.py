@@ -372,6 +372,25 @@ def test_kernel_peak_columns_hold_the_peak(kernels, coarse_kernel):
     assert coarse_kernel.peak == slice(0, n_points)
 
 
+@pytest.mark.parametrize("where", ["left edge", "right edge", "slope"])
+def test_kernel_peak_beyond_an_offset_window(kernels, where):
+    # A window away from x_c, joined with the peak columns by the
+    # kernel's rule, reaches past them: to the grid's ends at the edges,
+    # and down the slope where R^2 is near 0.87 of its maximum.  The
+    # density minimum is then read outside the peak range of x_c.
+    kernel = kernels[0]
+    n_points = kernel.basis.shape[1]
+    start = {"left edge": 0, "right edge": n_points - 3,
+             "slope": n_points // 2 + n_points // 16}[where]
+    window = slice(start, start + 3)
+    peak = aligned_span(min(kernel.peak.start, window.start),
+                        max(kernel.peak.stop, window.stop), n_points)
+    assert not (kernel.peak.start <= start and start + 3 <= kernel.peak.stop)
+    offset = replace(kernel, window=window, peak=peak)
+    weights = EDGE_WEIGHTS + tuple(real_weights(cb) for cb in (0.1, 0.5, 0.8))
+    _assert_scalars_match_full_grid(offset, weights)
+
+
 def test_kernel_peak_in_the_window_last_column(kernels):
     # The last few columns of a product round apart from a full-grid
     # product unless its columns start and end on SPAN_ALIGN multiples;
