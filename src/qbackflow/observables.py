@@ -36,11 +36,12 @@ matrix C with one row per weight pair,
     (n, |c_b|^2, Re w, -Im w | n, 2 Re w, -2 Im w | |c_f|^2 - |c_b|^2),
 
 and a block of profiles of the whole batch is C @ B over that block's
-columns and rows.  :meth:`WeightKernel.scalars` is the one routine for
-the scalars of report, sweep samples and refinement; :func:`report` is
-its one-row case plus the profiles.
+columns and rows.  :meth:`WeightKernel.rates` and
+:meth:`WeightKernel.density_scalars` give the scalars of a batch of
+sweep samples; :func:`report` and the refinement take the rate of one
+full-grid flux profile instead.
 
-Only the flux needs every column.  The density is read at its peak and
+The density is read at its peak and
 in a window of a few fringes about x_c, on columns fixed when the kernel
 is built.  It is (n + 2|w| cos(phi + arg w)) R^2 with n >= 2|w|, and a
 column within half a fringe of x_c lies within phase q dx / 2 of a fringe
@@ -53,8 +54,7 @@ by ``PEAK_BOUND_SLACK`` for rounding, joined with the window and aligned
 to ``SPAN_ALIGN`` columns or the grid's end, so that BLAS takes every
 column through the same path as in a full-grid product.
 
-The flux needs every column only where it can be negative.  As
-Re(w e^{i phi}) >= -|w|,
+The flux matters only where it is negative.  As Re(w e^{i phi}) >= -|w|,
 
     (m/hbar) J >= R^2 g(grad(theta)),
     g(x) = n x + |c_b|^2 q - |w| |q + 2 x|,
@@ -71,11 +71,27 @@ on every column the flux is at least 1e-12 of its terms' size, far
 above the few 1e-16 by which rounding moves it, so no computed column
 is negative.  The slack is needed: with |c_f| = |c_b|, g is exactly 0
 wherever q + 2 grad(theta) > 0, the flux touches 0 at every fringe
-minimum, and on a column that sits there it rounds below 0.  A chunk of
-cleared rows skips its flux product and writes rate 0.0, which is what
-the product gives bit for bit: np.minimum leaves only zeros, and 0.0
-minus their trapezoid is +0.0.  Chunks keep their rows and row count,
-so every other chunk is the same product as before.
+minimum, and on a column that sits there it rounds below 0.  A cleared
+row gets rate 0.0, which is what its product gives bit for bit:
+np.minimum leaves only zeros, and 0.0 minus their trapezoid is +0.0.
+
+For the other rows the cross term picks the columns.  With vartheta_j =
+atan2(B_3j, B_2j), which carries the sign of q + 2 grad(theta), the
+flux is (hbar/m) R^2_j |w| |q + 2 grad(theta_j)| (h(grad(theta_j)) +
+cos(vartheta_j + arg w)), h(x) = (n x + |c_b|^2 q) / (|w| |q + 2 x|).
+While q + 2 x keeps its sign, h is a ratio of linear functions, so
+monotone, and at least its value h_min at one of the two sampled
+extremes.  So J_j < 0 needs vartheta_j on one arc about pi - arg w, of
+half-width arccos(h_min - slack); the slack, PEAK_BOUND_SLACK times a
+bound on the terms' size in units of |w| |q + 2 grad(theta)|, keeps the
+flux off the arc at least 1e-12 of that size.  :func:`flux_column_ranges`
+sorts the columns by vartheta mod 2 pi and gives each row the [lo, hi)
+of them its arc covers, or every column where the arc wraps past 0 or
+2 pi, where q + 2 grad(theta) changes sign on the grid, or where h_min
+is not finite (|w| = 0).  :meth:`WeightKernel.rates` takes one product
+per group of consecutive rows over the hull of their ranges, and the
+trapezoid's end columns apart; summed in phase order, its rates round
+apart from a full-grid trapezoid by a few ulp.
 
 The momentum spectrum
 ---------------------
@@ -130,13 +146,12 @@ PLANE_WAVE_THRESHOLD = 100.0
 SPREADING_THRESHOLD = 0.1
 
 #: Largest number of coefficient rows x columns in one kernel product: a
-#: chunk of rows over the grid (flux) or a block over the peak columns
-#: (density).  Products keep these row counts, as a one-row product
-#: takes another BLAS path and rounds differently.
+#: group of rows over its phase-sorted flux columns, or a block over the
+#: peak columns (density).
 CHUNK_ELEMENTS = 2 ** 16
 
-#: Slack on the density peak bound and on the bound that clears rows of
-#: backflow (module docstring).
+#: Slack on the density peak bound, on the bound that clears rows of
+#: backflow and on the flux arcs (module docstring).
 PEAK_BOUND_SLACK = 1e-12
 
 #: The peak columns start and end on multiples of this, so the BLAS
@@ -229,6 +244,27 @@ def aligned_span(first: int, stop: int, n_points: int) -> slice:
     lo = first // SPAN_ALIGN * SPAN_ALIGN
     hi = -(-stop // SPAN_ALIGN) * SPAN_ALIGN
     return slice(lo, hi if hi <= n_points - n_points % SPAN_ALIGN else n_points)
+
+
+def flux_column_ranges(kernel: "WeightKernel", coefficients: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flux columns in order of vartheta mod 2 pi, and per coefficient
+    row the [lo, hi) of that order covering its arc (module docstring)."""
+    angles = np.mod(np.arctan2(kernel.basis[3], kernel.basis[2]), 2 * math.pi)
+    order = np.argsort(angles)
+    n, b2, c2, c3 = coefficients[:, FLUX].T   # c2 + i c3 = conj(w)
+    gt = np.array(kernel.grad_theta)[:, np.newaxis]
+    cross = np.abs(kernel.q + 2.0 * gt) * np.hypot(c2, c3)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = (n * gt + b2 * kernel.q) / cross
+        size = 1.0 + (n * abs(gt).max() + b2 * abs(kernel.q)) / cross.min(0)
+        half = np.arccos(np.clip(h.min(axis=0) - PEAK_BOUND_SLACK * size,
+                                 -1.0, 1.0))
+    centre = math.pi + np.arctan2(c3, c2)   # pi - arg w
+    every = (~np.isfinite(half) | (abs(centre - math.pi) + half > math.pi)
+             | (gt[0, 0] <= -0.5 * kernel.q <= gt[1, 0]))
+    lo, hi = np.searchsorted(angles[order], centre + [[-1], [1]] * half)
+    return order, np.where(every, 0, lo), np.where(every, len(order), hi)
 
 
 def weight_coefficients(weights: ArmAmplitudes) -> np.ndarray:
@@ -327,22 +363,41 @@ class WeightKernel:
                  * (np.abs(drift) + np.abs(beat) + cross))
         return ~clear.all(axis=1)
 
-    def scalars(self, coefficients: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(backflow rate, rho_crit max fraction, density min fraction) of
-        every coefficient row: one full-grid flux product per chunk of
-        rows unless none of them can flow back, and one density product
-        over the peak columns per block of rows (module docstring)."""
-        basis, rows = self.basis, len(coefficients)
-        possible = self.backflow_possible(coefficients)
-        chunk = max(1, CHUNK_ELEMENTS // basis.shape[1])
-        work = np.empty((min(chunk, rows), basis.shape[1]))
-        rate = np.zeros(rows)   # 0: no backflow
-        for i in range(0, rows, chunk):
-            c = coefficients[i:i + chunk]
-            if possible[i:i + chunk].any():
-                flux = np.matmul(c[:, FLUX], basis[FLUX], out=work[:len(c)])
-                rate[i:i + len(c)] = _backflow_rates(flux, self.spacing, flux)
-        columns = basis[DENSITY, self.peak]
+    def rates(self, coefficients: np.ndarray) -> np.ndarray:
+        """Backflow rate of every coefficient row, over flux columns sorted
+        by phase (module docstring)."""
+        rate = np.zeros(len(coefficients))   # 0: no backflow
+        rows = np.flatnonzero(self.backflow_possible(coefficients))
+        if not rows.size:
+            return rate
+        order, lo, hi = flux_column_ranges(self, coefficients[rows])
+        lo, hi = lo.tolist(), hi.tolist()
+        groups, start, a, b = [], 0, lo[0], hi[0]
+        for i, (first, stop) in enumerate(zip(lo, hi)):
+            first = first if first < a else a
+            stop = stop if stop > b else b
+            if i > start and (i + 1 - start) * (stop - first) > CHUNK_ELEMENTS:
+                groups.append((start, i, a, b))
+                start, first, stop = i, lo[i], hi[i]
+            a, b = first, stop
+        groups.append((start, len(rows), a, b))
+        c, columns = coefficients[rows, FLUX], self.basis[FLUX][:, order]
+        work = np.empty(max((j - i) * (b - a) for i, j, a, b in groups))
+        sums = np.empty(len(rows))
+        for i, j, a, b in groups:
+            part = work[:(j - i) * (b - a)].reshape(j - i, b - a)
+            np.matmul(c[i:j], columns[:, a:b], out=part)
+            sums[i:j] = np.minimum(part, 0.0, out=part).sum(axis=1)
+        ends = np.minimum(c @ self.basis[FLUX][:, [0, -1]], 0.0)
+        rate[rows] = 0.0 - self.spacing * (sums - 0.5 * ends.sum(axis=1))
+        return rate
+
+    def density_scalars(self, coefficients: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """(rho_crit max fraction, density min fraction) of every
+        coefficient row, over the peak columns (module docstring)."""
+        rows = len(coefficients)
+        columns = self.basis[DENSITY, self.peak]
         block = max(1, CHUNK_ELEMENTS // columns.shape[1])
         work = np.empty((min(block, rows), columns.shape[1]))
         window = slice(self.window.start - self.peak.start,
@@ -358,7 +413,7 @@ class WeightKernel:
         contrast = coefficients[:, RHO_CRIT.start]
         rho_max = contrast * np.where(contrast >= 0.0, self.rho_base_max,
                                       self.rho_base_min)
-        return rate, rho_max / peak, density_min / peak
+        return rho_max / peak, density_min / peak
 
     @staticmethod
     def _density_min(local: np.ndarray) -> np.ndarray:
@@ -380,10 +435,9 @@ def _trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return dx * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
 
-def _backflow_rates(flux: np.ndarray, dx: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _backflow_rates(flux: np.ndarray, dx: float) -> np.ndarray:
     # 0.0 - x rather than -x: a profile without backflow gives +0.0
-    return 0.0 - _trapezoid(np.minimum(flux, 0.0, out=out), dx)
+    return 0.0 - _trapezoid(np.minimum(flux, 0.0), dx)
 
 
 def backflow_rate(flux: np.ndarray, grid: Grid) -> float:
@@ -459,10 +513,11 @@ def report(state: EncounterState,
     weights = state.weights if weights is None else weights
     kernel = WeightKernel.from_state(state)
     coefficients = weight_coefficients(weights)
-    rate, rho_max, density_min = (float(x[0])
-                                  for x in kernel.scalars(coefficients))
     flux, density, rho = (kernel.profile(coefficients, block)[0]
                           for block in (FLUX, DENSITY, RHO_CRIT))
+    rate = backflow_rate(flux, state.grid)
+    rho_max, density_min = (float(x[0])
+                            for x in kernel.density_scalars(coefficients))
     total = float(_trapezoid(np.abs(flux), kernel.spacing))
     neg = flux < 0.0
     return BackflowReport(

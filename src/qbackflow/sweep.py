@@ -4,10 +4,12 @@ The expensive grid work (envelope R, phase gradient grad(theta), beat
 fringes) is weight-independent: :class:`SweepEngine` builds the
 encounter's :class:`~qbackflow.observables.WeightKernel` once.  A weight
 rule maps all values of a sweep to one array-valued ArmAmplitudes, its
-coefficient matrix goes through
-:meth:`~qbackflow.observables.WeightKernel.scalars` (derived in the
-:mod:`qbackflow.observables` docstring), and :class:`SweepResult` keeps
-the values and the three scalars as four arrays, the sweep.csv columns.
+coefficient matrix goes through the kernel's batched ``rates`` (each
+row over the phase-sorted flux columns where it can be negative) and
+``density_scalars``, derived in the :mod:`qbackflow.observables`
+docstring, and :class:`SweepResult` keeps the values and the three
+scalars as four arrays, the sweep.csv columns.  The reported maximum and
+the refinement take report()'s one-profile rate, so they compare exactly.
 
 Phase convention for the pulse-area sweep: the splitting pulse's laser
 phase is a free experimental knob that only offsets the beat fringe, so
@@ -26,7 +28,7 @@ import numpy as np
 
 from .ioutil import atomic_write_text, csv_text
 from .model import MAX_PULSE_AREA, DomainError
-from .observables import WeightKernel, weight_coefficients
+from .observables import FLUX, WeightKernel, backflow_rate, weight_coefficients
 from .pulses import ArmAmplitudes, real_weights
 from .wavefield import EncounterState
 
@@ -54,7 +56,7 @@ class SweepResult:
     rho_crit_max: np.ndarray         # max rho_crit / max |Psi|^2
     density_min: np.ndarray          # density min near x_c / max |Psi|^2
     argmax_value: float              # grid argmax (ties -> smaller value)
-    max_backflow_rate: float
+    max_backflow_rate: float         # report()'s rate at argmax_value
     refined_argmax_value: float      # golden-section refinement
     refined_max_backflow_rate: float
 
@@ -95,20 +97,23 @@ class SweepEngine:
     def samples(self, values, weights_of) -> tuple[np.ndarray, ...]:
         """(rate, rho_crit max, density min) arrays, one row per value, at
         the weights weights_of(values)."""
-        return self.kernel.scalars(weight_coefficients(
-            weights_of(np.asarray(values, dtype=float))))
+        c = weight_coefficients(weights_of(np.asarray(values, dtype=float)))
+        return (self.kernel.rates(c), *self.kernel.density_scalars(c))
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
-        return float(self.kernel.scalars(weight_coefficients(weights))[0][0])
+        """report()'s rate: the trapezoid of one full-grid flux profile."""
+        return backflow_rate(self.kernel.profile(
+            weight_coefficients(weights), FLUX)[0], self.state.grid)
 
     # -- sweeps ---------------------------------------------------------
 
     def _run(self, spec: SweepSpec, weights_of) -> SweepResult:
         values = spec.values()
         rates, rho_crit_max, density_min = self.samples(values, weights_of)
-        max_rate = float(rates.max())
-        idx = int(np.argmax(rates >= (1.0 - ARGMAX_TIE_FRACTION) * max_rate))
+        idx = int(np.argmax(rates >= (1.0 - ARGMAX_TIE_FRACTION)
+                            * rates.max()))
         argmax_value = float(values[idx])
+        max_rate = self.backflow_rate(weights_of(argmax_value))
         r_val, r_rate = argmax_value, max_rate
         if max_rate > 0.0:
             lo = float(values[max(idx - 1, 0)])

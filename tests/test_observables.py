@@ -18,12 +18,14 @@ from qbackflow.observables import (
     aligned_span,
     backflow_rate,
     classical_backflow_check,
+    flux_column_ranges,
     flux_finite_difference,
     momentum_spectrum,
     report,
     weight_coefficients,
 )
 from qbackflow.pulses import ArmAmplitudes, real_weights
+from qbackflow.sweep import canonical_pulse_area_weights
 from qbackflow.wavefield import (Grid, WaveField, com_wavefunction,
                                  combined_from_state)
 
@@ -287,13 +289,12 @@ def _density_block(kernel):
 
 
 def _full_grid_scalars(kernel, weights):
-    """Every profile on every column, with the rows grouped as the kernel
-    groups them (flux per chunk, density per block), each group with its
-    own coefficient matrix."""
-    chunk = max(1, CHUNK_ELEMENTS // kernel.basis.shape[1])
-    rates = [_backflow_rates(kernel.profile(weight_coefficients(
-                 stack_weights(weights[i:i + chunk])), FLUX), kernel.spacing)
-             for i in range(0, len(weights), chunk)]
+    """Every profile on every column: the rate of each row's own flux
+    profile, and the density scalars with the rows grouped as the kernel
+    groups them, each block with its own coefficient matrix; and each
+    row's integral of |J| dx."""
+    flux = [kernel.profile(weight_coefficients(w), FLUX)[0] for w in weights]
+    rates = [_backflow_rates(f, kernel.spacing) for f in flux]
     block = _density_block(kernel)
     rows = []
     for i in range(0, len(weights), block):
@@ -306,7 +307,8 @@ def _full_grid_scalars(kernel, weights):
         rows.append(np.column_stack([
             rho_max / peak,
             kernel._density_min(density[:, kernel.window]) / peak]))
-    return np.column_stack([np.concatenate(rates), np.concatenate(rows)])
+    return (np.column_stack([rates, np.concatenate(rows)]),
+            np.array([kernel.spacing * np.abs(f).sum() for f in flux]))
 
 
 def _random_weights(rng, rows):
@@ -317,24 +319,28 @@ def _random_weights(rng, rows):
 
 
 def _assert_scalars_match_full_grid(kernel, weights):
-    np.testing.assert_array_equal(
-        np.column_stack(kernel.scalars(
-            weight_coefficients(stack_weights(weights)))),
-        _full_grid_scalars(kernel, weights))
+    c = weight_coefficients(stack_weights(weights))
+    got = np.column_stack([kernel.rates(c), *kernel.density_scalars(c)])
+    want, total = _full_grid_scalars(kernel, weights)
+    # The batched rates sum phase-sorted columns, so they round apart
+    # from a sum in grid order by a few ulp of the integral of |J|.
+    assert (np.abs(got[:, 0] - want[:, 0]) <= 1e-14 * total).all()
+    np.testing.assert_array_equal(got[:, 1:], want[:, 1:])
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(arm_weights, max_size=11))
 def test_kernel_scalars_match_full_grid(kernels, batch):
     # Reading the density on the peak columns only changes no bit,
-    # whatever the batch size and the row count of the products.
+    # whatever the batch size and the row count of the products, and
+    # the flux on each row's range of columns changes the rate by
+    # rounding only.
     for kernel in kernels:
         _assert_scalars_match_full_grid(kernel, EDGE_WEIGHTS + tuple(batch))
 
 
 def test_kernel_scalars_match_full_grid_past_a_block(kernels):
-    # One row past a density block: the last density product, and on
-    # the 60,001-point grid every flux product, has one row.
+    # One row past a density block: the last density product has one row.
     rng = np.random.default_rng(5)
     for kernel in kernels:
         _assert_scalars_match_full_grid(
@@ -412,7 +418,7 @@ def test_kernel_peak_in_the_window_last_column(kernels):
 
 def test_kernel_scalars_refuse_a_vanishing_density(kernels):
     with pytest.raises(DomainError, match="vanishes everywhere"):
-        kernels[1].scalars(np.zeros((1, 8)))
+        kernels[1].density_scalars(np.zeros((1, 8)))
 
 
 # -- the no-backflow bound ----------------------------------------------------
@@ -448,6 +454,16 @@ def _real_weight_roots(kernel):
     return roots
 
 
+def _pinned_equal_arms(kernel):
+    """Equal arms with a fringe minimum of the flux on each of 27 columns
+    about the centre."""
+    half = math.sqrt(0.5)
+    columns = kernel.basis.shape[1] // 2 + np.arange(-40, 40, 3)
+    return [ArmAmplitudes(half * cmath.exp(1j * (math.pi - math.atan2(
+                kernel.basis[6, j], kernel.basis[5, j]))), half)
+            for j in columns]
+
+
 def test_backflow_bound_edges(kernels):
     # Equal populations: the bound is exactly 0 wherever q + 2 grad(theta)
     # > 0, and with a fringe minimum on a column the computed flux rounds
@@ -456,12 +472,9 @@ def test_backflow_bound_edges(kernels):
     # inside its cleared side are cleared.
     half = math.sqrt(0.5)
     for kernel, n_roots in zip(kernels, (2, 1, 2)):
-        columns = kernel.basis.shape[1] // 2 + np.arange(-40, 40, 3)
-        pinned = [ArmAmplitudes(half * cmath.exp(1j * (math.pi - math.atan2(
-                      kernel.basis[6, j], kernel.basis[5, j]))), half)
-                  for j in columns]
         c = weight_coefficients(stack_weights(
-            [EDGE_WEIGHTS[2], real_weights(half)] + pinned))
+            [EDGE_WEIGHTS[2], real_weights(half)]
+            + _pinned_equal_arms(kernel)))
         assert kernel.backflow_possible(c).all()
         assert (kernel.profile(c, FLUX) < 0.0).any()
         roots = _real_weight_roots(kernel)
@@ -472,3 +485,70 @@ def test_backflow_bound_edges(kernels):
             sides = kernel.backflow_possible(weight_coefficients(
                 real_weights(x0 * (1.0 + np.array([-1e-9, 1e-9])))))
             assert sides.tolist() in ([False, True], [True, False])
+
+
+# -- the flux arcs ------------------------------------------------------------
+
+def _assert_negative_columns_in_range(kernel, c):
+    """Every column negative in a full-grid product of the coefficient
+    rows c lies in its row's range of the phase-sorted columns."""
+    order, lo, hi = flux_column_ranges(kernel, c)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rows, columns = np.nonzero(kernel.profile(c, FLUX) < 0.0)
+    assert ((lo[rows] <= rank[columns]) & (rank[columns] < hi[rows])).all()
+    return lo, hi
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(arm_weights, max_size=11),
+       st.lists(st.floats(0.0, 4.0 * math.pi), max_size=6),
+       st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_flux_ranges_hold_every_negative_column(kernels, coarse_kernel,
+                                                batch, areas, real_cbs):
+    # Complex weights, both sweep families and equal arms whose flux
+    # touches 0 on a column: no negative column is left out of a range.
+    for kernel in kernels + [coarse_kernel]:
+        weights = EDGE_WEIGHTS + tuple(batch) + tuple(
+            _pinned_equal_arms(kernel))
+        _assert_negative_columns_in_range(kernel, np.concatenate([
+            weight_coefficients(stack_weights(weights)),
+            weight_coefficients(canonical_pulse_area_weights(
+                np.array(areas))),
+            weight_coefficients(real_weights(np.array(real_cbs)))]))
+
+
+def test_flux_ranges_fall_back_to_every_column(kernels, coarse_kernel):
+    # One arm only (|w| = 0), a subnormal |w| (h overflows), and arcs
+    # centred 0.1 rad inside 0 and 2 pi with half-width near arccos(0.75)
+    # (on the reduced grid, h_min < -1: the whole circle) get every
+    # column.  So does every row where q + 2 grad(theta) changes sign on
+    # the grid.
+    wrapping = [ArmAmplitudes(0.6 * cmath.exp(1j * s * (math.pi - 0.1)), 0.8)
+                for s in (1.0, -1.0)]
+    for kernel in kernels + [coarse_kernel]:
+        n_points = kernel.basis.shape[1]
+        for weights in (EDGE_WEIGHTS[:2] + (ArmAmplitudes(1e-310, 1.0),),
+                        wrapping):
+            lo, hi = _assert_negative_columns_in_range(
+                kernel, weight_coefficients(stack_weights(weights)))
+            assert (lo == 0).all() and (hi == n_points).all()
+        c = weight_coefficients(stack_weights(
+            EDGE_WEIGHTS + tuple(wrapping) + tuple(real_weights(cb) for cb in
+                                                   (0.3, 0.5, 0.7, 0.9))))
+        _, lo, hi = flux_column_ranges(kernel, c)
+        assert (hi - lo < n_points).any()   # some arcs are narrow here
+        _, lo, hi = flux_column_ranges(
+            replace(kernel, grad_theta=(-kernel.q, kernel.grad_theta[1])), c)
+        assert (lo == 0).all() and (hi == n_points).all()
+
+
+def test_report_rate_is_the_trapezoid_of_its_flux(reduced_ctx, ref_ctx_06):
+    # report() takes its rate from its own flux profile, bit for bit.
+    weights = EDGE_WEIGHTS + tuple(_random_weights(np.random.default_rng(7),
+                                                   6))
+    for state in (reduced_ctx.state, ref_ctx_06.state):
+        for w in (state.weights,) + weights:
+            rep = report(state, w)
+            assert rep.backflow_rate == float(_backflow_rates(
+                rep.flux_profile, state.grid.spacing))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qbackflow.config import SweepSpec
 from qbackflow.model import DomainError
-from qbackflow.observables import (FLUX, backflow_rate, report,
-                                   weight_coefficients)
+from qbackflow.observables import (FLUX, backflow_rate, flux_column_ranges,
+                                   report, weight_coefficients)
 from qbackflow.pulses import real_weights
 from qbackflow.sweep import SweepEngine, canonical_pulse_area_weights
 
@@ -62,15 +62,14 @@ def test_weight_rules_on_arrays_match_scalar_calls(weights_of, hi):
 
 
 def test_engine_matches_direct_evaluation(reduced_ctx):
-    # The engine's precomputed-kernel rate equals the straightforward
-    # flux-profile integral for arbitrary weights.
+    # The engine's one-row rate, which the refinement reads, is the
+    # trapezoid of report()'s flux profile bit for bit.
     state = reduced_ctx.state
     engine = SweepEngine(state)
     for w in (canonical_pulse_area_weights(0.75 * math.pi),
               real_weights(0.3), real_weights(0.9), state.weights):
         direct = backflow_rate(report(state, w).flux_profile, state.grid)
-        assert engine.backflow_rate(w) == pytest.approx(
-            direct, rel=1e-12, abs=1e-300)
+        assert engine.backflow_rate(w) == direct
 
 
 
@@ -106,8 +105,21 @@ def test_sweeps_skip_rows_without_backflow(sweep_engine, weights_of, hi,
     assert cleared.mean() >= least
     basis = kernel.basis.copy()
     basis[FLUX] = np.nan
-    rate = replace(kernel, basis=basis).scalars(c[cleared])[0]
+    rate = replace(kernel, basis=basis).rates(c[cleared])
     assert (rate == 0.0).all()
+
+
+@pytest.mark.parametrize("weights_of, hi", [
+    (canonical_pulse_area_weights, 4.0 * math.pi), (real_weights, 1.0)])
+def test_sweep_rows_read_a_third_of_the_flux_columns(sweep_engine,
+                                                     weights_of, hi):
+    # A row that can flow back reads only its range of the phase-sorted
+    # flux columns: about a third of the fig8 grid, not all of it.
+    kernel = sweep_engine.kernel
+    c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
+    _, lo, stop = flux_column_ranges(kernel, c[kernel.backflow_possible(c)])
+    assert len(lo) > 1000
+    assert (stop - lo).mean() <= 0.4 * kernel.basis.shape[1]
 
 
 def test_samples_of_no_values(sweep_engine):
@@ -117,9 +129,14 @@ def test_samples_of_no_values(sweep_engine):
 
 def test_sweep_result_shape_and_refinement(reduced_ctx):
     spec = SweepSpec("pulse_area", 0.0, 2.0 * math.pi, 41)
-    res = SweepEngine(reduced_ctx.state).sweep_pulse_area(spec)
+    engine = SweepEngine(reduced_ctx.state)
+    res = engine.sweep_pulse_area(spec)
     assert len(res.values) == len(res.rates) == 41
-    assert res.max_backflow_rate == res.rates.max()
+    # The reported maximum is report()'s rate at the grid argmax, which
+    # the batched rates match to rounding.
+    assert res.max_backflow_rate == engine.backflow_rate(
+        canonical_pulse_area_weights(res.argmax_value))
+    assert res.max_backflow_rate == pytest.approx(res.rates.max(), rel=1e-14)
     assert res.refined_max_backflow_rate >= res.max_backflow_rate
     lo = res.argmax_value - spec.values()[1]
     hi = res.argmax_value + spec.values()[1]
