@@ -41,57 +41,45 @@ columns and rows.  :meth:`WeightKernel.rates` and
 sweep samples; :func:`report` and the refinement take the rate of one
 full-grid flux profile instead.
 
-The density is read at its peak and
-in a window of a few fringes about x_c, on columns fixed when the kernel
-is built.  It is (n + 2|w| cos(phi + arg w)) R^2 with n >= 2|w|, and a
-column within half a fringe of x_c lies within phase q dx / 2 of a fringe
-maximum, so the peak is at least (1 + cos(q dx / 2)) / 2 (n + 2|w|) R^2_c,
-R^2_c the least R^2 over those columns.  No column exceeds (n + 2|w|)
-R^2, so the peak lies where R^2 >= (1 + cos(q dx / 2)) / 2 R^2_c: the
-whole grid once q dx >= 2 pi, else one range about x_c, where the
-Gaussian R^2 is centred.  ``WeightKernel.peak`` is that range, widened
-by ``PEAK_BOUND_SLACK`` for rounding, joined with the window and aligned
-to ``SPAN_ALIGN`` columns or the grid's end, so that BLAS takes every
-column through the same path as in a full-grid product.
+The density is read at its peak and in a window of a few fringes about
+x_c, on columns fixed when the kernel is built.  It is (n + 2|w|
+cos(phi + arg w)) R^2 with n >= 2|w|, and a column within half a fringe
+of x_c lies within phase q dx / 2 of a fringe maximum, so the peak is
+at least (1 + cos(q dx / 2)) / 2 (n + 2|w|) R^2_c, R^2_c the least R^2
+over those columns.  No column exceeds (n + 2|w|) R^2, so the peak lies
+where R^2 >= (1 + cos(q dx / 2)) / 2 R^2_c: the whole grid once q dx >=
+2 pi, else one range about x_c, where the Gaussian R^2 is centred.
+``WeightKernel.peak`` is the least range of columns that holds both
+that range, widened by ``PEAK_BOUND_SLACK`` for rounding, and the window.
 
-The flux matters only where it is negative.  As Re(w e^{i phi}) >= -|w|,
-
-    (m/hbar) J >= R^2 g(grad(theta)),
-    g(x) = n x + |c_b|^2 q - |w| |q + 2 x|,
-
-and g is concave: a linear term minus the modulus of a linear one.  The
-size s(x) = |n x| + |c_b|^2 |q| + |w| |q + 2 x| of its terms is convex,
-so g - PEAK_BOUND_SLACK * s is concave too.  Over the sampled
-grad(theta), which is linear in u and so extreme at the grid's ends, it
-is least at the sampled minimum or maximum.  The kernel keeps q and
-those two values as numbers: R^2 underflows to 0 at the ends of a wide
-grid, so they cannot be read off the basis.  Where g - PEAK_BOUND_SLACK
-* s >= 0 at both, :meth:`WeightKernel.backflow_possible` clears the row:
-on every column the flux is at least 1e-12 of its terms' size, far
-above the few 1e-16 by which rounding moves it, so no computed column
-is negative.  The slack is needed: with |c_f| = |c_b|, g is exactly 0
-wherever q + 2 grad(theta) > 0, the flux touches 0 at every fringe
-minimum, and on a column that sits there it rounds below 0.  A cleared
-row gets rate 0.0, which is what its product gives bit for bit:
-np.minimum leaves only zeros, and 0.0 minus their trapezoid is +0.0.
-
-For the other rows the cross term picks the columns.  With vartheta_j =
+The flux matters only where it is negative.  With vartheta_j =
 atan2(B_3j, B_2j), which carries the sign of q + 2 grad(theta), the
 flux is (hbar/m) R^2_j |w| |q + 2 grad(theta_j)| (h(grad(theta_j)) +
 cos(vartheta_j + arg w)), h(x) = (n x + |c_b|^2 q) / (|w| |q + 2 x|).
 While q + 2 x keeps its sign, h is a ratio of linear functions, so
 monotone, and at least its value h_min at one of the two sampled
-extremes.  So J_j < 0 needs vartheta_j on one arc about pi - arg w, of
-half-width arccos(h_min - slack); the slack, PEAK_BOUND_SLACK times a
-bound on the terms' size in units of |w| |q + 2 grad(theta)|, keeps the
-flux off the arc at least 1e-12 of that size.  :func:`flux_column_ranges`
-sorts the columns by vartheta mod 2 pi and gives each row the [lo, hi)
-of them its arc covers, or every column where the arc wraps past 0 or
-2 pi, where q + 2 grad(theta) changes sign on the grid, or where h_min
-is not finite (|w| = 0).  :meth:`WeightKernel.rates` takes one product
-per group of consecutive rows over the hull of their ranges, and the
-trapezoid's end columns apart; summed in phase order, its rates round
-apart from a full-grid trapezoid by a few ulp.
+extremes of grad(theta), which is linear in u.  The kernel keeps q and
+those two values as numbers: R^2 underflows to 0 at the ends of a wide
+grid, so they cannot be read off the basis.  So J_j < 0 needs
+vartheta_j on one arc about pi - arg w, of half-width arccos(h_min -
+slack), 0 where h_min - slack >= 1.  The slack, PEAK_BOUND_SLACK times
+a bound on the terms' size in units of |w| |q + 2 grad(theta)|, keeps
+the flux off the arc at least 1e-12 of that size, far above the few
+1e-16 by which rounding moves it, so no computed column off the arc is
+negative.  The slack is needed: with |c_f| = |c_b|, h = 1 exactly
+wherever q + 2 grad(theta) > 0, the flux touches 0 at every fringe
+minimum, and on a column that sits there it rounds below 0.
+:func:`flux_column_ranges` keeps each row whose arc is wider than a
+point, sorts the columns by vartheta mod 2 pi and gives the row the
+[lo, hi) of them its arc covers, or every column where the arc wraps
+past 0 or 2 pi, where q + 2 grad(theta) changes sign on the grid, or
+where h_min is not finite (|w| = 0).  A row it drops gets rate 0.0,
+which is what its product gives bit for bit: np.minimum leaves only
+zeros, and 0.0 minus their trapezoid is +0.0.
+:meth:`WeightKernel.rates` takes one product per group of consecutive
+kept rows over the hull of their ranges, and the trapezoid's end
+columns apart; summed in phase order, its rates round apart from a
+full-grid trapezoid by a few ulp.
 
 The momentum spectrum
 ---------------------
@@ -126,7 +114,7 @@ import numpy as np
 
 from .model import HBAR, CondensateParams, DomainError, expansion
 from .pulses import ArmAmplitudes
-from .wavefield import EncounterState, Grid, WaveField, com_wavefunction
+from .wavefield import EncounterState, Grid, com_wavefunction
 
 #: Grid points with envelope density below this fraction of its maximum
 #: are excluded from reported extrema (far tails carry no signal but the
@@ -150,13 +138,9 @@ SPREADING_THRESHOLD = 0.1
 #: peak columns (density).
 CHUNK_ELEMENTS = 2 ** 16
 
-#: Slack on the density peak bound, on the bound that clears rows of
-#: backflow and on the flux arcs (module docstring).
+#: Slack on the density peak bound and on the flux arcs (module
+#: docstring).
 PEAK_BOUND_SLACK = 1e-12
-
-#: The peak columns start and end on multiples of this, so the BLAS
-#: kernels split them as they split the whole grid.
-SPAN_ALIGN = 16
 
 #: Column blocks of the coefficient matrix, and row blocks of the kernel
 #: basis: flux (1/s), density (1/m) and critical density (1/m).
@@ -239,19 +223,11 @@ class MomentumState:
             -0.25 * (self.q * self.oscillator_length) ** 2)
 
 
-def aligned_span(first: int, stop: int, n_points: int) -> slice:
-    """[first, stop) widened to SPAN_ALIGN multiples, or to the end."""
-    lo = first // SPAN_ALIGN * SPAN_ALIGN
-    hi = -(-stop // SPAN_ALIGN) * SPAN_ALIGN
-    return slice(lo, hi if hi <= n_points - n_points % SPAN_ALIGN else n_points)
-
-
 def flux_column_ranges(kernel: "WeightKernel", coefficients: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flux columns in order of vartheta mod 2 pi, and per coefficient
-    row the [lo, hi) of that order covering its arc (module docstring)."""
-    angles = np.mod(np.arctan2(kernel.basis[3], kernel.basis[2]), 2 * math.pi)
-    order = np.argsort(angles)
+    """The coefficient rows whose flux can be negative, the flux columns
+    in order of vartheta mod 2 pi, and the [lo, hi) of that order each of
+    those rows reads, as two rows (module docstring)."""
     n, b2, c2, c3 = coefficients[:, FLUX].T   # c2 + i c3 = conj(w)
     gt = np.array(kernel.grad_theta)[:, np.newaxis]
     cross = np.abs(kernel.q + 2.0 * gt) * np.hypot(c2, c3)
@@ -263,8 +239,13 @@ def flux_column_ranges(kernel: "WeightKernel", coefficients: np.ndarray
     centre = math.pi + np.arctan2(c3, c2)   # pi - arg w
     every = (~np.isfinite(half) | (abs(centre - math.pi) + half > math.pi)
              | (gt[0, 0] <= -0.5 * kernel.q <= gt[1, 0]))
+    rows = np.flatnonzero(every | (half > 0.0))
+    if not rows.size:   # every arc is a point: no column to sort
+        return rows, np.arange(0), np.zeros((2, 0), int)
+    angles = np.mod(np.arctan2(kernel.basis[3], kernel.basis[2]), 2 * math.pi)
+    order = np.argsort(angles)
     lo, hi = np.searchsorted(angles[order], centre + [[-1], [1]] * half)
-    return order, np.where(every, 0, lo), np.where(every, len(order), hi)
+    return rows, order, np.where(every, [[0], [len(order)]], [lo, hi])[:, rows]
 
 
 def weight_coefficients(weights: ArmAmplitudes) -> np.ndarray:
@@ -338,9 +319,8 @@ class WeightKernel:
         fraction = 0.5 * (1.0 + math.cos(min(0.5 * step, math.pi)))
         r2c = float(r2[center - half:center + half + 1].min())
         cols = np.flatnonzero(r2 >= (fraction - PEAK_BOUND_SLACK) * r2c)
-        peak = aligned_span(min(int(cols[0]), window.start),
-                            max(int(cols[-1]) + 1, window.stop),
-                            grid.n_points)
+        peak = slice(min(int(cols[0]), window.start),
+                     max(int(cols[-1]) + 1, window.stop))
         return cls(basis, *extrema, window, peak, grid.spacing, q,
                    (float(gt.min()), float(gt.max())))
 
@@ -348,29 +328,13 @@ class WeightKernel:
         """One profile per coefficient row, for one block of the basis."""
         return coefficients[:, block] @ self.basis[block]
 
-    def backflow_possible(self, coefficients: np.ndarray) -> np.ndarray:
-        """False for each coefficient row whose flux provably has no
-        negative column: g - PEAK_BOUND_SLACK * s is concave in
-        grad(theta), so it is >= 0 at every sample when it is at both
-        extrema (module docstring)."""
-        # (rows, 1) coefficient columns against the two extrema
-        n, b2, re_w, im_w = coefficients[:, FLUX].T[..., np.newaxis]
-        gt = np.array(self.grad_theta)
-        drift = n * gt
-        beat = b2 * self.q
-        cross = np.hypot(re_w, im_w) * np.abs(self.q + 2.0 * gt)
-        clear = (drift + beat - cross >= PEAK_BOUND_SLACK
-                 * (np.abs(drift) + np.abs(beat) + cross))
-        return ~clear.all(axis=1)
-
     def rates(self, coefficients: np.ndarray) -> np.ndarray:
         """Backflow rate of every coefficient row, over flux columns sorted
         by phase (module docstring)."""
         rate = np.zeros(len(coefficients))   # 0: no backflow
-        rows = np.flatnonzero(self.backflow_possible(coefficients))
+        rows, order, (lo, hi) = flux_column_ranges(self, coefficients)
         if not rows.size:
             return rate
-        order, lo, hi = flux_column_ranges(self, coefficients[rows])
         lo, hi = lo.tolist(), hi.tolist()
         groups, start, a, b = [], 0, lo[0], hi[0]
         for i, (first, stop) in enumerate(zip(lo, hi)):
@@ -443,19 +407,6 @@ def _backflow_rates(flux: np.ndarray, dx: float) -> np.ndarray:
 def backflow_rate(flux: np.ndarray, grid: Grid) -> float:
     """Area of the flux profile below zero (trapezoidal), in m/s."""
     return float(_backflow_rates(flux, grid.spacing))
-
-
-def flux_finite_difference(field: WaveField, mass: float) -> np.ndarray:
-    """(hbar/m) Im(Psi* dPsi/dx) by 4th-order central differences.
-
-    The two points at each edge, where the stencil does not fit, are NaN.
-    """
-    psi = field.amplitudes
-    h = field.grid.spacing
-    out = np.full(len(psi), np.nan)
-    d = (-psi[4:] + 8.0 * psi[3:-1] - 8.0 * psi[1:-3] + psi[:-4]) / (12.0 * h)
-    out[2:-2] = (HBAR / mass) * np.imag(np.conj(psi[2:-2]) * d)
-    return out
 
 
 def momentum_spectrum(ms: MomentumState) -> np.ndarray:

@@ -46,7 +46,7 @@ from .wavefield import Grid, WaveField
 EDGE_DENSITY_LIMIT = 1e-12
 
 #: Spectral weight next to the Nyquist wavenumber above this fraction
-#: aborts a propagation or an FFT spectrum (momentum reached the edge).
+#: aborts a propagation (momentum reached the edge).
 ALIAS_WEIGHT_LIMIT = 1e-9
 
 #: Largest distance, in seconds, of a kick or final time from a time-step
@@ -241,32 +241,6 @@ def propagate(initial: WaveField, config: PropagatorConfig,
         raise PropagationError(
             f"norm of row {int(np.argmax(drift))} drifted beyond 1e-10")
     return out
-
-
-# -- numerical references ------------------------------------------------
-
-def momentum_spectrum_fft(fld: WaveField) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending wavenumbers, |<k|Psi>|^2 normalized to unit integral):
-    the numerical reference for the closed-form momentum spectrum.
-
-    Raises on a field whose norm is off by more than 1e-3 and on
-    aliasing: more than ALIAS_WEIGHT_LIMIT within 2% of the Nyquist
-    wavenumber.
-    """
-    n = fld.grid.n_points
-    if abs(fld.norm() - 1.0) > 1e-3:
-        raise DomainError(f"field norm {fld.norm()} is not 1")
-    k = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, d=fld.grid.spacing))
-    density = np.abs(np.fft.fftshift(np.fft.fft(fld.amplitudes))) ** 2
-    dk = k[1] - k[0]
-    density /= density.sum() * dk
-    guard = max(2, int(0.02 * n))
-    edge = float((density[:guard].sum() + density[-guard:].sum()) * dk)
-    if edge > ALIAS_WEIGHT_LIMIT:
-        raise DomainError(
-            f"aliasing: spectral weight {edge:.3e} within 2% of the Nyquist "
-            f"wavenumber {k[-1]:.3e} 1/m; refine the grid spacing")
-    return k, density
 
 
 def compare_fields(analytic: WaveField, numeric: WaveField

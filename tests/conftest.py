@@ -1,7 +1,8 @@
 """Shared fixtures: the expensive encounter states are built once per
 session.  The two-level pulse matrix is the reference for the closed-form
-splitting weights, and the moments of a sampled field check the
-propagator."""
+splitting weights, the moments of a sampled field check the propagator,
+and finite differences and the FFT spectrum of a sampled field check the
+closed-form flux and momentum spectrum."""
 
 from __future__ import annotations
 
@@ -14,11 +15,13 @@ from hypothesis import strategies as st
 
 from qbackflow.cli import build_state
 from qbackflow.config import SCHEMA, SweepSpec
-from qbackflow.model import HBAR, expansion
-from qbackflow.oracle import momentum_spectrum_fft
+from qbackflow.model import HBAR, DomainError, expansion
+from qbackflow.observables import flux_column_ranges
+from qbackflow.oracle import ALIAS_WEIGHT_LIMIT
 from qbackflow.presets import preset_config, reduced_scale_config, reference_config
 from qbackflow.pulses import ArmAmplitudes
-from qbackflow.wavefield import Grid, combined_from_state, encounter_state
+from qbackflow.wavefield import (Grid, WaveField, combined_from_state,
+                                 encounter_state)
 
 _phase = st.floats(0.0, 2.0 * math.pi)
 
@@ -48,6 +51,51 @@ def stack_weights(weights) -> ArmAmplitudes:
     """One array-valued ArmAmplitudes holding a sequence of weight pairs."""
     return ArmAmplitudes(np.array([w.c_b for w in weights], dtype=complex),
                          np.array([w.c_f for w in weights], dtype=complex))
+
+
+def kept_rows(kernel, coefficients) -> np.ndarray:
+    """Mask of the coefficient rows whose flux flux_column_ranges finds
+    can be negative."""
+    kept = np.zeros(len(coefficients), dtype=bool)
+    kept[flux_column_ranges(kernel, coefficients)[0]] = True
+    return kept
+
+
+def flux_finite_difference(field: WaveField, mass: float) -> np.ndarray:
+    """(hbar/m) Im(Psi* dPsi/dx) by 4th-order central differences.
+
+    The two points at each edge, where the stencil does not fit, are NaN.
+    """
+    psi = field.amplitudes
+    h = field.grid.spacing
+    out = np.full(len(psi), np.nan)
+    d = (-psi[4:] + 8.0 * psi[3:-1] - 8.0 * psi[1:-3] + psi[:-4]) / (12.0 * h)
+    out[2:-2] = (HBAR / mass) * np.imag(np.conj(psi[2:-2]) * d)
+    return out
+
+
+def momentum_spectrum_fft(fld: WaveField) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending wavenumbers, |<k|Psi>|^2 normalized to unit integral):
+    the numerical reference for the closed-form momentum spectrum.
+
+    Raises on a field whose norm is off by more than 1e-3 and on
+    aliasing: more than ALIAS_WEIGHT_LIMIT within 2% of the Nyquist
+    wavenumber.
+    """
+    n = fld.grid.n_points
+    if abs(fld.norm() - 1.0) > 1e-3:
+        raise DomainError(f"field norm {fld.norm()} is not 1")
+    k = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n, d=fld.grid.spacing))
+    density = np.abs(np.fft.fftshift(np.fft.fft(fld.amplitudes))) ** 2
+    dk = k[1] - k[0]
+    density /= density.sum() * dk
+    guard = max(2, int(0.02 * n))
+    edge = float((density[:guard].sum() + density[-guard:].sum()) * dk)
+    if edge > ALIAS_WEIGHT_LIMIT:
+        raise DomainError(
+            f"aliasing: spectral weight {edge:.3e} within 2% of the Nyquist "
+            f"wavenumber {k[-1]:.3e} 1/m; refine the grid spacing")
+    return k, density
 
 
 def position_expectation(fld) -> float:

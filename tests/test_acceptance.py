@@ -92,7 +92,8 @@ def _random_meeting_arms(rng):
 
 
 def test_criterion_1_flux_identity_oracle():
-    from qbackflow.observables import flux_finite_difference, report
+    from conftest import flux_finite_difference
+    from qbackflow.observables import report
 
     rng = np.random.default_rng(20240817)
     n_cases = 24

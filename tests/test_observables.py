@@ -15,11 +15,9 @@ from qbackflow.observables import (
     BackflowReport,
     WeightKernel,
     _backflow_rates,
-    aligned_span,
     backflow_rate,
     classical_backflow_check,
     flux_column_ranges,
-    flux_finite_difference,
     momentum_spectrum,
     report,
     weight_coefficients,
@@ -29,7 +27,8 @@ from qbackflow.sweep import canonical_pulse_area_weights
 from qbackflow.wavefield import (Grid, WaveField, com_wavefunction,
                                  combined_from_state)
 
-from conftest import arm_weights, stack_weights
+from conftest import (arm_weights, flux_finite_difference, kept_rows,
+                      momentum_spectrum_fft, stack_weights)
 
 
 def test_flux_identity_on_reduced_state():
@@ -106,7 +105,7 @@ def test_flux_finite_difference_plane_wave():
 
 
 def test_momentum_spectrum_gaussian():
-    from qbackflow.oracle import gaussian_packet, momentum_spectrum_fft
+    from qbackflow.oracle import gaussian_packet
     g = Grid(center=0.0, half_width=5e-5, n_points=8193)
     width, v, m = 1e-6, 5e-3, 1.46e-25
     f = gaussian_packet(g, width, velocity=v, mass=m)
@@ -120,7 +119,6 @@ def test_momentum_spectrum_gaussian():
 
 
 def test_momentum_spectrum_rejects_unnormalized():
-    from qbackflow.oracle import momentum_spectrum_fft
     g = Grid(center=0.0, half_width=1.0, n_points=129)
     f = WaveField(g, np.full(129, 10.0 + 0j), 0.0)
     with pytest.raises(DomainError):
@@ -129,7 +127,6 @@ def test_momentum_spectrum_rejects_unnormalized():
 
 def test_momentum_spectrum_aliasing_guard():
     # A plane wave at the Nyquist edge must be rejected, not folded.
-    from qbackflow.oracle import momentum_spectrum_fft
     g = Grid(center=0.0, half_width=1.0, n_points=257)
     k_nyq = math.pi / g.spacing
     psi = np.exp(1j * 0.99 * k_nyq * g.positions()) / math.sqrt(
@@ -389,31 +386,12 @@ def test_kernel_peak_beyond_an_offset_window(kernels, where):
     start = {"left edge": 0, "right edge": n_points - 3,
              "slope": n_points // 2 + n_points // 16}[where]
     window = slice(start, start + 3)
-    peak = aligned_span(min(kernel.peak.start, window.start),
-                        max(kernel.peak.stop, window.stop), n_points)
+    peak = slice(min(kernel.peak.start, window.start),
+                 max(kernel.peak.stop, window.stop))
     assert not (kernel.peak.start <= start and start + 3 <= kernel.peak.stop)
     offset = replace(kernel, window=window, peak=peak)
     weights = EDGE_WEIGHTS + tuple(real_weights(cb) for cb in (0.1, 0.5, 0.8))
     _assert_scalars_match_full_grid(offset, weights)
-
-
-def test_kernel_peak_in_the_window_last_column(kernels):
-    # The last few columns of a product round apart from a full-grid
-    # product unless its columns start and end on SPAN_ALIGN multiples;
-    # a peak in the window's last column, with the peak columns built
-    # from the window by the kernel's alignment rule, shows those bits.
-    weights = _random_weights(np.random.default_rng(3), 12)
-    for kernel in (kernels[0], kernels[2]):
-        n_points = kernel.basis.shape[1]
-        for w in weights:
-            last = int(kernel.profile(weight_coefficients(w),
-                                      DENSITY).argmax())
-            for width in (49, 50, 51, 201):
-                edge = replace(kernel,
-                               window=slice(last + 1 - width, last + 1),
-                               peak=aligned_span(last + 1 - width, last + 1,
-                                                 n_points))
-                _assert_scalars_match_full_grid(edge, [w])
 
 
 def test_kernel_scalars_refuse_a_vanishing_density(kernels):
@@ -430,7 +408,7 @@ def test_backflow_bound_is_sound(kernels, batch):
     # product, so skipping its flux product changes no rate.
     c = weight_coefficients(stack_weights(EDGE_WEIGHTS + tuple(batch)))
     for kernel in kernels:
-        cleared = ~kernel.backflow_possible(c)
+        cleared = ~kept_rows(kernel, c)
         assert (kernel.profile(c, FLUX)[cleared] >= 0.0).all()
 
 
@@ -465,8 +443,8 @@ def _pinned_equal_arms(kernel):
 
 
 def test_backflow_bound_edges(kernels):
-    # Equal populations: the bound is exactly 0 wherever q + 2 grad(theta)
-    # > 0, and with a fringe minimum on a column the computed flux rounds
+    # Equal populations: h = 1 exactly wherever q + 2 grad(theta) > 0,
+    # and with a fringe minimum on a column the computed flux rounds
     # below 0 there, so the slack must keep these rows.  So must real
     # weights within rounding of a root of the bound, while weights 1e-9
     # inside its cleared side are cleared.
@@ -475,14 +453,14 @@ def test_backflow_bound_edges(kernels):
         c = weight_coefficients(stack_weights(
             [EDGE_WEIGHTS[2], real_weights(half)]
             + _pinned_equal_arms(kernel)))
-        assert kernel.backflow_possible(c).all()
+        assert kept_rows(kernel, c).all()
         assert (kernel.profile(c, FLUX) < 0.0).any()
         roots = _real_weight_roots(kernel)
         assert len(roots) == n_roots
         for x0 in roots:
             near = real_weights(x0 * (1.0 + np.arange(-8, 9) * 1e-14))
-            assert kernel.backflow_possible(weight_coefficients(near)).all()
-            sides = kernel.backflow_possible(weight_coefficients(
+            assert kept_rows(kernel, weight_coefficients(near)).all()
+            sides = kept_rows(kernel, weight_coefficients(
                 real_weights(x0 * (1.0 + np.array([-1e-9, 1e-9])))))
             assert sides.tolist() in ([False, True], [True, False])
 
@@ -491,13 +469,16 @@ def test_backflow_bound_edges(kernels):
 
 def _assert_negative_columns_in_range(kernel, c):
     """Every column negative in a full-grid product of the coefficient
-    rows c lies in its row's range of the phase-sorted columns."""
-    order, lo, hi = flux_column_ranges(kernel, c)
+    rows c lies in its row's range of the phase-sorted columns, and a row
+    without a range has no negative column."""
+    rows, order, (lo, hi) = flux_column_ranges(kernel, c)
+    negative = kernel.profile(c, FLUX) < 0.0
+    assert not np.delete(negative, rows, axis=0).any()
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    rows, columns = np.nonzero(kernel.profile(c, FLUX) < 0.0)
-    assert ((lo[rows] <= rank[columns]) & (rank[columns] < hi[rows])).all()
-    return lo, hi
+    kept, columns = np.nonzero(negative[rows])
+    assert ((lo[kept] <= rank[columns]) & (rank[columns] < hi[kept])).all()
+    return rows, lo, hi
 
 
 @settings(max_examples=25, deadline=None)
@@ -530,16 +511,18 @@ def test_flux_ranges_fall_back_to_every_column(kernels, coarse_kernel):
         n_points = kernel.basis.shape[1]
         for weights in (EDGE_WEIGHTS[:2] + (ArmAmplitudes(1e-310, 1.0),),
                         wrapping):
-            lo, hi = _assert_negative_columns_in_range(
+            rows, lo, hi = _assert_negative_columns_in_range(
                 kernel, weight_coefficients(stack_weights(weights)))
+            assert rows.tolist() == list(range(len(weights)))
             assert (lo == 0).all() and (hi == n_points).all()
         c = weight_coefficients(stack_weights(
             EDGE_WEIGHTS + tuple(wrapping) + tuple(real_weights(cb) for cb in
                                                    (0.3, 0.5, 0.7, 0.9))))
-        _, lo, hi = flux_column_ranges(kernel, c)
+        _, _, (lo, hi) = flux_column_ranges(kernel, c)
         assert (hi - lo < n_points).any()   # some arcs are narrow here
-        _, lo, hi = flux_column_ranges(
+        rows, _, (lo, hi) = flux_column_ranges(
             replace(kernel, grad_theta=(-kernel.q, kernel.grad_theta[1])), c)
+        assert rows.tolist() == list(range(len(c)))
         assert (lo == 0).all() and (hi == n_points).all()
 
 

@@ -13,7 +13,7 @@ from qbackflow.observables import (FLUX, backflow_rate, flux_column_ranges,
 from qbackflow.pulses import real_weights
 from qbackflow.sweep import SweepEngine, canonical_pulse_area_weights
 
-from conftest import arm_weights, stack_weights
+from conftest import arm_weights, kept_rows, stack_weights
 
 
 def test_spec_validation():
@@ -91,6 +91,28 @@ def test_engine_samples_match_report(sweep_engine, batch):
                 getattr(rep, name), rel=1e-12, abs=1e-15), name
 
 
+@pytest.mark.parametrize("result, weights_of", [
+    ("fig8a_result", canonical_pulse_area_weights),
+    ("fig8b_result", real_weights)], ids=["fig8a", "fig8b"])
+def test_preset_sweep_rows_agree_with_report(request, sweep_ctx, result,
+                                             weights_of):
+    # Every row of both preset sweeps is report() at its value up to the
+    # rounding of a many-row product against a one-row product: the
+    # rates within 1e-14 relative, the two fractions within 1e-15, and
+    # a rate is zero exactly where report()'s is.
+    res = request.getfixturevalue(result)
+    reports = [report(sweep_ctx.state, weights_of(float(v)))
+               for v in res.values]
+    rate, rho_max, density_min = (
+        np.array([getattr(rep, name) for rep in reports])
+        for name in ("backflow_rate", "rho_crit_max_fraction",
+                     "density_min_fraction"))
+    assert (np.abs(res.rates - rate) <= 1e-14 * rate).all()
+    assert ((res.rates == 0.0) == (rate == 0.0)).all()
+    assert (np.abs(res.rho_crit_max - rho_max) <= 1e-15).all()
+    assert (np.abs(res.density_min - density_min) <= 1e-15).all()
+
+
 @pytest.mark.parametrize("weights_of, hi, least", [
     (canonical_pulse_area_weights, 4.0 * math.pi, 0.45),
     (real_weights, 1.0, 0.25)])
@@ -101,7 +123,7 @@ def test_sweeps_skip_rows_without_backflow(sweep_engine, weights_of, hi,
     # reads the flux basis: poisoned with NaN, it still gives rate 0.
     kernel = sweep_engine.kernel
     c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
-    cleared = ~kernel.backflow_possible(c)
+    cleared = ~kept_rows(kernel, c)
     assert cleared.mean() >= least
     basis = kernel.basis.copy()
     basis[FLUX] = np.nan
@@ -117,7 +139,7 @@ def test_sweep_rows_read_a_third_of_the_flux_columns(sweep_engine,
     # flux columns: about a third of the fig8 grid, not all of it.
     kernel = sweep_engine.kernel
     c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
-    _, lo, stop = flux_column_ranges(kernel, c[kernel.backflow_possible(c)])
+    _, _, (lo, stop) = flux_column_ranges(kernel, c)
     assert len(lo) > 1000
     assert (stop - lo).mean() <= 0.4 * kernel.basis.shape[1]
 
