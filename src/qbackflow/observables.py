@@ -76,10 +76,27 @@ past 0 or 2 pi, where q + 2 grad(theta) changes sign on the grid, or
 where h_min is not finite (|w| = 0).  A row it drops gets rate 0.0,
 which is what its product gives bit for bit: np.minimum leaves only
 zeros, and 0.0 minus their trapezoid is +0.0.
-:meth:`WeightKernel.rates` takes one product per group of consecutive
-kept rows over the hull of their ranges, and the trapezoid's end
-columns apart; summed in phase order, its rates round apart from a
-full-grid trapezoid by a few ulp.
+
+h at the same two extremes also gives h_max, and a column with vartheta
+within arccos(h_max + slack) of pi - arg w has h + cos(vartheta + arg w)
+<= -slack: its flux is negative by at least 1e-12 of its terms' size.
+Those columns are the row's core [core_lo, core_hi) inside [lo, hi),
+empty where h_max + slack >= 1 (equal arms) and on the rows that take
+every column.  The core needs no product: with S the np.cumsum of the
+sorted flux rows and E the cumsum of each step's exact rounding error
+(two_sum), its sum is sum_k c_k ((S + E)_k[core_hi] - (S + E)_k[core_lo]),
+taken as a double-double dot (two_sum, two_prod).  Its four terms cancel
+to a small net: on 5,001 fig8 rows of each weight rule, rows with at
+least 1 % of the largest rate miss their one-row rate by up to 7e-13
+relative with a plain cumsum and dot, 1.2e-14 with a plain dot, and
+7e-16 with both compensated.  :meth:`WeightKernel.rates` takes products
+per block of RATE_BLOCK kept rows (:func:`rate_blocks`) over the hulls
+of their left bands [lo, core_lo) and right bands [core_hi, hi), one
+hull where the two overlap, and prefix sums over the columns between,
+which lie in each row's core.  A hull column off a row's arc has flux
+at least the slack above 0, so np.minimum makes it 0.0; the trapezoid's
+end columns are taken apart.  Summed in phase order, the rates round
+apart from a full-grid trapezoid by a few ulp.
 
 The momentum spectrum
 ---------------------
@@ -113,6 +130,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HBAR, CondensateParams, DomainError, expansion
+from .phaseacc import two_prod, two_sum
 from .pulses import ArmAmplitudes
 from .wavefield import EncounterState, Grid, com_wavefunction
 
@@ -137,6 +155,9 @@ SPREADING_THRESHOLD = 0.1
 #: group of rows over its phase-sorted flux columns, or a block over the
 #: peak columns (density).
 CHUNK_ELEMENTS = 2 ** 16
+
+#: Coefficient rows per block of WeightKernel.rates (rate_blocks).
+RATE_BLOCK = 24
 
 #: Slack on the density peak bound and on the flux arcs (module
 #: docstring).
@@ -226,26 +247,42 @@ class MomentumState:
 def flux_column_ranges(kernel: "WeightKernel", coefficients: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coefficient rows whose flux can be negative, the flux columns
-    in order of vartheta mod 2 pi, and the [lo, hi) of that order each of
-    those rows reads, as two rows (module docstring)."""
+    in order of vartheta mod 2 pi, and as four rows the [lo, hi) of that
+    order where each of those rows can be negative and the core
+    [core_lo, core_hi) where it is (module docstring)."""
     n, b2, c2, c3 = coefficients[:, FLUX].T   # c2 + i c3 = conj(w)
     gt = np.array(kernel.grad_theta)[:, np.newaxis]
     cross = np.abs(kernel.q + 2.0 * gt) * np.hypot(c2, c3)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         h = (n * gt + b2 * kernel.q) / cross
-        size = 1.0 + (n * abs(gt).max() + b2 * abs(kernel.q)) / cross.min(0)
-        half = np.arccos(np.clip(h.min(axis=0) - PEAK_BOUND_SLACK * size,
-                                 -1.0, 1.0))
+        slack = PEAK_BOUND_SLACK * (
+            1.0 + (n * abs(gt).max() + b2 * abs(kernel.q)) / cross.min(0))
+        half, core = np.arccos(np.clip([h.min(0) - slack, h.max(0) + slack],
+                                       -1.0, 1.0))
     centre = math.pi + np.arctan2(c3, c2)   # pi - arg w
     every = (~np.isfinite(half) | (abs(centre - math.pi) + half > math.pi)
              | (gt[0, 0] <= -0.5 * kernel.q <= gt[1, 0]))
     rows = np.flatnonzero(every | (half > 0.0))
     if not rows.size:   # every arc is a point: no column to sort
-        return rows, np.arange(0), np.zeros((2, 0), int)
+        return rows, np.arange(0), np.zeros((4, 0), int)
     angles = np.mod(np.arctan2(kernel.basis[3], kernel.basis[2]), 2 * math.pi)
     order = np.argsort(angles)
-    lo, hi = np.searchsorted(angles[order], centre + [[-1], [1]] * half)
-    return rows, order, np.where(every, [[0], [len(order)]], [lo, hi])[:, rows]
+    ends = np.searchsorted(angles[order], centre + np.array(
+        [-half, -core, core, half]))
+    return rows, order, np.where(every, [[0], [0], [0], [len(order)]],
+                                 ends)[:, rows]
+
+
+def rate_blocks(bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The first row of each block of RATE_BLOCK rows of flux_column_ranges
+    bounds, and the hulls [a, p) and [r, b) of their left and right bands,
+    or [a, b) and [b, b) where these overlap; the prefix part [p, r) lies
+    in each row's core (module docstring)."""
+    starts = np.arange(0, bounds.shape[1], RATE_BLOCK)
+    a, p, r, b = (f.reduceat(x, starts) for f, x in zip(
+        (np.minimum, np.maximum, np.minimum, np.maximum), bounds))
+    p, r = np.where(p < r, [p, r], b)
+    return starts, a, p, r, b
 
 
 def weight_coefficients(weights: ArmAmplitudes) -> np.ndarray:
@@ -332,28 +369,47 @@ class WeightKernel:
         """Backflow rate of every coefficient row, over flux columns sorted
         by phase (module docstring)."""
         rate = np.zeros(len(coefficients))   # 0: no backflow
-        rows, order, (lo, hi) = flux_column_ranges(self, coefficients)
+        rows, order, bounds = flux_column_ranges(self, coefficients)
         if not rows.size:
             return rate
-        lo, hi = lo.tolist(), hi.tolist()
-        groups, start, a, b = [], 0, lo[0], hi[0]
-        for i, (first, stop) in enumerate(zip(lo, hi)):
-            first = first if first < a else a
-            stop = stop if stop > b else b
-            if i > start and (i + 1 - start) * (stop - first) > CHUNK_ELEMENTS:
-                groups.append((start, i, a, b))
-                start, first, stop = i, lo[i], hi[i]
-            a, b = first, stop
-        groups.append((start, len(rows), a, b))
         c, columns = coefficients[rows, FLUX], self.basis[FLUX][:, order]
-        work = np.empty(max((j - i) * (b - a) for i, j, a, b in groups))
+        starts, *edges = rate_blocks(bounds)
+        # Buffers reused by every block: fresh ones fault in new pages.
+        # A block with one hull reads it in place.
+        widths = (edges[1] - edges[0]) + (edges[3] - edges[2])
+        hulls = np.empty(4 * widths.max(initial=0, where=edges[2] < edges[3]))
+        work = np.empty(max(CHUNK_ELEMENTS, widths.max()))
         sums = np.empty(len(rows))
-        for i, j, a, b in groups:
-            part = work[:(j - i) * (b - a)].reshape(j - i, b - a)
-            np.matmul(c[i:j], columns[:, a:b], out=part)
-            sums[i:j] = np.minimum(part, 0.0, out=part).sum(axis=1)
+        for i, a, p, r, b in zip(starts.tolist(),
+                                 *(x.tolist() for x in edges)):
+            width = (p - a) + (b - r)
+            hull = columns[:, a:p] if r == b else np.concatenate(
+                (columns[:, a:p], columns[:, r:b]), axis=1,
+                out=hulls[:4 * width].reshape(4, width))
+            step = max(1, CHUNK_ELEMENTS // max(1, width))
+            for j in range(i, min(i + RATE_BLOCK, len(rows)), step):
+                cj = c[j:min(j + step, i + RATE_BLOCK)]
+                part = np.matmul(cj, hull, out=work[:len(cj) * width]
+                                 .reshape(len(cj), width))
+                sums[j:j + len(cj)] = np.minimum(part, 0.0,
+                                                 out=part).sum(axis=1)
+        # The prefix parts: a double-double dot of each row's coefficients
+        # with compensated prefix sums S + E of the sorted columns.
+        p, r = edges[1:3]
+        block = np.arange(len(rows)) // RATE_BLOCK
+        core = err = 0.0
+        prefix = np.zeros((2, len(order) + 1))
+        for column, coefficient in zip(columns, c.T):
+            np.cumsum(column, out=prefix[0, 1:])
+            np.cumsum(two_sum(prefix[0, :-1], column)[1], out=prefix[1, 1:])
+            d, de = two_sum(prefix[0, r], -prefix[0, p])
+            de += prefix[1, r] - prefix[1, p]
+            hi, lo = two_prod(coefficient, d[block])
+            core, e = two_sum(core, hi)
+            err = err + e + (lo + coefficient * de[block])
         ends = np.minimum(c @ self.basis[FLUX][:, [0, -1]], 0.0)
-        rate[rows] = 0.0 - self.spacing * (sums - 0.5 * ends.sum(axis=1))
+        rate[rows] = 0.0 - self.spacing * (sums + (core + err)
+                                           - 0.5 * ends.sum(axis=1))
         return rate
 
     def density_scalars(self, coefficients: np.ndarray

@@ -4,12 +4,13 @@ The expensive grid work (envelope R, phase gradient grad(theta), beat
 fringes) is weight-independent: :class:`SweepEngine` builds the
 encounter's :class:`~qbackflow.observables.WeightKernel` once.  A weight
 rule maps all values of a sweep to one array-valued ArmAmplitudes, its
-coefficient matrix goes through the kernel's batched ``rates`` (each
-row over the phase-sorted flux columns where it can be negative) and
-``density_scalars``, derived in the :mod:`qbackflow.observables`
-docstring, and :class:`SweepResult` keeps the values and the three
-scalars as four arrays, the sweep.csv columns.  The reported maximum and
-the refinement take report()'s one-profile rate, so they compare exactly.
+coefficient matrix goes through the kernel's batched ``rates`` (prefix
+sums where a row's flux is negative for certain, products where it can
+turn negative) and ``density_scalars``, derived in the
+:mod:`qbackflow.observables` docstring, and :class:`SweepResult` keeps
+the values and the three scalars as four arrays, the sweep.csv columns.
+The reported maximum and the refinement take report()'s one-profile
+rate, so they compare exactly.
 
 Phase convention for the pulse-area sweep: the splitting pulse's laser
 phase is a free experimental knob that only offsets the beat fringe, so

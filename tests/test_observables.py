@@ -470,15 +470,22 @@ def test_backflow_bound_edges(kernels):
 def _assert_negative_columns_in_range(kernel, c):
     """Every column negative in a full-grid product of the coefficient
     rows c lies in its row's range of the phase-sorted columns, and a row
-    without a range has no negative column."""
-    rows, order, (lo, hi) = flux_column_ranges(kernel, c)
+    without a range has no negative column.  Each row's core lies in its
+    range, and every core column is negative in the row's one-row
+    full-grid product."""
+    rows, order, bounds = flux_column_ranges(kernel, c)
+    lo, core_lo, core_hi, hi = bounds
     negative = kernel.profile(c, FLUX) < 0.0
     assert not np.delete(negative, rows, axis=0).any()
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     kept, columns = np.nonzero(negative[rows])
     assert ((lo[kept] <= rank[columns]) & (rank[columns] < hi[kept])).all()
-    return rows, lo, hi
+    assert ((lo <= core_lo) & (core_lo <= core_hi) & (core_hi <= hi)).all()
+    for row, first, stop in zip(rows, core_lo, core_hi):
+        flux = kernel.profile(c[row:row + 1], FLUX)[0]
+        assert (flux[order[first:stop]] < 0.0).all()
+    return rows, bounds
 
 
 @settings(max_examples=25, deadline=None)
@@ -488,7 +495,8 @@ def _assert_negative_columns_in_range(kernel, c):
 def test_flux_ranges_hold_every_negative_column(kernels, coarse_kernel,
                                                 batch, areas, real_cbs):
     # Complex weights, both sweep families and equal arms whose flux
-    # touches 0 on a column: no negative column is left out of a range.
+    # touches 0 on a column: no negative column is left out of a range,
+    # and no core column is at or above 0.
     for kernel in kernels + [coarse_kernel]:
         weights = EDGE_WEIGHTS + tuple(batch) + tuple(
             _pinned_equal_arms(kernel))
@@ -504,26 +512,35 @@ def test_flux_ranges_fall_back_to_every_column(kernels, coarse_kernel):
     # centred 0.1 rad inside 0 and 2 pi with half-width near arccos(0.75)
     # (on the reduced grid, h_min < -1: the whole circle) get every
     # column.  So does every row where q + 2 grad(theta) changes sign on
-    # the grid.
+    # the grid.  Each of these rows has an empty core, as have equal arms
+    # (h = 1 wherever q + 2 grad(theta) > 0): their products take every
+    # column of their range.
     wrapping = [ArmAmplitudes(0.6 * cmath.exp(1j * s * (math.pi - 0.1)), 0.8)
                 for s in (1.0, -1.0)]
     for kernel in kernels + [coarse_kernel]:
         n_points = kernel.basis.shape[1]
         for weights in (EDGE_WEIGHTS[:2] + (ArmAmplitudes(1e-310, 1.0),),
                         wrapping):
-            rows, lo, hi = _assert_negative_columns_in_range(
-                kernel, weight_coefficients(stack_weights(weights)))
+            rows, (lo, core_lo, core_hi, hi) = (
+                _assert_negative_columns_in_range(
+                    kernel, weight_coefficients(stack_weights(weights))))
             assert rows.tolist() == list(range(len(weights)))
             assert (lo == 0).all() and (hi == n_points).all()
+            assert (core_lo == core_hi).all()
         c = weight_coefficients(stack_weights(
             EDGE_WEIGHTS + tuple(wrapping) + tuple(real_weights(cb) for cb in
                                                    (0.3, 0.5, 0.7, 0.9))))
-        _, _, (lo, hi) = flux_column_ranges(kernel, c)
+        _, _, (lo, _, _, hi) = flux_column_ranges(kernel, c)
         assert (hi - lo < n_points).any()   # some arcs are narrow here
-        rows, _, (lo, hi) = flux_column_ranges(
+        rows, _, bounds = flux_column_ranges(
             replace(kernel, grad_theta=(-kernel.q, kernel.grad_theta[1])), c)
         assert rows.tolist() == list(range(len(c)))
-        assert (lo == 0).all() and (hi == n_points).all()
+        assert (bounds == [[0], [0], [0], [n_points]]).all()
+        equal = weight_coefficients(stack_weights(
+            [EDGE_WEIGHTS[2], real_weights(math.sqrt(0.5))]
+            + _pinned_equal_arms(kernel)))
+        rows, _, (_, core_lo, core_hi, _) = flux_column_ranges(kernel, equal)
+        assert len(rows) == len(equal) and (core_lo == core_hi).all()
 
 
 def test_report_rate_is_the_trapezoid_of_its_flux(reduced_ctx, ref_ctx_06):
