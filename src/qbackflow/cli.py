@@ -46,7 +46,7 @@ class PipelineContext:
 
 def build_trajectories(sc: Scenario):
     from .kinematics import ArmTrajectory
-    free = ArmTrajectory.launch(sc.params, sc.env, sc.transition)
+    free = ArmTrajectory.launch(sc.params, sc.gravity, sc.transition)
     times, signs, phases = sc.pulses.T
     pulsed = free.kicks(times, signs * sc.transition.wavevector_magnitude,
                         phases)
@@ -114,6 +114,14 @@ def _provenance(ctx: PipelineContext) -> dict:
                      "spacing_m": ctx.grid.spacing}}
 
 
+def _make_out_dir(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:   # a file in the way, no permission, ...
+        raise ConfigError(f"--out-dir: cannot create directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def run_scenario(cfg: dict, out_dir: str | None = None,
                  grid_points: int | None = None):
     """Full run: report + optional spectrum (+ artifacts when out_dir given)."""
@@ -154,7 +162,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
         k, density = ms.grid.positions(), momentum_spectrum(ms)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_out_dir(out_dir)
         atomic_write_text(os.path.join(out_dir, "report.json"),
                           json.dumps(doc) + "\n")
         window = ctx.scenario.output_cfg.get("profile_window_m",
@@ -193,7 +201,7 @@ def run_sweep(cfg: dict, out_dir: str | None = None,
     else:
         result = engine.sweep_real_weights(spec)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_out_dir(out_dir)
         result.to_csv(os.path.join(out_dir, "sweep.csv"))
         summary = result.summary()
         summary["provenance"] = _provenance(ctx)
@@ -245,7 +253,7 @@ def oracle_arm_field(ctx: PipelineContext, grid, time_step: float):
         (ctx.pulsed_arm.internal_states[:-1] * phases).tolist()))
     config = PropagatorConfig(
         time_step=time_step, grid=grid, mass=sc.params.mass,
-        gravity=sc.env.gravity, kick_events=kicks,
+        gravity=sc.gravity, kick_events=kicks,
         trap_frequency=sc.params.trap_frequency)
     packet = gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (MAX_PULSE_AREA, SPEED_OF_LIGHT, CondensateParams,
-                    DomainError, Environment, TransitionParams, sr88_params)
+                    DomainError, TransitionParams, sr88_params)
 
 REQUIRED = object()   # the default of a key a document must give
 OPTIONAL = object()   # the default of a key left out when absent
@@ -214,7 +214,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class Scenario:
     params: CondensateParams
-    env: Environment
+    gravity: float            # m / s^2, magnitude, acts downward
     transition: TransitionParams
     pulses: object            # (n, 3) float array of (time_s, sign,
                               # laser_phase_rad), splitting pulse first
@@ -247,7 +247,6 @@ def parse_config(cfg: dict) -> Scenario:
         transition = TransitionParams(doc["transition"]["wavelength_m"])
     except DomainError as exc:
         raise ConfigError(f"transition.wavelength_m: {exc}") from exc
-    env = Environment(doc["environment"]["gravity_m_per_s2"])
     weights = (real_weights(doc["weights"]["cb"])
                if doc["weights"]["mode"] == "real_cb" else
                splitting_weights(split["pulse_area_rad"],
@@ -297,5 +296,6 @@ def parse_config(cfg: dict) -> Scenario:
                                    sweep["n_samples"])
         except DomainError as exc:   # SCHEMA checked the other keys
             raise ConfigError(f"sweep.range: {exc}") from exc
-    return Scenario(params, env, transition, pulses, weights, doc["grid"],
+    return Scenario(params, doc["environment"]["gravity_m_per_s2"],
+                    transition, pulses, weights, doc["grid"],
                     doc["spectrum"], doc["output"], sweep_spec, cfg)

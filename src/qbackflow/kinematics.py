@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HBAR, CondensateParams, DomainError, Environment, TransitionParams
+from .model import HBAR, CondensateParams, DomainError, TransitionParams
 from .phaseacc import DoubleDouble, fsum_dd, product, two_prod
 
 GROUND = +1
@@ -113,7 +113,7 @@ class ArmTrajectory:
     """
 
     params: CondensateParams
-    env: Environment
+    gravity: float              # m / s^2, magnitude, acts downward
     transition: TransitionParams
     times: np.ndarray
     positions: np.ndarray
@@ -125,12 +125,12 @@ class ArmTrajectory:
     kick_velocity_total: float = 0.0
 
     @staticmethod
-    def launch(params: CondensateParams, env: Environment,
+    def launch(params: CondensateParams, gravity: float,
                transition: TransitionParams) -> "ArmTrajectory":
         """The released condensate: at x = 0 and t = 0 in the ground
         state, moving at the launch velocity."""
         zero = DoubleDouble()
-        return ArmTrajectory(params, env, transition, np.array([0.0]),
+        return ArmTrajectory(params, gravity, transition, np.array([0.0]),
                              np.array([0.0]),
                              np.array([float(params.launch_velocity)]),
                              np.array([GROUND]), zero, zero, zero)
@@ -153,11 +153,11 @@ class ArmTrajectory:
 
     def position(self, t: float) -> float:
         t0, x, v, _ = self._entry(t)
-        return free_fall_step(x, v, t - t0, self.env.gravity)[0]
+        return free_fall_step(x, v, t - t0, self.gravity)[0]
 
     def velocity(self, t: float) -> float:
         t0, _, v, _ = self._entry(t)
-        return v - self.env.gravity * (t - t0)
+        return v - self.gravity * (t - t0)
 
     @property
     def end_time(self) -> float:
@@ -190,7 +190,7 @@ class ArmTrajectory:
             before = self.times[-1] if i == 0 else t[i - 1]
             raise OrderingError(
                 f"pulse at t={t[i]} precedes trajectory end t={before}")
-        g = self.env.gravity
+        g = self.gravity
         m = self.params.mass
         dv = HBAR * k / m
 
@@ -222,7 +222,7 @@ class ArmTrajectory:
                 [np.ravel(a) for a in ((old.hi, old.lo),) + terms]).tolist())
 
         return ArmTrajectory(
-            self.params, self.env, self.transition,
+            self.params, self.gravity, self.transition,
             np.concatenate((self.times, t)),
             np.concatenate((self.positions, x[1:])),
             np.concatenate((self.velocities, v[1:])),
@@ -247,7 +247,7 @@ class ArmTrajectory:
             raise DomainError("phase query before the last pulse is not supported")
         m = self.params.mass
         action = self.action_phase_total.add(
-            action_phase_dd(m * v, x, t - t0, m, self.env.gravity))
+            action_phase_dd(m * v, x, t - t0, m, self.gravity))
         internal = self.internal_phase_total.add(
             internal_phase_dd(self.transition.energy(mu), t - t0))
         return action, self.laser_phase_total, internal

@@ -1,4 +1,4 @@
-"""Physical constants, condensate and environment parameters.
+"""Physical constants, condensate and transition parameters.
 
 All quantities are SI. The geometry is one-dimensional along the vertical
 axis; "up" is positive, so gravity of magnitude g contributes -g to the
@@ -76,17 +76,6 @@ class CondensateParams:
 
 
 @dataclass(frozen=True)
-class Environment:
-    """Gravity magnitude (acts downward)."""
-
-    gravity: float = 9.81       # m / s^2, magnitude, >= 0
-
-    def __post_init__(self):
-        if self.gravity < 0.0:
-            raise DomainError("gravity must be a nonnegative magnitude")
-
-
-@dataclass(frozen=True)
 class TransitionParams:
     """Two-level optical transition driving the pulses; the ground
     state is at energy 0."""
@@ -125,8 +114,3 @@ def sr88_params(launch_velocity: float = 0.2) -> CondensateParams:
         trap_frequency=2.0 * math.pi * 70.0,
         launch_velocity=launch_velocity,
     )
-
-
-def sr88_transition() -> TransitionParams:
-    """The 689 nm intercombination line used for the LMT pulses."""
-    return TransitionParams(wavelength=689e-9)

@@ -455,14 +455,11 @@ def _trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return dx * (y.sum(axis=-1) - 0.5 * (y[..., 0] + y[..., -1]))
 
 
-def _backflow_rates(flux: np.ndarray, dx: float) -> np.ndarray:
+def backflow_rate(flux: np.ndarray, dx: float) -> float | np.ndarray:
+    """Area below zero (trapezoidal, in m/s) of a flux profile on spacing
+    dx, or of each row of a stack of profiles."""
     # 0.0 - x rather than -x: a profile without backflow gives +0.0
     return 0.0 - _trapezoid(np.minimum(flux, 0.0), dx)
-
-
-def backflow_rate(flux: np.ndarray, grid: Grid) -> float:
-    """Area of the flux profile below zero (trapezoidal), in m/s."""
-    return float(_backflow_rates(flux, grid.spacing))
 
 
 def momentum_spectrum(ms: MomentumState) -> np.ndarray:
@@ -522,7 +519,7 @@ def report(state: EncounterState,
     coefficients = weight_coefficients(weights)
     flux, density, rho = (kernel.profile(coefficients, block)[0]
                           for block in (FLUX, DENSITY, RHO_CRIT))
-    rate = backflow_rate(flux, state.grid)
+    rate = float(backflow_rate(flux, kernel.spacing))
     rho_max, density_min = (float(x[0])
                             for x in kernel.density_scalars(coefficients))
     total = float(_trapezoid(np.abs(flux), kernel.spacing))

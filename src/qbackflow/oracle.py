@@ -4,10 +4,10 @@ Evolves a WaveField under H = p^2/2m + m g x with second-order Strang
 splitting on a periodic Fourier grid, applying instantaneous pulse
 factors -i e^{i phase} e^{i k x} at scheduled kick events.  A field
 stack (one row per arm) advances in one loop, each kick acting on its
-own row.  Nothing in the production pipeline imports this module; it
-exists so every analytic wavefunction and phase-bookkeeping rule can be
-checked against a direct numerical solution of the time-dependent
-Schrödinger equation.
+own row.  The ``run`` and ``sweep`` commands never import this module;
+``validate`` does, so that every analytic wavefunction and
+phase-bookkeeping rule is checked against a direct numerical solution of
+the time-dependent Schrödinger equation.
 
 Why the errors are rounding noise: with T = p^2/2m and V = m g x,
 [T, V] = -i hbar g p, so [T, [T, V]] = 0 and [V, [T, V]] = hbar^2 m g^2
@@ -121,12 +121,6 @@ def _pulse_factor(grid: Grid, signed_k: float, phase: float) -> np.ndarray:
         raise DomainError(
             f"kick wavenumber {signed_k:.3e} reaches Nyquist {k_nyquist:.3e}")
     return -1j * np.exp(1j * (phase + signed_k * grid.positions()))
-
-
-def kick(fld: WaveField, signed_k: float, phase: float = 0.0) -> WaveField:
-    """Apply -i e^{i phase} e^{i signed_k x}; norm is unchanged."""
-    return WaveField(fld.grid, fld.amplitudes * _pulse_factor(
-        fld.grid, signed_k, phase), fld.time)
 
 
 def gaussian_packet(grid: Grid, width: float, velocity: float = 0.0,

@@ -103,8 +103,8 @@ class SweepEngine:
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
         """report()'s rate: the trapezoid of one full-grid flux profile."""
-        return backflow_rate(self.kernel.profile(
-            weight_coefficients(weights), FLUX)[0], self.state.grid)
+        return float(backflow_rate(self.kernel.profile(
+            weight_coefficients(weights), FLUX)[0], self.state.grid.spacing))
 
     # -- sweeps ---------------------------------------------------------
 

@@ -111,9 +111,6 @@ class WaveField:
         one value per row of a stack."""
         return np.sum(np.abs(self.amplitudes) ** 2, axis=-1) * self.grid.spacing
 
-    def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class EncounterState:
@@ -196,9 +193,9 @@ def encounter_state(grid: Grid, free_arm: ArmTrajectory,
         raise DomainError("grid center must sit at the encounter position")
 
     q = beat_wavenumber(free_arm, pulsed_arm, T_f)
-    theta_f = free_arm.total_phase_at(T_f).mod_two_pi()
-    delta = pulsed_arm.total_phase_at(T_f).add(
-        free_arm.total_phase_at(T_f).neg()).mod_two_pi()
+    phase_f = free_arm.total_phase_at(T_f)
+    theta_f = phase_f.mod_two_pi()
+    delta = pulsed_arm.total_phase_at(T_f).add(phase_f.neg()).mod_two_pi()
     return EncounterState(
         grid=grid, time=T_f, params=pulsed_arm.params,
         free_velocity=free_arm.velocity(T_f), q=q, theta_f=theta_f,

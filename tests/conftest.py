@@ -99,12 +99,12 @@ def momentum_spectrum_fft(fld: WaveField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def position_expectation(fld) -> float:
-    d = fld.density()
+    d = np.abs(fld.amplitudes) ** 2
     return float(np.sum(fld.grid.positions() * d) / np.sum(d))
 
 
 def position_spread(fld) -> float:
-    d = fld.density()
+    d = np.abs(fld.amplitudes) ** 2
     x = fld.grid.positions()
     mean = float(np.sum(x * d) / np.sum(d))
     return math.sqrt(float(np.sum((x - mean) ** 2 * d) / np.sum(d)))

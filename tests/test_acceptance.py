@@ -21,7 +21,6 @@ from qbackflow.model import (
     ATOMIC_MASS_UNIT,
     HBAR,
     CondensateParams,
-    Environment,
     TransitionParams,
     expansion,
 )
@@ -53,12 +52,12 @@ def _random_meeting_arms(rng):
         mass=88.0 * ATOMIC_MASS_UNIT * rng.uniform(0.5, 2.0),
         trap_frequency=2.0 * math.pi * rng.uniform(150.0, 500.0),
         launch_velocity=rng.uniform(-3e-3, 3e-3))
-    env = Environment(gravity=rng.uniform(0.0, 3.0))
+    gravity = rng.uniform(0.0, 3.0)
     transition = TransitionParams(wavelength=rng.uniform(1e-6, 3e-6))
     k = transition.wavevector_magnitude
 
-    free = ArmTrajectory.launch(params, env, transition)
-    pulsed = ArmTrajectory.launch(params, env, transition)
+    free = ArmTrajectory.launch(params, gravity, transition)
+    pulsed = ArmTrajectory.launch(params, gravity, transition)
     t, net = 0.0, 0
     for _ in range(int(rng.integers(1, 6))):
         sign = int(rng.choice([-1, 1]))
@@ -88,7 +87,7 @@ def _random_meeting_arms(rng):
             break       # this kick closes; crossing may precede t + dt
         t += rng.uniform(3e-5, 1e-4)
     t_f = solve_encounter(free, pulsed)
-    return params, env, transition, free, pulsed, t_f
+    return params, gravity, transition, free, pulsed, t_f
 
 
 def test_criterion_1_flux_identity_oracle():
@@ -99,7 +98,7 @@ def test_criterion_1_flux_identity_oracle():
     n_cases = 24
     worst = 0.0
     for _ in range(n_cases):
-        params, env, tr, free, pulsed, t_f = _random_meeting_arms(rng)
+        params, gravity, tr, free, pulsed, t_f = _random_meeting_arms(rng)
         weights = splitting_weights(rng.uniform(0.1, 4.0 * math.pi - 0.1),
                                     rng.uniform(0.0, 2.0 * math.pi))
 
@@ -486,10 +485,9 @@ def test_criterion_7_property_suite(ref_ctx_06):
     times = {}
     for grav in (0.0, 4.9, 9.81):
         p = sr88_params(launch_velocity=0.05)
-        e = Environment(gravity=grav)
         tr = sc.transition
-        free = ArmTrajectory.launch(p, e, tr)
-        pulsed = ArmTrajectory.launch(p, e, tr).kicks(
+        free = ArmTrajectory.launch(p, grav, tr)
+        pulsed = ArmTrajectory.launch(p, grav, tr).kicks(
             [0.0, 1e-3], [tr.wavevector_magnitude,
                           -2.0 * tr.wavevector_magnitude])
         times[grav] = solve_encounter(free, pulsed)
@@ -535,7 +533,7 @@ def test_criterion_8_oracle_convergence():
 
     def solve(dt):
         cfg = PropagatorConfig(time_step=dt, grid=grid, mass=sc.params.mass,
-                               gravity=sc.env.gravity,
+                               gravity=sc.gravity,
                                trap_frequency=sc.params.trap_frequency)
         psi0 = gaussian_packet(grid, a, sc.params.launch_velocity,
                                center=launch_position, mass=sc.params.mass)

@@ -46,7 +46,7 @@ def test_parse_config_takes_numpy_floats():
     cfg["sweep"] = {"variable": "real_cb", "n_samples": 5,
                     "range": [np.float64(0.0), np.float64(1.0)]}
     sc = parse_config(cfg)
-    assert sc.env.gravity == 2.0
+    assert sc.gravity == 2.0
     assert (sc.sweep_spec.lo, sc.sweep_spec.hi) == (0.0, 1.0)
 
 
@@ -498,6 +498,20 @@ def test_main_unreadable_config_exits_2(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     code = main(["run"])   # neither --config nor --preset
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command, preset", [("run", "paper-0.6pi"),
+                                             ("sweep", "paper-fig8b")])
+def test_main_uncreatable_out_dir_exits_2(tmp_path, capsys, command, preset):
+    # a file where the directory, or one of its parents, should be
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        code = main([command, "--preset", preset, "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: --out-dir: cannot create directory {out}: ")
+    assert blocker.read_text() == ""
 
 
 def test_main_no_encounter_exits_3(tmp_path, capsys):

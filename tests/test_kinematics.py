@@ -19,21 +19,18 @@ from qbackflow.model import (
     HBAR,
     CondensateParams,
     DomainError,
-    Environment,
     TransitionParams,
     sr88_params,
-    sr88_transition,
 )
 from qbackflow.phaseacc import DoubleDouble, product, two_sum
 
 
 def _arms(gravity=9.81, launch=0.2):
     params = sr88_params(launch_velocity=launch)
-    env = Environment(gravity=gravity)
-    tr = sr88_transition()
-    free = ArmTrajectory.launch(params, env, tr)
-    pulsed = ArmTrajectory.launch(params, env, tr)
-    return params, env, tr, free, pulsed
+    tr = TransitionParams(689e-9)
+    free = ArmTrajectory.launch(params, gravity, tr)
+    pulsed = ArmTrajectory.launch(params, gravity, tr)
+    return params, gravity, tr, free, pulsed
 
 
 def test_free_fall_step():
@@ -113,7 +110,7 @@ def test_internal_phase_sign():
 
 
 def test_trajectory_path_and_kick():
-    params, env, tr, free, pulsed = _arms()
+    params, gravity, tr, free, pulsed = _arms()
     k = tr.wavevector_magnitude
     t1 = 1e-3
     pulsed = pulsed.kicks([t1], [k], [0.4])
@@ -147,7 +144,7 @@ def test_phase_query_before_last_pulse_rejected():
 def test_phases_at_incremental_consistency():
     # Accumulating through a kick equals querying the pre-kick ledger at
     # the kick time plus the pulse terms.
-    params, env, tr, _, pulsed = _arms()
+    params, gravity, tr, _, pulsed = _arms()
     k = tr.wavevector_magnitude
     t1, phi = 1e-3, 0.7
     before_action, before_laser, before_internal = pulsed.phases_at(t1)
@@ -225,7 +222,7 @@ def test_reference_sequence_frozen_calibration():
 
 # -- array ledger against the pulse-by-pulse scalar ledger ----------------
 
-def _scalar_ledger(params, env, tr, pulses):
+def _scalar_ledger(params, gravity, tr, pulses):
     """Reference: the pulse-by-pulse scalar double-double construction.
 
     pulses is a sequence of (time, signed_k, laser_phase) from launch at
@@ -233,7 +230,7 @@ def _scalar_ledger(params, env, tr, pulses):
     live segment's start (t, x, v, mu), the three closed-segment ledgers
     and the summed kick velocity.
     """
-    g, m = env.gravity, params.mass
+    g, m = gravity, params.mass
     t0, x, v, mu = 0.0, 0.0, params.launch_velocity, GROUND
     action = internal = laser = DoubleDouble()
     states, kick_velocity = [], 0.0
@@ -253,11 +250,11 @@ def _scalar_ledger(params, env, tr, pulses):
             "kick_velocity": kick_velocity}
 
 
-def _scalar_total_phase_at(ref, params, env, tr, t):
+def _scalar_total_phase_at(ref, params, gravity, tr, t):
     t0, x, v, mu = ref["live"]
     m = params.mass
     return (ref["action"]
-            .add(action_phase_dd(m * v, x, t - t0, m, env.gravity))
+            .add(action_phase_dd(m * v, x, t - t0, m, gravity))
             .add(ref["laser"])
             .add(ref["internal"])
             .add(internal_phase_dd(tr.energy(mu), t - t0)))
@@ -277,11 +274,11 @@ _pulse = st.tuples(
 @given(st.lists(_pulse, min_size=1, max_size=200),
        st.floats(0.0, 1e-3), st.floats(0.0, 10.0), st.floats(-0.3, 0.3))
 def test_array_ledger_matches_scalar_ledger(pulses, t_first, g, launch):
-    params, env, tr, _, arm = _arms(gravity=g, launch=launch)
+    params, _, tr, _, arm = _arms(gravity=g, launch=launch)
     k_l = tr.wavevector_magnitude
     times = t_first + np.cumsum([gap for gap, _, _ in pulses])
     seq = [(float(t), n * k_l, phi) for t, (_, n, phi) in zip(times, pulses)]
-    ref = _scalar_ledger(params, env, tr, seq)
+    ref = _scalar_ledger(params, g, tr, seq)
     bulk = arm.kicks(*zip(*seq))
 
     assert bulk.kick_count == len(seq)
@@ -309,12 +306,12 @@ def test_array_ledger_matches_scalar_ledger(pulses, t_first, g, launch):
     assert _dd_gap(stepped.total_phase_at(t_end),
                    bulk.total_phase_at(t_end)) <= 1e-9
     assert _dd_gap(bulk.total_phase_at(t_end),
-                   _scalar_total_phase_at(ref, params, env, tr, t_end)) <= 1e-9
+                   _scalar_total_phase_at(ref, params, g, tr, t_end)) <= 1e-9
 
 
 def test_equal_time_pulses_and_lookup():
     # dt = 0 is legal; a query at the shared time sees the last of them.
-    params, env, tr, _, arm = _arms()
+    params, gravity, tr, _, arm = _arms()
     k = tr.wavevector_magnitude
     arm = arm.kicks([1e-3, 1e-3, 2e-3], [k, k, -k])
     assert arm.kick_count == 3
@@ -325,7 +322,7 @@ def test_equal_time_pulses_and_lookup():
     # the launch entry before the pulses, then the second of the equal-time
     # pair (two recoils, not one) at and after 1e-3, then the last pulse
     for t, kicks in zip((0.5e-3, 1e-3, 1.5e-3, 2e-3), (0, 2, 2, 1)):
-        free = params.launch_velocity - env.gravity * t
+        free = params.launch_velocity - gravity * t
         assert arm.velocity(t) == pytest.approx(free + kicks * dv,
                                                 rel=1e-14), t
     arm.phases_at(2e-3)
@@ -374,7 +371,7 @@ def test_long_shuttle_sequence_matches_scalar_ledger():
 
     k = sc.transition.wavevector_magnitude
     seq = [(t, s * k, phi) for t, s, phi in sc.pulses.tolist()]
-    args = (sc.params, sc.env, sc.transition)
+    args = (sc.params, sc.gravity, sc.transition)
     ref_pulsed = _scalar_total_phase_at(_scalar_ledger(*args, seq), *args, t_f)
     ref_free = _scalar_total_phase_at(_scalar_ledger(*args, []), *args, t_f)
     new_pulsed = pulsed.total_phase_at(t_f)

@@ -9,12 +9,10 @@ from qbackflow.model import (
     SPEED_OF_LIGHT,
     CondensateParams,
     DomainError,
-    Environment,
     TransitionParams,
     derive_oscillator_length,
     expansion,
     sr88_params,
-    sr88_transition,
 )
 
 
@@ -72,13 +70,6 @@ def test_condensate_params_derives_length():
     assert p.oscillator_length == derive_oscillator_length(1e-25, 500.0)
 
 
-def test_environment_validation():
-    assert Environment().gravity == 9.81
-    assert Environment(gravity=0.0).gravity == 0.0
-    with pytest.raises(DomainError):
-        Environment(gravity=-1.0)
-
-
 def test_transition_wavevector_and_recoil():
     tr = TransitionParams(wavelength=689e-9)
     assert tr.wavevector_magnitude == pytest.approx(2.0 * math.pi / 689e-9)
@@ -106,4 +97,3 @@ def test_sr88_presets():
     p = sr88_params()
     assert p.mass == 88.0 * ATOMIC_MASS_UNIT
     assert p.launch_velocity == 0.2
-    assert sr88_transition().wavelength == 689e-9

@@ -68,7 +68,8 @@ def test_engine_matches_direct_evaluation(reduced_ctx):
     engine = SweepEngine(state)
     for w in (canonical_pulse_area_weights(0.75 * math.pi),
               real_weights(0.3), real_weights(0.9), state.weights):
-        direct = backflow_rate(report(state, w).flux_profile, state.grid)
+        direct = backflow_rate(report(state, w).flux_profile,
+                               state.grid.spacing)
         assert engine.backflow_rate(w) == direct
 
 

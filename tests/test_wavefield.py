@@ -9,10 +9,9 @@ from qbackflow.kinematics import ArmTrajectory, solve_encounter
 from qbackflow.model import (
     HBAR,
     DomainError,
-    Environment,
+    TransitionParams,
     expansion,
     sr88_params,
-    sr88_transition,
 )
 from qbackflow.presets import PRESETS, preset_config, reduced_scale_config
 from qbackflow.pulses import ArmAmplitudes
@@ -96,10 +95,10 @@ def test_com_wavefunction_norm_and_width():
 
 def _meeting_arms(t_f_hint=2e-3):
     params = sr88_params(launch_velocity=0.05)
-    env = Environment()
-    tr = sr88_transition()
-    free = ArmTrajectory.launch(params, env, tr)
-    pulsed = ArmTrajectory.launch(params, env, tr)
+    gravity = 9.81
+    tr = TransitionParams(689e-9)
+    free = ArmTrajectory.launch(params, gravity, tr)
+    pulsed = ArmTrajectory.launch(params, gravity, tr)
     k = tr.wavevector_magnitude
     pulsed = pulsed.kicks([0.0, 1e-3], [k, -2 * k])
     t_f = solve_encounter(free, pulsed)
@@ -109,11 +108,11 @@ def _meeting_arms(t_f_hint=2e-3):
     grid = Grid.auto(free.position(t_f), sigma, half_width_factor=5.0,
                      envelope_samples=50, beat_wavenumber=q,
                      fringe_samples=20)
-    return params, env, tr, free, pulsed, t_f, grid
+    return params, gravity, tr, free, pulsed, t_f, grid
 
 
 def _meeting_state():
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
+    params, gravity, tr, free, pulsed, t_f, grid = _meeting_arms()
     w = ArmAmplitudes(math.sqrt(0.5), 1j * math.sqrt(0.5))
     return encounter_state(grid, free, pulsed, t_f, w)
 
@@ -130,13 +129,13 @@ def test_arm_fields_normalized_and_combinable():
 
 
 def test_free_arm_rejects_kicked_trajectory():
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
+    params, gravity, tr, free, pulsed, t_f, grid = _meeting_arms()
     with pytest.raises(DomainError, match="must not contain pulses"):
         encounter_state(grid, pulsed, pulsed, t_f, ArmAmplitudes(1.0, 0j))
 
 
 def test_grid_center_must_match_com():
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
+    params, gravity, tr, free, pulsed, t_f, grid = _meeting_arms()
     off = Grid(center=grid.center + 1e-6, half_width=grid.half_width,
                n_points=grid.n_points)
     with pytest.raises(DomainError, match="grid center"):
@@ -181,7 +180,7 @@ def test_state_fields_match_each_arms_ledger(name):
 
 
 def test_encounter_state_invariants():
-    params, env, tr, free, pulsed, t_f, grid = _meeting_arms()
+    params, gravity, tr, free, pulsed, t_f, grid = _meeting_arms()
     w = ArmAmplitudes(0.6 + 0j, 0.8 + 0j)
     st = encounter_state(grid, free, pulsed, t_f, w)
     # q equals m (v_b - v_f) / hbar
