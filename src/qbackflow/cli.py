@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import __version__
@@ -122,6 +123,18 @@ def _make_out_dir(out_dir: str) -> None:
                           f"{exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _artifact(out_dir: str, name: str):
+    """Yield the path out_dir/name to write.  A failed write, such as a
+    directory in the way, names that path, not the temp file it used."""
+    path = os.path.join(out_dir, name)
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"--out-dir: cannot write {path}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def run_scenario(cfg: dict, out_dir: str | None = None,
                  grid_points: int | None = None):
     """Full run: report + optional spectrum (+ artifacts when out_dir given)."""
@@ -163,27 +176,28 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
 
     if out_dir is not None:
         _make_out_dir(out_dir)
-        atomic_write_text(os.path.join(out_dir, "report.json"),
-                          json.dumps(doc) + "\n")
+        with _artifact(out_dir, "report.json") as path:
+            atomic_write_text(path, json.dumps(doc) + "\n")
         window = ctx.scenario.output_cfg.get("profile_window_m",
                                              ctx.grid.half_width)
         u = ctx.grid.offsets()
         sel = np.abs(u) <= window
-        atomic_write_text(os.path.join(out_dir, "profiles.csv"), csv_text(
-            "x_m,flux_per_s,density_per_m,rho_crit_per_m",
-            [ctx.grid.positions()[sel], rep.flux_profile[sel],
-             rep.density_profile[sel], rep.critical_density_profile[sel]]))
+        with _artifact(out_dir, "profiles.csv") as path:
+            atomic_write_text(path, csv_text(
+                "x_m,flux_per_s,density_per_m,rho_crit_per_m",
+                [ctx.grid.positions()[sel], rep.flux_profile[sel],
+                 rep.density_profile[sel], rep.critical_density_profile[sel]]))
         if ms is not None:
             # only samples carrying weight; the empty tails between and
             # beyond the arms would bloat the CSV
             keep = density > 1e-15 * density.max()
-            atomic_write_text(os.path.join(out_dir, "spectrum.csv"),
-                              csv_text("k_per_m,density",
-                                       [k[keep], density[keep]]))
+            with _artifact(out_dir, "spectrum.csv") as path:
+                atomic_write_text(path, csv_text("k_per_m,density",
+                                                 [k[keep], density[keep]]))
         if ctx.scenario.output_cfg["wavefield_dump"]:
             from .wavefield import combined_from_state, wavefield_to_binary
-            wavefield_to_binary(combined_from_state(ctx.state),
-                                os.path.join(out_dir, "wavefield.bin"))
+            with _artifact(out_dir, "wavefield.bin") as path:
+                wavefield_to_binary(combined_from_state(ctx.state), path)
     return doc, rep, ctx
 
 
@@ -202,11 +216,12 @@ def run_sweep(cfg: dict, out_dir: str | None = None,
         result = engine.sweep_real_weights(spec)
     if out_dir is not None:
         _make_out_dir(out_dir)
-        result.to_csv(os.path.join(out_dir, "sweep.csv"))
+        with _artifact(out_dir, "sweep.csv") as path:
+            result.to_csv(path)
         summary = result.summary()
         summary["provenance"] = _provenance(ctx)
-        atomic_write_text(os.path.join(out_dir, "sweep.json"),
-                          json.dumps(summary) + "\n")
+        with _artifact(out_dir, "sweep.json") as path:
+            atomic_write_text(path, json.dumps(summary) + "\n")
     return result, ctx
 
 
@@ -253,8 +268,7 @@ def oracle_arm_field(ctx: PipelineContext, grid, time_step: float):
         (ctx.pulsed_arm.internal_states[:-1] * phases).tolist()))
     config = PropagatorConfig(
         time_step=time_step, grid=grid, mass=sc.params.mass,
-        gravity=sc.gravity, kick_events=kicks,
-        trap_frequency=sc.params.trap_frequency)
+        gravity=sc.gravity, kick_events=kicks)
     packet = gaussian_packet(
         grid, sc.params.oscillator_length, sc.params.launch_velocity,
         center=ctx.free_arm.positions[0], mass=sc.params.mass).amplitudes

@@ -92,7 +92,6 @@ class SweepEngine:
     """Weight-independent kernel plus batched per-sample evaluation."""
 
     def __init__(self, state: EncounterState):
-        self.state = state
         self.kernel = WeightKernel.from_state(state)
 
     def samples(self, values, weights_of) -> tuple[np.ndarray, ...]:
@@ -104,7 +103,7 @@ class SweepEngine:
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
         """report()'s rate: the trapezoid of one full-grid flux profile."""
         return float(backflow_rate(self.kernel.profile(
-            weight_coefficients(weights), FLUX)[0], self.state.grid.spacing))
+            weight_coefficients(weights), FLUX)[0], self.kernel.spacing))
 
     # -- sweeps ---------------------------------------------------------
 

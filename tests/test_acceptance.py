@@ -533,8 +533,7 @@ def test_criterion_8_oracle_convergence():
 
     def solve(dt):
         cfg = PropagatorConfig(time_step=dt, grid=grid, mass=sc.params.mass,
-                               gravity=sc.gravity,
-                               trap_frequency=sc.params.trap_frequency)
+                               gravity=sc.gravity)
         psi0 = gaussian_packet(grid, a, sc.params.launch_velocity,
                                center=launch_position, mass=sc.params.mass)
         return propagate(psi0, cfg, t_f)

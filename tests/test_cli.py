@@ -514,6 +514,22 @@ def test_main_uncreatable_out_dir_exits_2(tmp_path, capsys, command, preset):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command, preset, artifact", [
+    ("run", "paper-0.6pi", "report.json"),
+    ("sweep", "paper-fig8b", "sweep.json")])
+def test_main_artifact_blocked_by_directory_exits_2(tmp_path, capsys, command,
+                                                    preset, artifact):
+    # a directory where an artifact file should be; sweep.json comes after
+    # sweep.csv, so one artifact is already written when the write fails
+    (tmp_path / artifact).mkdir()
+    code = main([command, "--preset", preset, "--out-dir", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"configuration error: --out-dir: cannot write {tmp_path / artifact}: "
+        "Is a directory\n")
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
 def test_main_no_encounter_exits_3(tmp_path, capsys):
     cfg = reduced_scale_config()
     cfg["pulse_arrays"] = []       # single up-kick: arms never re-meet

@@ -40,26 +40,28 @@ def test_config_validation():
     fine = Grid(center=0.0, half_width=4e-5, n_points=65537)
     with pytest.raises(DomainError, match="Nyquist"):
         PropagatorConfig(time_step=1e-4, grid=fine, mass=MASS)
-    # trap-frequency step limit
-    with pytest.raises(DomainError, match="1/\\(50 omega\\)"):
-        PropagatorConfig(time_step=1e-3, grid=g, mass=MASS,
-                         trap_frequency=2.0 * math.pi * 100.0)
     # kick must land on a step boundary
     with pytest.raises(DomainError, match="time-step multiple"):
         PropagatorConfig(time_step=1e-7, grid=g, mass=MASS,
                          kick_events=(KickEvent(1.5e-7, 1e5),))
 
 
-def test_free_expansion_matches_scaling_law():
+@pytest.mark.parametrize("n_points, time_step", [
+    (513, 2e-6),
+    # a step above a fiftieth of 1/omega (4.5e-5 s): the trap frequency
+    # bounds no step, only the Nyquist kinetic-phase guard does
+    (129, 5e-5),
+])
+def test_free_expansion_matches_scaling_law(n_points, time_step):
     # A trap ground state released at t = 0 spreads as a(t) = a b(t)
     # with b = sqrt(1 + omega^2 t^2); rms width is a b / sqrt(2).
     params = sr88_params(launch_velocity=0.0)
     a = params.oscillator_length
     omega = params.trap_frequency
-    g = _grid(half_width=30.0 * a, n=513)
+    g = _grid(half_width=30.0 * a, n=n_points)
     psi0 = gaussian_packet(g, a, mass=params.mass)
     t = 4e-3
-    cfg = PropagatorConfig(time_step=2e-6, grid=g, mass=params.mass,
+    cfg = PropagatorConfig(time_step=time_step, grid=g, mass=params.mass,
                            gravity=0.0)
     out = propagate(psi0, cfg, t)
     b = math.sqrt(1.0 + (omega * t) ** 2)
@@ -200,43 +202,6 @@ def test_time_step_commensurability_enforced():
     cfg = PropagatorConfig(time_step=3e-6, grid=g, mass=params.mass)
     with pytest.raises(DomainError, match="multiple of time_step"):
         propagate(psi0, cfg, 1e-3)
-
-
-def test_convergence_order_is_two():
-    # Strang splitting: halving dt divides the error by ~4.  The metric
-    # is self-convergence of the full complex field (global phase
-    # included) against a much finer-step reference solution.
-    from qbackflow.cli import build_state
-    from qbackflow.presets import reduced_scale_config
-
-    ctx = build_state(reduced_scale_config())
-    sc = ctx.scenario
-    t_f = ctx.encounter_time
-    a = sc.params.oscillator_length
-    launch_position = ctx.free_arm.positions[0]
-    grid = Grid(center=ctx.grid.center, half_width=60.0 * a, n_points=513)
-
-    def solve(dt):
-        cfg = PropagatorConfig(time_step=dt, grid=grid, mass=sc.params.mass,
-                               gravity=sc.gravity,
-                               trap_frequency=sc.params.trap_frequency)
-        psi0 = gaussian_packet(grid, a, sc.params.launch_velocity,
-                               center=launch_position, mass=sc.params.mass)
-        return propagate(psi0, cfg, t_f).amplitudes
-
-    reference = solve(1.5625e-7)   # dt / 16 of the coarsest run
-
-    def l2_error(dt):
-        diff = solve(dt) - reference
-        return math.sqrt(float(np.sum(np.abs(diff) ** 2) * grid.spacing))
-
-    e1 = l2_error(2.5e-6)
-    e2 = l2_error(1.25e-6)
-    e3 = l2_error(6.25e-7)
-    order12 = math.log2(e1 / e2)
-    order23 = math.log2(e2 / e3)
-    assert 1.8 <= order12 <= 2.2
-    assert 1.8 <= order23 <= 2.2
 
 
 def test_compare_fields_global_phase_removed():

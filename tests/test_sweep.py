@@ -77,7 +77,7 @@ def test_engine_matches_direct_evaluation(reduced_ctx):
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(arm_weights, min_size=1, max_size=11))
-def test_engine_samples_match_report(sweep_engine, batch):
+def test_engine_samples_match_report(sweep_ctx, sweep_engine, batch):
     # The batched kernel rows agree with the one-row report() for any
     # normalized complex weights; batches of up to 11 cross the chunk
     # boundaries of the fig8 grid (4 samples per chunk).
@@ -85,7 +85,7 @@ def test_engine_samples_match_report(sweep_engine, batch):
         range(len(batch)),
         lambda values: stack_weights([batch[int(i)] for i in values]))
     for row, w in zip(np.column_stack(scalars), batch):
-        rep = report(sweep_engine.state, w)
+        rep = report(sweep_ctx.state, w)
         for got, name in zip(row, ("backflow_rate", "rho_crit_max_fraction",
                                    "density_min_fraction")):
             assert got == pytest.approx(
