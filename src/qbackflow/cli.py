@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 configuration/validation error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -115,12 +116,19 @@ def _provenance(ctx: PipelineContext) -> dict:
                      "spacing_m": ctx.grid.spacing}}
 
 
-def _make_out_dir(out_dir: str) -> None:
+def _make_out_dir(out_dir: str, names: list[str]) -> None:
+    """Create out_dir, and refuse before any artifact is written if a
+    directory stands where one of the named artifacts would go."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:   # a file in the way, no permission, ...
         raise ConfigError(f"--out-dir: cannot create directory {out_dir}: "
                           f"{exc.strerror or exc}") from exc
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise ConfigError(f"--out-dir: cannot write {path}: "
+                              f"{os.strerror(errno.EISDIR)}")
 
 
 @contextmanager
@@ -175,7 +183,10 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
         k, density = ms.grid.positions(), momentum_spectrum(ms)
 
     if out_dir is not None:
-        _make_out_dir(out_dir)
+        dump = ctx.scenario.output_cfg["wavefield_dump"]
+        _make_out_dir(out_dir, ["report.json", "profiles.csv"]
+                      + ["spectrum.csv"] * (ms is not None)
+                      + ["wavefield.bin"] * dump)
         with _artifact(out_dir, "report.json") as path:
             atomic_write_text(path, json.dumps(doc) + "\n")
         window = ctx.scenario.output_cfg.get("profile_window_m",
@@ -194,7 +205,7 @@ def run_scenario(cfg: dict, out_dir: str | None = None,
             with _artifact(out_dir, "spectrum.csv") as path:
                 atomic_write_text(path, csv_text("k_per_m,density",
                                                  [k[keep], density[keep]]))
-        if ctx.scenario.output_cfg["wavefield_dump"]:
+        if dump:
             from .wavefield import combined_from_state, wavefield_to_binary
             with _artifact(out_dir, "wavefield.bin") as path:
                 wavefield_to_binary(combined_from_state(ctx.state), path)
@@ -215,7 +226,7 @@ def run_sweep(cfg: dict, out_dir: str | None = None,
     else:
         result = engine.sweep_real_weights(spec)
     if out_dir is not None:
-        _make_out_dir(out_dir)
+        _make_out_dir(out_dir, ["sweep.csv", "sweep.json"])
         with _artifact(out_dir, "sweep.csv") as path:
             result.to_csv(path)
         summary = result.summary()

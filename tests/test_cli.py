@@ -516,18 +516,28 @@ def test_main_uncreatable_out_dir_exits_2(tmp_path, capsys, command, preset):
 
 @pytest.mark.parametrize("command, preset, artifact", [
     ("run", "paper-0.6pi", "report.json"),
+    ("run", "paper-0.6pi", "profiles.csv"),
+    ("run", "paper-0.6pi", "spectrum.csv"),
+    ("run", "paper-0.6pi", "wavefield.bin"),
+    ("sweep", "paper-fig8b", "sweep.csv"),
     ("sweep", "paper-fig8b", "sweep.json")])
 def test_main_artifact_blocked_by_directory_exits_2(tmp_path, capsys, command,
                                                     preset, artifact):
-    # a directory where an artifact file should be; sweep.json comes after
-    # sweep.csv, so one artifact is already written when the write fails
-    (tmp_path / artifact).mkdir()
-    code = main([command, "--preset", preset, "--out-dir", str(tmp_path)])
+    # a directory where an artifact file should be: the command refuses
+    # before it writes any artifact, so no set is left half new
+    args = ["--preset", preset]
+    if artifact == "wavefield.bin":
+        cfg = preset_config(preset)
+        cfg["output"]["wavefield_dump"] = True
+        args = ["--config", _write_config(tmp_path, cfg)]
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    code = main([command, *args, "--out-dir", str(out)])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == (
-        f"configuration error: --out-dir: cannot write {tmp_path / artifact}: "
+        f"configuration error: --out-dir: cannot write {out / artifact}: "
         "Is a directory\n")
-    assert not list(tmp_path.glob(".tmp-*"))
+    assert [p.name for p in out.iterdir()] == [artifact]
 
 
 def test_main_no_encounter_exits_3(tmp_path, capsys):
