@@ -207,7 +207,7 @@ class ArmTrajectory:
         steps[1::2] = v[:-1] * dt
         steps[2::2] = -(0.5 * g * dt * dt)
         x = np.cumsum(steps)[::2]
-        mu = self.internal_states[-1] * np.resize([1, -1], n + 1)
+        mu = self.internal_states[-1] * (1 - 2 * (np.arange(n + 1) & 1))
 
         # Ledger terms: segment i closes at pulse i, which lands at x[i + 1].
         energy = np.where(mu[:-1] == GROUND, 0.0,

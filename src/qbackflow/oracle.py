@@ -25,14 +25,26 @@ So the trap frequency, which enters only through the initial width,
 bounds no step.  Only two rules do: the kinetic phase per step at the
 Nyquist wavenumber stays below pi/4, and kicks snap to step multiples.
 
-Why the grid lengths are smooth: each step is one FFT pair, and
-pocketfft runs a length with a large prime factor (513 = 3^3 19,
-1025 = 5^2 41) through a generic O(p) pass.  fft_length rounds a point
-count up to an odd 3·5·7-smooth one (525, 1029), which takes only the
-fast radix passes: a Strang step on a two-row stack costs 12 % less at
-525 points than at 513 and 33 % less at 1029 than at 1025, and rounds
-less, so the errors above are smaller than the 3.7e-13 to 1.4e-12 the
-same scenario gives on 513 points.
+Why the grid lengths are smooth: each step is one FFT pair over the
+whole field stack, and pocketfft runs a length with a large prime factor
+(513 = 3^3 19, 1025 = 5^2 41) through a generic O(p) pass.  fft_length
+rounds a point count up to an odd 3·5·7-smooth one (525, 1029), which
+takes only the fast radix passes.  One step, which advances both rows
+of a two-row stack, costs 20 µs at 525 points against 25 µs at 513, and
+36 µs at 1029 against 55 µs at 1025 (2-vCPU VM, best of 8 propagations
+of 2,000 steps, guards included).  It also rounds less, so the errors
+above are smaller than the 3.7e-13 to 1.4e-12 the same scenario gives
+on 513 points.
+
+Why the step loop calls pocketfft directly: np.fft.fft and np.fft.ifft
+end in the gufuncs numpy.fft._pocketfft_umath.fft and .ifft after about
+2.5 µs of argument handling per call.  An FFT pair on a two-row stack of
+525 points takes 20-27 µs through np.fft and 15-22 µs through the
+gufuncs.  propagate calls the gufuncs over the last axis with the scale
+factors np.fft's default norm passes, 1 forward and 1/n inverse, so each
+step rounds exactly as the np.fft calls do.  Its phase factors are tiled
+to the stack's (rows, n) shape once: an in-place multiply by an (n,)
+factor costs 1.8 µs there against 1.1 µs for one of the stack's shape.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .model import HBAR, DomainError
 from .wavefield import Grid, WaveField
@@ -199,13 +212,17 @@ def propagate(initial: WaveField, config: PropagatorConfig,
         step = round((ev.time - initial.time) / dt)
         kicks_by_step.setdefault(step, []).append(ev)
 
+    # (rows, n) phase factors and direct pocketfft calls: see the module
+    # docstring.
     m = config.mass
     x = grid.positions()
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-    kinetic_full = np.exp(-1j * HBAR * k * k / (2.0 * m) * dt)
+    kinetic_full = np.tile(np.exp(-1j * HBAR * k * k / (2.0 * m) * dt),
+                           (rows, 1))
     v_rate = -1j * (m * config.gravity / HBAR) * x
-    v_half = np.exp(v_rate * (0.5 * dt))
-    v_full = np.exp(v_rate * dt)
+    v_half = np.tile(np.exp(v_rate * (0.5 * dt)), (rows, 1))
+    v_full = np.tile(np.exp(v_rate * dt), (rows, 1))
+    inverse_scale = 1.0 / grid.n_points
 
     # Between stops the closing potential half-step of one Strang step and
     # the opening one of the next fuse into one full step; at a stop (kick,
@@ -219,9 +236,9 @@ def propagate(initial: WaveField, config: PropagatorConfig,
         if stop > done:
             psi *= v_half
             for step in range(done + 1, stop + 1):
-                np.fft.fft(psi, axis=-1, out=psi)
+                _pocketfft.fft(psi, 1.0, out=psi)
                 psi *= kinetic_full
-                np.fft.ifft(psi, axis=-1, out=psi)
+                _pocketfft.ifft(psi, inverse_scale, out=psi)
                 psi *= v_full if step < stop else v_half
             done = stop
         for ev in kicks_by_step.get(stop, ()):

@@ -27,6 +27,7 @@ from qbackflow.model import (
 from qbackflow.pulses import splitting_weights
 from qbackflow.wavefield import (
     Grid,
+    WaveField,
     combined_from_state,
     encounter_state,
 )
@@ -159,7 +160,8 @@ def test_criterion_2_full_reference_oracle_nightly():
     instead of hanging; it would run the comparison if the budget fit.
     """
     from qbackflow.cli import build_state, oracle_cross_check, oracle_grid_for
-    from qbackflow.oracle import fft_length
+    from qbackflow.oracle import (PropagatorConfig, fft_length,
+                                  gaussian_packet, propagate)
     from qbackflow.presets import preset_config
 
     budget_s = 12.0 * 3600.0
@@ -191,15 +193,21 @@ def test_criterion_2_full_reference_oracle_nightly():
             break
     n_steps = ctx.encounter_time / dt
 
-    # one step as propagate runs it: an in-place FFT pair on the stack of
-    # both arms
-    probe = np.random.default_rng(0).standard_normal((2, n_points)) + 0j
-    t0 = time.perf_counter()
-    reps = 20
-    for _ in range(reps):
-        np.fft.fft(probe, axis=-1, out=probe)
-        np.fft.ifft(probe, axis=-1, out=probe)
-    per_step = (time.perf_counter() - t0) / reps
+    # one step as propagate runs it, on a two-row stack of the trap ground
+    # state: propagations 20 and 60 steps long both stop at 20 guards, so
+    # they differ by 40 steps
+    grid = oracle_grid_for(ctx, n_points)
+    packet = gaussian_packet(grid, sc.params.oscillator_length,
+                             mass=sc.params.mass).amplitudes
+    stack = WaveField(grid, np.stack([packet, packet]), 0.0)
+    probe = PropagatorConfig(time_step=dt, grid=grid, mass=sc.params.mass,
+                             gravity=sc.gravity)
+    elapsed = {}
+    for steps in (20, 60):
+        t0 = time.perf_counter()
+        propagate(stack, probe, steps * dt)
+        elapsed[steps] = time.perf_counter() - t0
+    per_step = (elapsed[60] - elapsed[20]) / 40
     estimate_s = n_steps * per_step
 
     if estimate_s > budget_s:

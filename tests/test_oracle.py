@@ -225,16 +225,21 @@ def _max_dev(a, b):
     return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
 
 
+# Two rows with different kick schedules over 1000 steps of 2 us: a kick
+# at step 0, one on a guard step (500 of 1000, guarded every 50) and one on
+# the last step.
+_STACK_DT, _STACK_T_F = 2e-6, 2e-3
+_STACK_SCHEDULES = (
+    [KickEvent(0.0, 1e6, 0.3), KickEvent(1e-3, -1e6, 1.1)],
+    [KickEvent(3.7e-4, -8e5, 0.5), KickEvent(_STACK_T_F, 1e6, 2.0)])
+
+
 def test_stack_matches_single_row_propagations():
-    # Two rows with different kick schedules: a kick at step 0, one on a
-    # guard step (500 of 1000, guarded every 50) and one on the last step.
     params = sr88_params(launch_velocity=0.0)
     a = params.oscillator_length
     g = _grid(half_width=30.0 * a, n=513)
     psi0 = gaussian_packet(g, a, mass=params.mass)
-    dt, t_f = 2e-6, 2e-3
-    schedules = ([KickEvent(0.0, 1e6, 0.3), KickEvent(1e-3, -1e6, 1.1)],
-                 [KickEvent(3.7e-4, -8e5, 0.5), KickEvent(t_f, 1e6, 2.0)])
+    dt, t_f, schedules = _STACK_DT, _STACK_T_F, _STACK_SCHEDULES
 
     def config(kicks):
         return PropagatorConfig(time_step=dt, grid=g, mass=params.mass,
@@ -256,6 +261,57 @@ def test_stack_matches_single_row_propagations():
                            ev.signed_k, ev.phase)
         by_hand = propagate(by_hand, config(()), t_f)
         assert _max_dev(both.amplitudes[row], by_hand.amplitudes) <= 1e-12
+
+
+def _public_fft_strang(initial, config, t_final):
+    """propagate's step loop written with public np.fft calls and (n,)
+    phase factors: the same fused potential steps, stops and kicks."""
+    grid, dt = config.grid, config.time_step
+    n_steps = round((t_final - initial.time) / dt)
+    kicks_by_step = {}
+    for ev in config.kick_events:
+        kicks_by_step.setdefault(round((ev.time - initial.time) / dt),
+                                 []).append(ev)
+    x = grid.positions()
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
+    kinetic_full = np.exp(-1j * HBAR * k * k / (2.0 * config.mass) * dt)
+    v_rate = -1j * (config.mass * config.gravity / HBAR) * x
+    v_half = np.exp(v_rate * (0.5 * dt))
+    v_full = np.exp(v_rate * dt)
+    guard_every = max(1, n_steps // 20)
+    stops = sorted({*range(guard_every, n_steps + 1, guard_every),
+                    *kicks_by_step, n_steps})
+    psi = np.array(initial.amplitudes, dtype=complex)
+    done = 0
+    for stop in stops:
+        if stop > done:
+            psi *= v_half
+            for step in range(done + 1, stop + 1):
+                psi = np.fft.ifft(np.fft.fft(psi, axis=-1) * kinetic_full,
+                                  axis=-1)
+                psi *= v_full if step < stop else v_half
+            done = stop
+        for ev in kicks_by_step.get(stop, ()):
+            psi[ev.row] *= _pulse_factor(grid, ev.signed_k, ev.phase)
+    return psi
+
+
+def test_stack_bit_identical_to_public_fft_loop():
+    # propagate calls pocketfft's gufuncs with their scale factors and
+    # multiplies by (rows, n) factors; the fields must be those of the
+    # public np.fft calls and (n,) factors bit for bit, on every numpy.
+    params = sr88_params(launch_velocity=0.0)
+    a = params.oscillator_length
+    g = _grid(half_width=30.0 * a, n=513)
+    psi0 = gaussian_packet(g, a, mass=params.mass)
+    stack = WaveField(g, np.stack([psi0.amplitudes, psi0.amplitudes]), 0.0)
+    cfg = PropagatorConfig(
+        time_step=_STACK_DT, grid=g, mass=params.mass, gravity=2.0,
+        kick_events=tuple(KickEvent(ev.time, ev.signed_k, ev.phase, row)
+                          for row, kicks in enumerate(_STACK_SCHEDULES)
+                          for ev in kicks))
+    got = propagate(stack, cfg, _STACK_T_F).amplitudes
+    assert np.array_equal(got, _public_fft_strang(stack, cfg, _STACK_T_F))
 
 
 def test_edge_guard_trips_on_one_row_of_a_stack():
