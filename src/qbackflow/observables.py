@@ -36,10 +36,10 @@ matrix C with one row per weight pair,
     (n, |c_b|^2, Re w, -Im w | n, 2 Re w, -2 Im w | |c_f|^2 - |c_b|^2),
 
 and a block of profiles of the whole batch is C @ B over that block's
-columns and rows.  :meth:`WeightKernel.rates` and
-:meth:`WeightKernel.density_scalars` give the scalars of a batch of
-sweep samples; :func:`report` and the refinement take the rate of one
-full-grid flux profile instead.
+columns and rows.  :func:`report` and the sweep refinement take the
+rate of one full-grid flux profile, and
+:meth:`WeightKernel.density_scalars` gives the density scalars of a
+batch of rows.
 
 The density is read at its peak and in a window of a few fringes about
 x_c, on columns fixed when the kernel is built.  It is (n + 2|w|
@@ -52,51 +52,39 @@ where R^2 >= (1 + cos(q dx / 2)) / 2 R^2_c: the whole grid once q dx >=
 ``WeightKernel.peak`` is the least range of columns that holds both
 that range, widened by ``PEAK_BOUND_SLACK`` for rounding, and the window.
 
-The flux matters only where it is negative.  With vartheta_j =
-atan2(B_3j, B_2j), which carries the sign of q + 2 grad(theta), the
-flux is (hbar/m) R^2_j |w| |q + 2 grad(theta_j)| (h(grad(theta_j)) +
-cos(vartheta_j + arg w)), h(x) = (n x + |c_b|^2 q) / (|w| |q + 2 x|).
-While q + 2 x keeps its sign, h is a ratio of linear functions, so
-monotone, and at least its value h_min at one of the two sampled
-extremes of grad(theta), which is linear in u.  The kernel keeps q and
-those two values as numbers: R^2 underflows to 0 at the ends of a wide
-grid, so they cannot be read off the basis.  So J_j < 0 needs
-vartheta_j on one arc about pi - arg w, of half-width arccos(h_min -
-slack), 0 where h_min - slack >= 1.  The slack, PEAK_BOUND_SLACK times
-a bound on the terms' size in units of |w| |q + 2 grad(theta)|, keeps
-the flux off the arc at least 1e-12 of that size, far above the few
-1e-16 by which rounding moves it, so no computed column off the arc is
-negative.  The slack is needed: with |c_f| = |c_b|, h = 1 exactly
-wherever q + 2 grad(theta) > 0, the flux touches 0 at every fringe
-minimum, and on a column that sits there it rounds below 0.
-:func:`flux_column_ranges` keeps each row whose arc is wider than a
-point, sorts the columns by vartheta mod 2 pi and gives the row the
-[lo, hi) of them its arc covers, or every column where the arc wraps
-past 0 or 2 pi, where q + 2 grad(theta) changes sign on the grid, or
-where h_min is not finite (|w| = 0).  A row it drops gets rate 0.0,
-which is what its product gives bit for bit: np.minimum leaves only
-zeros, and 0.0 minus their trapezoid is +0.0.
+One-angle weight families
+-------------------------
+Both sweep rules give rows of one angle theta in [0, pi], n = 1 up to
+the rounding of the weights (c = cos theta, s = sin theta):
 
-h at the same two extremes also gives h_max, and a column with vartheta
-within arccos(h_max + slack) of pi - arg w has h + cos(vartheta + arg w)
-<= -slack: its flux is negative by at least 1e-12 of its terms' size.
-Those columns are the row's core [core_lo, core_hi) inside [lo, hi),
-empty where h_max + slack >= 1 (equal arms) and on the rows that take
-every column.  The core needs no product: with S the np.cumsum of the
-sorted flux rows and E the cumsum of each step's exact rounding error
-(two_sum), its sum is sum_k c_k ((S + E)_k[core_hi] - (S + E)_k[core_lo]),
-taken as a double-double dot (two_sum, two_prod).  Its four terms cancel
-to a small net: on 5,001 fig8 rows of each weight rule, rows with at
-least 1 % of the largest rate miss their one-row rate by up to 7e-13
-relative with a plain cumsum and dot, 1.2e-14 with a plain dot, and
-7e-16 with both compensated.  :meth:`WeightKernel.rates` takes products
-per block of RATE_BLOCK kept rows (:func:`rate_blocks`) over the hulls
-of their left bands [lo, core_lo) and right bands [core_hi, hi), one
-hull where the two overlap, and prefix sums over the columns between,
-which lie in each row's core.  A hull column off a row's arc has flux
-at least the slack above 0, so np.minimum makes it 0.0; the trapezoid's
-end columns are taken apart.  Summed in phase order, the rates round
-apart from a full-grid trapezoid by a few ulp.
+    pulse area: c_b = cos(theta/2), c_f = -i sin(theta/2), theta =
+        arccos(cos A): C = (1, (1 + c)/2, 0, -s/2 | 1, 0, -s | -c);
+    real c_b: c_b = sin(theta/2), c_f = cos(theta/2), theta =
+        2 arcsin(c_b): C = (1, (1 - c)/2, s/2, 0 | 1, s, 0 | c).
+
+So each flux column is alpha_j + beta_j c + gamma_j s = alpha_j + rho_j
+cos(theta - psi_j), negative on the open arc about psi_j + pi of
+half-width arccos(alpha_j / rho_j), empty where alpha_j >= rho_j; with
+its copy 2 pi lower it meets [0, pi] in at most two intervals, whose
+ends, sorted once per sweep, are the events of
+:class:`~qbackflow.sweep.FluxEvents`; a row at theta takes every event
+at or below it.  Over the events the flux rows, +1 at a start and -1 at
+a stop, the end columns halved (trapezoid), have np.cumsum prefix sums
+S and the cumsum E of each step's exact rounding error (two_sum).  A
+row's rate is -dx sum_k c_k (S + E)_k, a double-double dot (two_prod,
+two_sum) with its own coefficients: its four terms, which cancel to a
+small net, round once.  A column whose flux at theta is within rounding
+of 0 (theta within ~1e-15 rad of an arc end, or on a fringe minimum at
+equal arms, theta = pi/2, where its arc is a point) may count or not,
+which moves the rate by rounding.  A row with no active column, or whose
+sum rounds to >= 0, reads +0.0.
+
+Over the peak columns a rule's density is n R^2_j + s G_j, G_j =
+-R^2_j sin(phi_j) or R^2_j cos(phi_j): lines in s in [0, 1], whose peak
+lies on their upper envelope.  :func:`~qbackflow.sweep.envelope_columns`
+keeps every line within PEAK_BOUND_SLACK times the largest R^2 of it at
+one of its breaks (the line less the convex envelope is concave): on
+fig8 7 and 4 of the 625 peak columns, all in the 49-column window.
 
 The momentum spectrum
 ---------------------
@@ -130,7 +118,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import HBAR, CondensateParams, DomainError, expansion
-from .phaseacc import two_prod, two_sum
 from .pulses import ArmAmplitudes
 from .wavefield import EncounterState, Grid, com_wavefunction
 
@@ -151,16 +138,12 @@ SPECTRUM_SAMPLES = 16
 PLANE_WAVE_THRESHOLD = 100.0
 SPREADING_THRESHOLD = 0.1
 
-#: Largest number of coefficient rows x columns in one kernel product: a
-#: group of rows over its phase-sorted flux columns, or a block over the
-#: peak columns (density).
+#: Largest number of coefficient rows x columns in one density product
+#: over the peak columns.
 CHUNK_ELEMENTS = 2 ** 16
 
-#: Coefficient rows per block of WeightKernel.rates (rate_blocks).
-RATE_BLOCK = 24
-
-#: Slack on the density peak bound and on the flux arcs (module
-#: docstring).
+#: Slack on the density peak bound and on a weight family's density
+#: envelope (module docstring).
 PEAK_BOUND_SLACK = 1e-12
 
 #: Column blocks of the coefficient matrix, and row blocks of the kernel
@@ -244,47 +227,6 @@ class MomentumState:
             -0.25 * (self.q * self.oscillator_length) ** 2)
 
 
-def flux_column_ranges(kernel: "WeightKernel", coefficients: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficient rows whose flux can be negative, the flux columns
-    in order of vartheta mod 2 pi, and as four rows the [lo, hi) of that
-    order where each of those rows can be negative and the core
-    [core_lo, core_hi) where it is (module docstring)."""
-    n, b2, c2, c3 = coefficients[:, FLUX].T   # c2 + i c3 = conj(w)
-    gt = np.array(kernel.grad_theta)[:, np.newaxis]
-    cross = np.abs(kernel.q + 2.0 * gt) * np.hypot(c2, c3)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        h = (n * gt + b2 * kernel.q) / cross
-        slack = PEAK_BOUND_SLACK * (
-            1.0 + (n * abs(gt).max() + b2 * abs(kernel.q)) / cross.min(0))
-        half, core = np.arccos(np.clip([h.min(0) - slack, h.max(0) + slack],
-                                       -1.0, 1.0))
-    centre = math.pi + np.arctan2(c3, c2)   # pi - arg w
-    every = (~np.isfinite(half) | (abs(centre - math.pi) + half > math.pi)
-             | (gt[0, 0] <= -0.5 * kernel.q <= gt[1, 0]))
-    rows = np.flatnonzero(every | (half > 0.0))
-    if not rows.size:   # every arc is a point: no column to sort
-        return rows, np.arange(0), np.zeros((4, 0), int)
-    angles = np.mod(np.arctan2(kernel.basis[3], kernel.basis[2]), 2 * math.pi)
-    order = np.argsort(angles)
-    ends = np.searchsorted(angles[order], centre + np.array(
-        [-half, -core, core, half]))
-    return rows, order, np.where(every, [[0], [0], [0], [len(order)]],
-                                 ends)[:, rows]
-
-
-def rate_blocks(bounds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The first row of each block of RATE_BLOCK rows of flux_column_ranges
-    bounds, and the hulls [a, p) and [r, b) of their left and right bands,
-    or [a, b) and [b, b) where these overlap; the prefix part [p, r) lies
-    in each row's core (module docstring)."""
-    starts = np.arange(0, bounds.shape[1], RATE_BLOCK)
-    a, p, r, b = (f.reduceat(x, starts) for f, x in zip(
-        (np.minimum, np.maximum, np.minimum, np.maximum), bounds))
-    p, r = np.where(p < r, [p, r], b)
-    return starts, a, p, r, b
-
-
 def weight_coefficients(weights: ArmAmplitudes) -> np.ndarray:
     """Coefficient matrix of one weight pair or an array of them, one row
     per pair."""
@@ -310,7 +252,6 @@ class WeightKernel:
     peak: slice           # columns that can hold the density peak
     spacing: float        # m
     q: float              # 1/m, beat wavenumber
-    grad_theta: tuple[float, float]  # 1/m, sampled grad(theta) min, max
 
     @classmethod
     def from_state(cls, state: EncounterState) -> "WeightKernel":
@@ -358,59 +299,11 @@ class WeightKernel:
         cols = np.flatnonzero(r2 >= (fraction - PEAK_BOUND_SLACK) * r2c)
         peak = slice(min(int(cols[0]), window.start),
                      max(int(cols[-1]) + 1, window.stop))
-        return cls(basis, *extrema, window, peak, grid.spacing, q,
-                   (float(gt.min()), float(gt.max())))
+        return cls(basis, *extrema, window, peak, grid.spacing, q)
 
     def profile(self, coefficients: np.ndarray, block: slice) -> np.ndarray:
         """One profile per coefficient row, for one block of the basis."""
         return coefficients[:, block] @ self.basis[block]
-
-    def rates(self, coefficients: np.ndarray) -> np.ndarray:
-        """Backflow rate of every coefficient row, over flux columns sorted
-        by phase (module docstring)."""
-        rate = np.zeros(len(coefficients))   # 0: no backflow
-        rows, order, bounds = flux_column_ranges(self, coefficients)
-        if not rows.size:
-            return rate
-        c, columns = coefficients[rows, FLUX], self.basis[FLUX][:, order]
-        starts, *edges = rate_blocks(bounds)
-        # Buffers reused by every block: fresh ones fault in new pages.
-        # A block with one hull reads it in place.
-        widths = (edges[1] - edges[0]) + (edges[3] - edges[2])
-        hulls = np.empty(4 * widths.max(initial=0, where=edges[2] < edges[3]))
-        work = np.empty(max(CHUNK_ELEMENTS, widths.max()))
-        sums = np.empty(len(rows))
-        for i, a, p, r, b in zip(starts.tolist(),
-                                 *(x.tolist() for x in edges)):
-            width = (p - a) + (b - r)
-            hull = columns[:, a:p] if r == b else np.concatenate(
-                (columns[:, a:p], columns[:, r:b]), axis=1,
-                out=hulls[:4 * width].reshape(4, width))
-            step = max(1, CHUNK_ELEMENTS // max(1, width))
-            for j in range(i, min(i + RATE_BLOCK, len(rows)), step):
-                cj = c[j:min(j + step, i + RATE_BLOCK)]
-                part = np.matmul(cj, hull, out=work[:len(cj) * width]
-                                 .reshape(len(cj), width))
-                sums[j:j + len(cj)] = np.minimum(part, 0.0,
-                                                 out=part).sum(axis=1)
-        # The prefix parts: a double-double dot of each row's coefficients
-        # with compensated prefix sums S + E of the sorted columns.
-        p, r = edges[1:3]
-        block = np.arange(len(rows)) // RATE_BLOCK
-        core = err = 0.0
-        prefix = np.zeros((2, len(order) + 1))
-        for column, coefficient in zip(columns, c.T):
-            np.cumsum(column, out=prefix[0, 1:])
-            np.cumsum(two_sum(prefix[0, :-1], column)[1], out=prefix[1, 1:])
-            d, de = two_sum(prefix[0, r], -prefix[0, p])
-            de += prefix[1, r] - prefix[1, p]
-            hi, lo = two_prod(coefficient, d[block])
-            core, e = two_sum(core, hi)
-            err = err + e + (lo + coefficient * de[block])
-        ends = np.minimum(c @ self.basis[FLUX][:, [0, -1]], 0.0)
-        rate[rows] = 0.0 - self.spacing * (sums + (core + err)
-                                           - 0.5 * ends.sum(axis=1))
-        return rate
 
     def density_scalars(self, coefficients: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:

@@ -3,14 +3,13 @@
 The expensive grid work (envelope R, phase gradient grad(theta), beat
 fringes) is weight-independent: :class:`SweepEngine` builds the
 encounter's :class:`~qbackflow.observables.WeightKernel` once.  A weight
-rule maps all values of a sweep to one array-valued ArmAmplitudes, its
-coefficient matrix goes through the kernel's batched ``rates`` (prefix
-sums where a row's flux is negative for certain, products where it can
-turn negative) and ``density_scalars``, derived in the
-:mod:`qbackflow.observables` docstring, and :class:`SweepResult` keeps
-the values and the three scalars as four arrays, the sweep.csv columns.
-The reported maximum and the refinement take report()'s one-profile
-rate, so they compare exactly.
+rule maps all values of a sweep to one coefficient matrix.  Both rules
+are one-angle families (:data:`FAMILIES`, observables docstring): per
+sweep the engine sorts the ends of the flux columns' negative arcs once
+(:class:`FluxEvents`), takes each row's rate from prefix sums at its
+angle, and its density peak on the rule's envelope columns.  The
+reported maximum and the refinement take report()'s one-profile rate,
+so they compare exactly.
 
 Phase convention for the pulse-area sweep: the splitting pulse's laser
 phase is a free experimental knob that only offsets the beat fringe, so
@@ -22,14 +21,16 @@ exact function of the populations, symmetric about A = pi to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ioutil import atomic_write_text, csv_text
 from .model import MAX_PULSE_AREA, DomainError
-from .observables import FLUX, WeightKernel, backflow_rate, weight_coefficients
+from .observables import (DENSITY, FLUX, PEAK_BOUND_SLACK, WeightKernel,
+                          backflow_rate, weight_coefficients)
+from .phaseacc import two_prod, two_sum
 from .pulses import ArmAmplitudes, real_weights
 from .wavefield import EncounterState
 
@@ -88,6 +89,95 @@ def canonical_pulse_area_weights(
     return ArmAmplitudes(np.abs(np.cos(half)), -1j * np.abs(np.sin(half)))
 
 
+#: The sweep rules as one-angle families (observables docstring): the
+#: angle theta in [0, pi] of each weight pair, and the unit-norm
+#: coefficient row as its constant, cos theta and sin theta parts.
+FAMILIES = {
+    # c_b = cos(theta/2), c_f = -i sin(theta/2)
+    canonical_pulse_area_weights: (
+        lambda w: 2.0 * np.arctan2(np.abs(w.c_f), np.abs(w.c_b)),
+        np.array([[1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
+                  [0.0, 0.0, 0.0, -0.5, 0.0, 0.0, -1.0, 0.0]])),
+    # c_b = sin(theta/2), c_f = cos(theta/2)
+    real_weights: (
+        lambda w: 2.0 * np.arctan2(np.abs(w.c_b), np.abs(w.c_f)),
+        np.array([[1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                  [0.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                  [0.0, 0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0]])),
+}
+
+
+def arc_events(alpha, beta, gamma) -> tuple[np.ndarray, ...]:
+    """Sorted ends in [0, pi] of the arcs where alpha + beta cos theta +
+    gamma sin theta < 0, their columns, and +1 (start) or -1 (stop)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip(alpha / np.hypot(beta, gamma), -1, 1))
+    # Each arc and its copy 2 pi lower; an empty arc (half = 0) or the
+    # arc of a zero column (NaN) has no events.
+    centre = np.arctan2(gamma, beta) + math.pi - [[0.0], [2 * math.pi]]
+    start, stop = (centre - half).ravel(), (centre + half).ravel()
+    arcs = np.flatnonzero((start < stop) & (start < math.pi) & (stop > 0.0))
+    ends = np.concatenate([start[arcs], stop[arcs]])
+    order = np.argsort(ends)
+    return (ends[order], np.tile(arcs % len(alpha), 2)[order],
+            np.repeat([1, -1], len(arcs))[order])
+
+
+class FluxEvents:
+    """A family's flux arc ends, with compensated prefix sums of the flux
+    rows over them (observables docstring)."""
+
+    def __init__(self, kernel: WeightKernel, parts: np.ndarray):
+        flux, self.spacing = kernel.basis[FLUX], kernel.spacing
+        self.ends, column, count = arc_events(*parts[:, FLUX] @ flux)
+        # Trapezoid weights: the grid's end columns count half.
+        sign = np.where(column % (flux.shape[1] - 1), count, 0.5 * count)
+        self.sums, self.errors = np.zeros((2, 4, len(column) + 1))
+        for row, sums, errors in zip(flux, self.sums, self.errors):
+            step = sign * row[column]
+            np.cumsum(step, out=sums[1:])
+            np.cumsum(two_sum(sums[:-1], step)[1], out=errors[1:])
+        self.active = np.zeros(len(column) + 1, dtype=np.int64)
+        np.cumsum(count, out=self.active[1:])
+
+    def rates(self, theta: np.ndarray, coefficients: np.ndarray
+              ) -> np.ndarray:
+        """Backflow rate of every coefficient row at its angle theta,
+        over the columns whose arc [start, stop) holds theta."""
+        at = np.searchsorted(self.ends, theta, side="right")
+        total = err = 0.0
+        for c, sums, errors in zip(coefficients[:, FLUX].T, self.sums,
+                                   self.errors):
+            hi, lo = two_prod(c, sums[at])
+            total, e = two_sum(total, hi)
+            err = err + e + (lo + c * errors[at])
+        # +0.0 where no column is active or the sum rounds to >= 0.
+        rate = np.maximum(0.0 - self.spacing * (total + err), 0.0)
+        return np.where(self.active[at] > 0, rate, 0.0)
+
+
+def envelope_columns(kernel: WeightKernel, parts: np.ndarray) -> np.ndarray:
+    """The peak columns whose density line a_j + s b_j comes within
+    PEAK_BOUND_SLACK of the family's upper envelope for some s = sin
+    theta in [0, 1] (observables docstring)."""
+    a, _, b = parts[:, DENSITY] @ kernel.basis[DENSITY, kernel.peak]
+    # Walk the envelope up from s = 0: the next line on top is the first
+    # to cross the current one, of those rising faster.
+    top, breaks = int(np.argmax(a)), [0.0, 1.0]
+    while True:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(b > b[top], (a[top] - a) / (b - b[top]), np.inf)
+        top = int(np.argmin(cross))
+        if not cross[top] < 1.0:
+            break
+        breaks.append(float(cross[top]))
+    lines = a + np.array(breaks)[:, np.newaxis] * b
+    slack = PEAK_BOUND_SLACK * a.max()
+    near = lines >= lines.max(axis=1, keepdims=True) - slack
+    return np.flatnonzero(near.any(axis=0)) + kernel.peak.start
+
+
 class SweepEngine:
     """Weight-independent kernel plus batched per-sample evaluation."""
 
@@ -96,9 +186,20 @@ class SweepEngine:
 
     def samples(self, values, weights_of) -> tuple[np.ndarray, ...]:
         """(rate, rho_crit max, density min) arrays, one row per value, at
-        the weights weights_of(values)."""
-        c = weight_coefficients(weights_of(np.asarray(values, dtype=float)))
-        return (self.kernel.rates(c), *self.kernel.density_scalars(c))
+        the weights weights_of(values) of a rule in FAMILIES: the rates
+        from its FluxEvents, the density on the window and its envelope
+        columns."""
+        angle, parts = FAMILIES[weights_of]
+        weights = weights_of(np.asarray(values, dtype=float))
+        c = weight_coefficients(weights)
+        rates = FluxEvents(self.kernel, parts).rates(angle(weights), c)
+        kernel = self.kernel
+        window = np.arange(kernel.window.start, kernel.window.stop)
+        columns = np.append(window, envelope_columns(kernel, parts))
+        return (rates, *replace(
+            kernel, basis=kernel.basis[:, columns],
+            window=slice(0, len(window)), peak=slice(0, len(columns))
+        ).density_scalars(c))
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
         """report()'s rate: the trapezoid of one full-grid flux profile."""

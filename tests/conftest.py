@@ -1,8 +1,9 @@
 """Shared fixtures: the expensive encounter states are built once per
 session.  The two-level pulse matrix is the reference for the closed-form
 splitting weights, the moments of a sampled field check the propagator,
-and finite differences and the FFT spectrum of a sampled field check the
-closed-form flux and momentum spectrum."""
+finite differences and the FFT spectrum of a sampled field check the
+closed-form flux and momentum spectrum, and a correctly rounded
+trapezoid of the exactly negative flux checks the backflow rates."""
 
 from __future__ import annotations
 
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 from qbackflow.cli import build_state
 from qbackflow.config import SCHEMA, SweepSpec
 from qbackflow.model import HBAR, DomainError, expansion
-from qbackflow.observables import flux_column_ranges
+from qbackflow.observables import FLUX
 from qbackflow.oracle import ALIAS_WEIGHT_LIMIT
+from qbackflow.phaseacc import two_prod, two_sum
 from qbackflow.presets import preset_config, reduced_scale_config, reference_config
 from qbackflow.pulses import ArmAmplitudes
 from qbackflow.wavefield import (Grid, WaveField, combined_from_state,
@@ -53,12 +55,103 @@ def stack_weights(weights) -> ArmAmplitudes:
                          np.array([w.c_f for w in weights], dtype=complex))
 
 
-def kept_rows(kernel, coefficients) -> np.ndarray:
-    """Mask of the coefficient rows whose flux flux_column_ranges finds
-    can be negative."""
-    kept = np.zeros(len(coefficients), dtype=bool)
-    kept[flux_column_ranges(kernel, coefficients)[0]] = True
-    return kept
+#: Bound on the rounding error of a four-term float dot product, relative
+#: to the sum of the terms' moduli (4 u / (1 - 4 u) with room to spare).
+DOT_ERROR = 1e-15
+
+
+def _exact_parts(rows: np.ndarray, levels: int = 4) -> np.ndarray:
+    """(levels, *rows.shape) floats that sum to each element of rows, up
+    to a rest below 2^-34 per level of its row's largest modulus (up to
+    65,536 columns).  At each level the parts are multiples of one power
+    of two, so any sum of up to rows.shape[-1] of them, in any order, is
+    exact (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 189 (2008),
+    ExtractVector)."""
+    parts, rest = [], rows
+    grow = math.ceil(math.log2(rows.shape[-1])) + 2
+    for _ in range(levels):
+        top = np.abs(rest).max(axis=-1, keepdims=True)
+        sigma = np.where(top > 0.0, np.ldexp(1.0, np.frexp(top)[1] + grow),
+                         1.0)
+        part = (rest + sigma) - sigma
+        parts.append(part)
+        rest = rest - part
+    return np.stack(parts)
+
+
+def exact_levels(kernel) -> tuple[np.ndarray, np.ndarray]:
+    """A kernel's flux rows as exact level columns, (n, levels * 4), and
+    the moduli of their entries: what exact_rates reads of the kernel."""
+    flux = kernel.basis[FLUX]
+    return (_exact_parts(flux).reshape(-1, flux.shape[1]).T.copy(),
+            np.abs(flux))
+
+
+def exact_rates(kernel, coefficients: np.ndarray, levels=None,
+                block: int = 32) -> np.ndarray:
+    """Backflow rate of every coefficient row, correctly rounded: the
+    trapezoid of the negative part of its exact flux, one rounding for
+    the sum and one for the spacing.
+
+    A column is negative where its double-double flux (two_prod,
+    two_sum) is, hi + lo; only columns whose float product lies within
+    DOT_ERROR of its terms' size need it.  The negative columns' flux
+    rows, the end columns halved, are summed exactly as level parts
+    (_exact_parts), and math.fsum rounds the exact products of the
+    row's coefficients with those sums once.  levels, if given, is
+    exact_levels(kernel)."""
+    flux = kernel.basis[FLUX]
+    columns, size = exact_levels(kernel) if levels is None else levels
+    rates = np.empty(len(coefficients))
+    for i in range(0, len(coefficients), block):
+        c = coefficients[i:i + block, FLUX]
+        product = c @ flux
+        bound = np.abs(c) @ size
+        bound *= DOT_ERROR
+        negative = product < -bound
+        rows, cols = np.nonzero(np.abs(product, out=product) <= bound)
+        nonzero = bound[rows, cols] > 0.0    # all-zero terms: flux 0
+        rows, cols = rows[nonzero], cols[nonzero]
+        hi, lo = two_prod(c[rows, 0], flux[0, cols])
+        for k in range(1, 4):
+            p, e = two_prod(c[rows, k], flux[k, cols])
+            hi, s = two_sum(hi, p)
+            lo = lo + (s + e)
+        negative[rows, cols] = hi + lo < 0.0
+        weight = negative.astype(float)
+        weight[:, [0, -1]] *= 0.5
+        sums = (weight @ columns).reshape(len(c), -1, 4)   # exact
+        hi, lo = two_prod(c[:, np.newaxis, :], sums)
+        rates[i:i + len(c)] = [
+            0.0 - kernel.spacing * math.fsum(terms)
+            for terms in np.concatenate([hi, lo], axis=1)
+            .reshape(len(c), -1).tolist()]
+    return rates
+
+
+#: Bounds on a rate's distance from exact_rates: relative on rows with at
+#: least 1 % of the largest rate, in ulp of the integral of |J| dx
+#: elsewhere.  Measured on 5,001 rows of each weight rule on the fig8,
+#: reduced and coarse kernels: the event sweep 0 and 0 (every rate bit
+#: for bit); report()'s one-row product 1.76e-14 (reduced, real c_b;
+#: 4.3e-16 on fig8) and 0.03 ulp.
+EVENT_BOUNDS = (2.0 ** -53, 1e-3)
+REPORT_BOUNDS = (2e-14, 0.1)
+
+
+def assert_near_exact(rates, exact, total, bounds, largest=None,
+                      zeros=True):
+    """rates within bounds (EVENT_BOUNDS) of exact, taking rows with at
+    least 1 % of largest (default: of the largest exact rate) as large,
+    at or above +0.0, and, with zeros, +0.0 exactly where exact is 0."""
+    largest = exact.max(initial=0.0) if largest is None else largest
+    large = exact >= 1e-2 * largest
+    relative, ulp = bounds
+    assert (np.abs(rates - exact)[large] <= relative * exact[large]).all()
+    assert (np.abs(rates - exact)[~large]
+            <= ulp * np.spacing(total[~large])).all()
+    assert (rates >= 0.0).all() and not np.signbit(rates).any()
+    assert ((rates == 0.0) == (exact == 0.0)).all() or not zeros
 
 
 def flux_finite_difference(field: WaveField, mass: float) -> np.ndarray:
@@ -138,6 +231,12 @@ def ref_ctx_06():
 @pytest.fixture(scope="session")
 def ref_ctx_075():
     return build_state(preset_config("paper-0.75pi"))
+
+
+@pytest.fixture(scope="session")
+def coarse_ctx():
+    """paper-0.6pi on 1,001 points: under one sample per fringe."""
+    return build_state(preset_config("paper-0.6pi"), grid_points=1001)
 
 
 @pytest.fixture(scope="session")

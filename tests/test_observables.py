@@ -16,17 +16,18 @@ from qbackflow.observables import (
     WeightKernel,
     backflow_rate,
     classical_backflow_check,
-    flux_column_ranges,
     momentum_spectrum,
     report,
     weight_coefficients,
 )
 from qbackflow.pulses import ArmAmplitudes, real_weights
-from qbackflow.sweep import canonical_pulse_area_weights
+from qbackflow.sweep import (FAMILIES, FluxEvents,
+                             canonical_pulse_area_weights)
 from qbackflow.wavefield import (Grid, WaveField, com_wavefunction,
                                  combined_from_state)
 
-from conftest import (arm_weights, flux_finite_difference, kept_rows,
+from conftest import (EVENT_BOUNDS, arm_weights, assert_near_exact,
+                      exact_levels, exact_rates, flux_finite_difference,
                       momentum_spectrum_fft, stack_weights)
 
 
@@ -262,8 +263,8 @@ EDGE_WEIGHTS = (real_weights(0.0), real_weights(1.0),
 
 @pytest.fixture(scope="module")
 def kernels(sweep_ctx, reduced_ctx):
-    """fig8 (4-row flux products), reduced (81 rows) and a fig8 grid of
-    60,001 points, where every flux product is one row."""
+    """fig8 (12 samples per fringe), reduced and a fig8 grid of 60,001
+    points (50 per fringe)."""
     from qbackflow.cli import build_state
     from qbackflow.presets import preset_config
     fine = build_state(preset_config("paper-fig8a"), grid_points=60001)
@@ -272,12 +273,9 @@ def kernels(sweep_ctx, reduced_ctx):
 
 
 @pytest.fixture(scope="module")
-def coarse_kernel():
+def coarse_kernel(coarse_ctx):
     """paper-0.6pi on 1,001 points: under one sample per fringe."""
-    from qbackflow.cli import build_state
-    from qbackflow.presets import preset_config
-    return WeightKernel.from_state(
-        build_state(preset_config("paper-0.6pi"), grid_points=1001).state)
+    return WeightKernel.from_state(coarse_ctx.state)
 
 
 def _density_block(kernel):
@@ -285,12 +283,8 @@ def _density_block(kernel):
 
 
 def _full_grid_scalars(kernel, weights):
-    """Every profile on every column: the rate of each row's own flux
-    profile, and the density scalars with the rows grouped as the kernel
-    groups them, each block with its own coefficient matrix; and each
-    row's integral of |J| dx."""
-    flux = [kernel.profile(weight_coefficients(w), FLUX)[0] for w in weights]
-    rates = [backflow_rate(f, kernel.spacing) for f in flux]
+    """The density scalars on every column, with the rows grouped as the
+    kernel groups them, each block with its own coefficient matrix."""
     block = _density_block(kernel)
     rows = []
     for i in range(0, len(weights), block):
@@ -303,8 +297,7 @@ def _full_grid_scalars(kernel, weights):
         rows.append(np.column_stack([
             rho_max / peak,
             kernel._density_min(density[:, kernel.window]) / peak]))
-    return (np.column_stack([rates, np.concatenate(rows)]),
-            np.array([kernel.spacing * np.abs(f).sum() for f in flux]))
+    return np.concatenate(rows)
 
 
 def _random_weights(rng, rows):
@@ -316,21 +309,16 @@ def _random_weights(rng, rows):
 
 def _assert_scalars_match_full_grid(kernel, weights):
     c = weight_coefficients(stack_weights(weights))
-    got = np.column_stack([kernel.rates(c), *kernel.density_scalars(c)])
-    want, total = _full_grid_scalars(kernel, weights)
-    # The batched rates sum phase-sorted columns, so they round apart
-    # from a sum in grid order by a few ulp of the integral of |J|.
-    assert (np.abs(got[:, 0] - want[:, 0]) <= 1e-14 * total).all()
-    np.testing.assert_array_equal(got[:, 1:], want[:, 1:])
+    np.testing.assert_array_equal(
+        np.column_stack(kernel.density_scalars(c)),
+        _full_grid_scalars(kernel, weights))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(arm_weights, max_size=11))
 def test_kernel_scalars_match_full_grid(kernels, batch):
     # Reading the density on the peak columns only changes no bit,
-    # whatever the batch size and the row count of the products, and
-    # the flux on each row's range of columns changes the rate by
-    # rounding only.
+    # whatever the batch size and the row count of the products.
     for kernel in kernels:
         _assert_scalars_match_full_grid(kernel, EDGE_WEIGHTS + tuple(batch))
 
@@ -398,148 +386,127 @@ def test_kernel_scalars_refuse_a_vanishing_density(kernels):
         kernels[1].density_scalars(np.zeros((1, 8)))
 
 
-# -- the no-backflow bound ----------------------------------------------------
+# -- the event sweep on every kernel ----------------------------------------
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(arm_weights, min_size=1, max_size=11))
-def test_backflow_bound_is_sound(kernels, batch):
-    # A row the bound clears has no negative column in a full-grid
-    # product, so skipping its flux product changes no rate.
-    c = weight_coefficients(stack_weights(EDGE_WEIGHTS + tuple(batch)))
-    for kernel in kernels:
-        cleared = ~kept_rows(kernel, c)
-        assert (kernel.profile(c, FLUX)[cleared] >= 0.0).all()
-
-
-def _real_weight_roots(kernel):
-    """The real c_b where the flux bound of real_weights(c_b) changes
-    sign, bisected to adjacent floats."""
-    def bound(x):
-        w = x * math.sqrt(1.0 - x * x)
-        return min(gt + x * x * kernel.q - w * abs(kernel.q + 2.0 * gt)
-                   for gt in kernel.grad_theta)
-    roots = []
-    for lo, hi in ((0.0, 0.5), (0.5, 1.0)):
-        if (bound(lo) > 0.0) == (bound(hi) > 0.0):
-            continue
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if (bound(mid) > 0.0) == (bound(lo) > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        roots.append(lo)
-    return roots
+@pytest.fixture(scope="module")
+def family_events(kernels, coarse_kernel):
+    """Per kernel (fig8, reduced, 60,001 points, coarse) and weight rule:
+    the kernel, its FluxEvents, the largest rate of 401 samples and the
+    kernel's exact_levels."""
+    out = {}
+    for i, kernel in enumerate(kernels + [coarse_kernel]):
+        levels = exact_levels(kernel)
+        for weights_of, (angle, parts) in FAMILIES.items():
+            events = FluxEvents(kernel, parts)
+            hi = 1.0 if weights_of is real_weights else 4.0 * math.pi
+            weights = weights_of(np.linspace(0.0, hi, 401))
+            out[i, weights_of] = kernel, events, events.rates(
+                angle(weights), weight_coefficients(weights)).max(), levels
+    return out
 
 
-def _pinned_equal_arms(kernel):
-    """Equal arms with a fringe minimum of the flux on each of 27 columns
-    about the centre."""
-    half = math.sqrt(0.5)
-    columns = kernel.basis.shape[1] // 2 + np.arange(-40, 40, 3)
-    return [ArmAmplitudes(half * cmath.exp(1j * (math.pi - math.atan2(
-                kernel.basis[6, j], kernel.basis[5, j]))), half)
-            for j in columns]
-
-
-def test_backflow_bound_edges(kernels):
-    # Equal populations: h = 1 exactly wherever q + 2 grad(theta) > 0,
-    # and with a fringe minimum on a column the computed flux rounds
-    # below 0 there, so the slack must keep these rows.  So must real
-    # weights within rounding of a root of the bound, while weights 1e-9
-    # inside its cleared side are cleared.
-    half = math.sqrt(0.5)
-    for kernel, n_roots in zip(kernels, (2, 1, 2)):
-        c = weight_coefficients(stack_weights(
-            [EDGE_WEIGHTS[2], real_weights(half)]
-            + _pinned_equal_arms(kernel)))
-        assert kept_rows(kernel, c).all()
-        assert (kernel.profile(c, FLUX) < 0.0).any()
-        roots = _real_weight_roots(kernel)
-        assert len(roots) == n_roots
-        for x0 in roots:
-            near = real_weights(x0 * (1.0 + np.arange(-8, 9) * 1e-14))
-            assert kept_rows(kernel, weight_coefficients(near)).all()
-            sides = kept_rows(kernel, weight_coefficients(
-                real_weights(x0 * (1.0 + np.array([-1e-9, 1e-9])))))
-            assert sides.tolist() in ([False, True], [True, False])
-
-
-# -- the flux arcs ------------------------------------------------------------
-
-def _assert_negative_columns_in_range(kernel, c):
-    """Every column negative in a full-grid product of the coefficient
-    rows c lies in its row's range of the phase-sorted columns, and a row
-    without a range has no negative column.  Each row's core lies in its
-    range, and every core column is negative in the row's one-row
-    full-grid product."""
-    rows, order, bounds = flux_column_ranges(kernel, c)
-    lo, core_lo, core_hi, hi = bounds
-    negative = kernel.profile(c, FLUX) < 0.0
-    assert not np.delete(negative, rows, axis=0).any()
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    kept, columns = np.nonzero(negative[rows])
-    assert ((lo[kept] <= rank[columns]) & (rank[columns] < hi[kept])).all()
-    assert ((lo <= core_lo) & (core_lo <= core_hi) & (core_hi <= hi)).all()
-    for row, first, stop in zip(rows, core_lo, core_hi):
-        flux = kernel.profile(c[row:row + 1], FLUX)[0]
-        assert (flux[order[first:stop]] < 0.0).all()
-    return rows, bounds
+def _event_and_exact_rates(kernel, events, weights_of, values,
+                           levels=None):
+    """The event-sweep rates, exact_rates and the integral of |J| dx of
+    the rows weights_of(values)."""
+    weights = weights_of(np.asarray(values, dtype=float))
+    c = weight_coefficients(weights)
+    rates = events.rates(FAMILIES[weights_of][0](weights), c)
+    total = kernel.spacing * np.abs(kernel.profile(c, FLUX)).sum(axis=1)
+    return rates, exact_rates(kernel, c, levels), total
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(arm_weights, max_size=11),
-       st.lists(st.floats(0.0, 4.0 * math.pi), max_size=6),
+@given(st.lists(st.floats(0.0, 4.0 * math.pi), max_size=6),
        st.lists(st.floats(0.0, 1.0), max_size=6))
-def test_flux_ranges_hold_every_negative_column(kernels, coarse_kernel,
-                                                batch, areas, real_cbs):
-    # Complex weights, both sweep families and equal arms whose flux
-    # touches 0 on a column: no negative column is left out of a range,
-    # and no core column is at or above 0.
-    for kernel in kernels + [coarse_kernel]:
-        weights = EDGE_WEIGHTS + tuple(batch) + tuple(
-            _pinned_equal_arms(kernel))
-        _assert_negative_columns_in_range(kernel, np.concatenate([
-            weight_coefficients(stack_weights(weights)),
-            weight_coefficients(canonical_pulse_area_weights(
-                np.array(areas))),
-            weight_coefficients(real_weights(np.array(real_cbs)))]))
+def test_flux_ranges_hold_every_negative_column(family_events, areas,
+                                                real_cbs):
+    # Over any values of both rules, on grids from under one to 50
+    # samples per fringe, the arcs that hold a row's angle are its
+    # exactly negative columns: the rate is the correctly rounded one,
+    # zero rows included.
+    for (_, weights_of), (kernel, events, largest, levels) in \
+            family_events.items():
+        values = areas if weights_of is canonical_pulse_area_weights \
+            else real_cbs
+        assert_near_exact(*_event_and_exact_rates(kernel, events, weights_of,
+                                                  values, levels),
+                          EVENT_BOUNDS, largest)
 
 
-def test_flux_ranges_fall_back_to_every_column(kernels, coarse_kernel):
-    # One arm only (|w| = 0), a subnormal |w| (h overflows), and arcs
-    # centred 0.1 rad inside 0 and 2 pi with half-width near arccos(0.75)
-    # (on the reduced grid, h_min < -1: the whole circle) get every
-    # column.  So does every row where q + 2 grad(theta) changes sign on
-    # the grid.  Each of these rows has an empty core, as have equal arms
-    # (h = 1 wherever q + 2 grad(theta) > 0): their products take every
-    # column of their range.
-    wrapping = [ArmAmplitudes(0.6 * cmath.exp(1j * s * (math.pi - 0.1)), 0.8)
-                for s in (1.0, -1.0)]
-    for kernel in kernels + [coarse_kernel]:
-        n_points = kernel.basis.shape[1]
-        for weights in (EDGE_WEIGHTS[:2] + (ArmAmplitudes(1e-310, 1.0),),
-                        wrapping):
-            rows, (lo, core_lo, core_hi, hi) = (
-                _assert_negative_columns_in_range(
-                    kernel, weight_coefficients(stack_weights(weights))))
-            assert rows.tolist() == list(range(len(weights)))
-            assert (lo == 0).all() and (hi == n_points).all()
-            assert (core_lo == core_hi).all()
-        c = weight_coefficients(stack_weights(
-            EDGE_WEIGHTS + tuple(wrapping) + tuple(real_weights(cb) for cb in
-                                                   (0.3, 0.5, 0.7, 0.9))))
-        _, _, (lo, _, _, hi) = flux_column_ranges(kernel, c)
-        assert (hi - lo < n_points).any()   # some arcs are narrow here
-        rows, _, bounds = flux_column_ranges(
-            replace(kernel, grad_theta=(-kernel.q, kernel.grad_theta[1])), c)
-        assert rows.tolist() == list(range(len(c)))
-        assert (bounds == [[0], [0], [0], [n_points]]).all()
-        equal = weight_coefficients(stack_weights(
-            [EDGE_WEIGHTS[2], real_weights(math.sqrt(0.5))]
-            + _pinned_equal_arms(kernel)))
-        rows, _, (_, core_lo, core_hi, _) = flux_column_ranges(kernel, equal)
-        assert len(rows) == len(equal) and (core_lo == core_hi).all()
+def _threshold_values(events, weights_of):
+    """The values of weights_of whose angles are the first arc start and
+    the last arc stop in [0, pi]: where its rate turns on and off."""
+    inside = events.ends[(events.ends >= 0.0) & (events.ends <= math.pi)]
+    theta = inside[[0, -1]]
+    return theta if weights_of is canonical_pulse_area_weights \
+        else np.sin(0.5 * theta)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(-300, 300), min_size=1, max_size=8))
+def test_backflow_bound_is_sound(family_events, steps):
+    # Within a few hundred ulp of where a rule's backflow turns on or off
+    # the one column about to turn negative, or just turned, has flux
+    # within rounding of 0 and may count or not: a row's rate is the
+    # exact one within 1e-3 ulp of its integral of |J| dx (measured 2.6e-6),
+    # never below +0.0, but may read +0.0 where the exact rate is a few
+    # 1e-25 m/s, or the reverse (up to 54 of 1,202 such rows, coarse
+    # kernel, real c_b).
+    for (_, weights_of), (kernel, events, largest, levels) in \
+            family_events.items():
+        edges = _threshold_values(events, weights_of)
+        hi = 1.0 if weights_of is real_weights else 4.0 * math.pi
+        values = np.clip(np.outer(edges, 1.0 + 2.0 ** -52 * np.array(steps))
+                         .ravel(), 0.0, hi)
+        assert_near_exact(*_event_and_exact_rates(kernel, events, weights_of,
+                                                  values, levels),
+                          EVENT_BOUNDS, largest, zeros=False)
+
+
+def _pinned_minimum(kernel, weights_of):
+    """The kernel with its beat phase turned so that, at equal arms of
+    weights_of, the flux has a fringe minimum exactly on the centre
+    column."""
+    centre = kernel.basis.shape[1] // 2
+    # Equal arms of the pulse-area rule put the minimum at sin(phi) = 1,
+    # of the real-c_b rule at cos(phi) = -1.
+    target = math.pi / 2 if weights_of is canonical_pulse_area_weights \
+        else math.pi
+    turn = target - math.atan2(kernel.basis[6, centre],
+                               kernel.basis[5, centre])
+    rotation = np.array([[math.cos(turn), -math.sin(turn)],
+                         [math.sin(turn), math.cos(turn)]])
+    basis = kernel.basis.copy()
+    for rows in ((2, 3), (5, 6)):
+        basis[rows, :] = rotation @ kernel.basis[rows, :]
+    return replace(kernel, basis=basis)
+
+
+def test_backflow_bound_edges(family_events):
+    # Equal arms: A = pi/2, 3 pi/2, 5 pi/2, 7 pi/2 and c_b = sqrt(1/2),
+    # and values up to 8 ulp either side, where the flux touches 0 at
+    # every fringe minimum and the arcs of the columns nearest a minimum
+    # shrink towards theta = pi/2.  The rates are the exact ones, zero
+    # rows included.  With a fringe minimum turned onto a column, that
+    # column's flux lies within rounding of 0 for every one of these
+    # rows: counted or not, it keeps the rate within 0.02 ulp of the
+    # integral of |J| dx of the exact one (measured 0.011), at or above
+    # +0.0, where the sum rounds above 0.
+    ulps = 1.0 + 2.0 ** -52 * np.arange(-8, 9)
+    equal = {canonical_pulse_area_weights:
+             np.outer(np.array([0.5, 1.5, 2.5, 3.5]) * math.pi, ulps).ravel(),
+             real_weights: np.clip(math.sqrt(0.5) * ulps, 0.0, 1.0)}
+    for (_, weights_of), (kernel, events, largest, levels) in \
+            family_events.items():
+        values = equal[weights_of]
+        assert_near_exact(*_event_and_exact_rates(kernel, events, weights_of,
+                                                  values, levels),
+                          EVENT_BOUNDS, largest)
+        pinned = _pinned_minimum(kernel, weights_of)
+        assert_near_exact(*_event_and_exact_rates(
+            pinned, FluxEvents(pinned, FAMILIES[weights_of][1]),
+            weights_of, values), (0.0, 0.02), largest, zeros=False)
 
 
 def test_report_rate_is_the_trapezoid_of_its_flux(reduced_ctx, ref_ctx_06):

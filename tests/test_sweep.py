@@ -8,12 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from qbackflow.config import SweepSpec
 from qbackflow.model import DomainError
-from qbackflow.observables import (FLUX, backflow_rate, flux_column_ranges,
-                                   rate_blocks, report, weight_coefficients)
+from qbackflow.observables import (DENSITY, FLUX, PEAK_BOUND_SLACK,
+                                   backflow_rate, report,
+                                   weight_coefficients)
+from qbackflow.phaseacc import two_prod
 from qbackflow.pulses import real_weights
-from qbackflow.sweep import SweepEngine, canonical_pulse_area_weights
+from qbackflow.sweep import (FAMILIES, FluxEvents, SweepEngine,
+                             canonical_pulse_area_weights, envelope_columns)
 
-from conftest import arm_weights, kept_rows, stack_weights
+from conftest import (EVENT_BOUNDS, REPORT_BOUNDS, assert_near_exact,
+                      exact_rates)
+
+RULES = [(canonical_pulse_area_weights, 4.0 * math.pi), (real_weights, 1.0)]
 
 
 def test_spec_validation():
@@ -76,20 +82,20 @@ def test_engine_matches_direct_evaluation(reduced_ctx):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(arm_weights, min_size=1, max_size=11))
-def test_engine_samples_match_report(sweep_ctx, sweep_engine, batch):
-    # The batched kernel rows agree with the one-row report() for any
-    # normalized complex weights; batches of up to 11 cross the chunk
-    # boundaries of the fig8 grid (4 samples per chunk).
-    scalars = sweep_engine.samples(
-        range(len(batch)),
-        lambda values: stack_weights([batch[int(i)] for i in values]))
-    for row, w in zip(np.column_stack(scalars), batch):
-        rep = report(sweep_ctx.state, w)
-        for got, name in zip(row, ("backflow_rate", "rho_crit_max_fraction",
-                                   "density_min_fraction")):
-            assert got == pytest.approx(
-                getattr(rep, name), rel=1e-12, abs=1e-15), name
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_engine_samples_match_report(sweep_ctx, sweep_engine, fractions):
+    # The batched rows of both weight rules agree with the one-row
+    # report() at any values, in batches of 1 to 6 rows.
+    for weights_of, hi in RULES:
+        values = hi * np.array(fractions)
+        scalars = sweep_engine.samples(values, weights_of)
+        for row, v in zip(np.column_stack(scalars), values):
+            rep = report(sweep_ctx.state, weights_of(float(v)))
+            for got, name in zip(row, ("backflow_rate",
+                                       "rho_crit_max_fraction",
+                                       "density_min_fraction")):
+                assert got == pytest.approx(
+                    getattr(rep, name), rel=1e-12, abs=1e-15), name
 
 
 @pytest.mark.parametrize("result, weights_of", [
@@ -114,67 +120,215 @@ def test_preset_sweep_rows_agree_with_report(request, sweep_ctx, result,
     assert (np.abs(res.density_min - density_min) <= 1e-15).all()
 
 
+# -- the event sweep against a correctly rounded rate ----------------------
+
+@pytest.fixture(scope="module")
+def rows_5001(sweep_ctx, reduced_ctx, coarse_ctx):
+    """Per kernel and rule: 5,001 sample values, the event-sweep rates,
+    report()'s one-row rates, exact_rates and each row's integral of
+    |J| dx."""
+    out = {}
+    for name, ctx in (("fig8", sweep_ctx), ("reduced", reduced_ctx),
+                      ("coarse", coarse_ctx)):
+        engine = SweepEngine(ctx.state)
+        kernel = engine.kernel
+        for weights_of, hi in RULES:
+            values = np.linspace(0.0, hi, 5001)
+            c = weight_coefficients(weights_of(values))
+            one_row, total = np.array([_one_row(kernel, c[i:i + 1])
+                                       for i in range(len(c))]).T
+            out[name, weights_of.__name__] = (
+                values, engine.samples(values, weights_of)[0], one_row,
+                exact_rates(kernel, c), total)
+    return out
+
+
+def _one_row(kernel, c):
+    """report()'s rate of one coefficient row, and its integral of |J|
+    dx."""
+    flux = kernel.profile(c, FLUX)[0]
+    return (backflow_rate(flux, kernel.spacing),
+            kernel.spacing * np.abs(flux).sum())
+
+
+KERNEL_RULES = [(kernel, rule.__name__) for kernel in ("fig8", "reduced",
+                                                         "coarse")
+                for rule, _ in RULES]
+
+
+@pytest.mark.parametrize("kernel, rule", KERNEL_RULES)
+def test_sweep_rates_are_the_exact_trapezoid(rows_5001, kernel, rule):
+    # Compensated prefix sums over the sorted arc ends and a double-double
+    # dot give each row's correctly rounded rate; zero rows included.
+    _, rates, _, exact, total = rows_5001[kernel, rule]
+    assert_near_exact(rates, exact, total, EVENT_BOUNDS)
+
+
+@pytest.mark.parametrize("kernel, rule", KERNEL_RULES)
+def test_report_rate_is_the_exact_trapezoid_to_rounding(rows_5001, kernel,
+                                                        rule):
+    # report()'s one-row product rounds each column relative to the terms
+    # that cancel in it: the gap to a correctly rounded rate grows as the
+    # rate shrinks against them, which the 1e-14 of the preset check
+    # meets only on its 401 and 201 rows.  Its zero rows are exact.
+    _, _, one_row, exact, total = rows_5001[kernel, rule]
+    assert_near_exact(one_row, exact, total, REPORT_BOUNDS)
+
+
 @pytest.mark.parametrize("weights_of, hi, least", [
     (canonical_pulse_area_weights, 4.0 * math.pi, 0.45),
     (real_weights, 1.0, 0.25)])
-def test_sweeps_skip_rows_without_backflow(sweep_engine, weights_of, hi,
-                                           least):
+def test_sweeps_skip_rows_without_backflow(sweep_engine, rows_5001,
+                                           weights_of, hi, least):
     # About half the fig8 pulse-area rows and a third of the real-weight
-    # rows provably have no backflow, and a chunk of such rows never
-    # reads the flux basis: poisoned with NaN, it still gives rate 0.
-    kernel = sweep_engine.kernel
-    c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
-    cleared = ~kept_rows(kernel, c)
+    # rows have no backflow, and such a row never reads the flux sums:
+    # poisoned with NaN, they still give it rate +0.0.
+    values, _, _, exact, _ = rows_5001["fig8", weights_of.__name__]
+    cleared = exact == 0.0
     assert cleared.mean() >= least
-    basis = kernel.basis.copy()
-    basis[FLUX] = np.nan
-    rate = replace(kernel, basis=basis).rates(c[cleared])
-    assert (rate == 0.0).all()
+    events = FluxEvents(sweep_engine.kernel, FAMILIES[weights_of][1])
+    events.sums[:] = np.nan
+    events.errors[:] = np.nan
+    weights = weights_of(values[cleared])
+    rate = events.rates(FAMILIES[weights_of][0](weights),
+                        weight_coefficients(weights))
+    assert (rate == 0.0).all() and not np.signbit(rate).any()
 
 
-@pytest.mark.parametrize("weights_of, hi", [
-    (canonical_pulse_area_weights, 4.0 * math.pi), (real_weights, 1.0)])
+@pytest.mark.parametrize("weights_of, hi", RULES)
 def test_sweep_rows_read_a_third_of_the_flux_columns(sweep_engine,
                                                      weights_of, hi):
-    # A row that can flow back reads only its range of the phase-sorted
-    # flux columns: about a third of the fig8 grid, not all of it.  Its
-    # products take only its block's hulls of the edge bands of those
-    # ranges, which leave the cores to the prefix sums: per row, at most
-    # 15 % of the grid.  A work count, no timing.
+    # A row's rate sums the columns whose arc holds its angle: about a
+    # third of the fig8 grid.  It reads them as four prefix sums at one
+    # event, and the events, at most two per column, are sorted once per
+    # rule.  A work count, no timing.
     kernel = sweep_engine.kernel
-    c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
-    rows, _, bounds = flux_column_ranges(kernel, c)
-    lo, _, _, stop = bounds
-    assert len(lo) > 1000
-    assert (stop - lo).mean() <= 0.4 * kernel.basis.shape[1]
-    starts, a, p, r, b = rate_blocks(bounds)
-    block_rows = np.diff(np.append(starts, len(rows)))
-    evaluated = (block_rows * ((p - a) + (b - r))).sum()
-    assert evaluated <= 0.15 * len(rows) * kernel.basis.shape[1]
+    n_points = kernel.basis.shape[1]
+    events = FluxEvents(kernel, FAMILIES[weights_of][1])
+    assert len(events.ends) <= 2 * n_points
+    weights = weights_of(np.linspace(0.0, hi, 5001))
+    at = np.searchsorted(events.ends, FAMILIES[weights_of][0](weights),
+                         side="right")
+    active = events.active[at]
+    assert (active > 0).sum() > 1000
+    assert active[active > 0].mean() <= 0.4 * n_points
 
 
-@pytest.mark.parametrize("weights_of, hi", [
-    (canonical_pulse_area_weights, 4.0 * math.pi), (real_weights, 1.0)])
-def test_prefix_parts_keep_the_rates_to_rounding(sweep_engine, weights_of,
+@pytest.mark.parametrize("weights_of, hi", RULES)
+def test_prefix_parts_keep_the_rates_to_rounding(rows_5001, weights_of,
                                                  hi):
-    # A block's prefix part sums thousands of core columns whose flux
-    # terms cancel to a small net.  Summed with compensated prefix sums
-    # and a double-double dot, every row of a 5,001-sample sweep whose
-    # rate is at least 1 % of the largest is report()'s one-row rate
-    # within 2e-15 relative (measured 7e-16); a plain dot of the same
-    # prefix sums is off by up to 1.2e-14.  Smaller rates are left out:
-    # a one-row product rounds relative to the terms, not to the rate.
-    values = np.linspace(0.0, hi, 5001)
-    rates = sweep_engine.kernel.rates(weight_coefficients(weights_of(values)))
-    rows = np.flatnonzero(rates >= 1e-2 * rates.max())
-    one_row = np.array([sweep_engine.backflow_rate(weights_of(float(v)))
-                        for v in values[rows]])
-    assert (np.abs(rates[rows] - one_row) <= 2e-15 * one_row).all()
+    # The prefix sums add thousands of columns whose flux terms cancel to
+    # a small net.  Summed with compensated prefix sums and a
+    # double-double dot, every row of a 5,001-sample sweep whose rate is
+    # at least 1 % of the largest is report()'s one-row rate within
+    # 2e-15 relative (measured 4.3e-16); a plain cumsum and dot is off by
+    # up to 7e-13.  Smaller rates are left out: a one-row product rounds
+    # relative to the terms, not to the rate.
+    _, rates, one_row, _, _ = rows_5001["fig8", weights_of.__name__]
+    rows = rates >= 1e-2 * rates.max()
+    assert (np.abs(rates[rows] - one_row[rows]) <= 2e-15 * one_row[rows]).all()
+
+
+def _one_column_rate(kernel, c, column):
+    """0.0 - dx J_j, J_j the exact flux of one column for coefficient
+    row c, correctly rounded."""
+    hi, lo = two_prod(c[FLUX], kernel.basis[FLUX, column])
+    return 0.0 - kernel.spacing * math.fsum(np.concatenate([hi, lo]))
+
+
+@pytest.mark.parametrize("weights_of, hi", RULES)
+def test_rates_at_an_arc_end(sweep_engine, weights_of, hi):
+    # A column counts from its arc's start on and stops at its stop.  On
+    # fig8 no arc holds theta = 0 or pi; at exactly the first start a row
+    # takes that column alone, one float lower none, and at exactly the
+    # last stop none, one float lower that column alone.  The rows carry
+    # the coefficients of a weight just inside the arc, so the column's
+    # flux is clearly negative.
+    kernel = sweep_engine.kernel
+    events = FluxEvents(kernel, FAMILIES[weights_of][1])
+    inside = np.flatnonzero((events.ends >= 0.0)
+                            & (events.ends <= math.pi))
+    assert events.active[np.searchsorted(events.ends, 0.0, "right")] == 0
+    assert events.active[np.searchsorted(events.ends, math.pi,
+                                         "right")] == 0
+    for edge, inward in ((inside[0], 1e-3), (inside[-1], -1e-3)):
+        theta = events.ends[edge]
+        step = np.sign(inward) * (events.sums[:, edge + 1]
+                                  - events.sums[:, edge])
+        column = int(np.argmin(np.abs(kernel.basis[FLUX].T - step)
+                               .sum(axis=1)))
+        value = {canonical_pulse_area_weights: theta + inward,
+                 real_weights: math.sin(0.5 * (theta + inward))}[weights_of]
+        c = weight_coefficients(weights_of(value))[0]
+        alone = _one_column_rate(kernel, c, column)
+        assert alone > 0.0
+        lower = np.nextafter(theta, -math.inf)
+        rates = events.rates(np.array([lower, theta]), np.array([c, c]))
+        expect = [0.0, alone] if inward > 0 else [alone, 0.0]
+        assert rates.tolist() == expect
+
+
+@pytest.mark.parametrize("ctx, zero", [("sweep_ctx", True),
+                                       ("reduced_ctx", False),
+                                       ("coarse_ctx", True)])
+def test_rates_with_one_arm_only(request, ctx, zero):
+    # theta = 0 and pi: A = 0, 2 pi, 4 pi (c_f = 0) and pi, 3 pi (c_b
+    # rounds to 6e-17), c_b = 0 and 1.  Each column then carries one
+    # arm's flux, (hbar/m) R^2 grad(theta) or (hbar/m) R^2 (grad(theta)
+    # + q), and the rates are the exact ones: +0.0 on fig8 and the coarse
+    # grid, and on the reduced grid, which reaches the free arm's flow
+    # reversal at -7.2 sigma, 1.1e-15 m/s at A = pi and 3 pi.
+    engine = SweepEngine(request.getfixturevalue(ctx).state)
+    for weights_of, values in (
+            (canonical_pulse_area_weights,
+             [0.0, math.pi, 2.0 * math.pi, 3.0 * math.pi, 4.0 * math.pi]),
+            (real_weights, [0.0, 1.0])):
+        rates = engine.samples(values, weights_of)[0]
+        exact = exact_rates(engine.kernel,
+                            weight_coefficients(weights_of(np.array(values))))
+        assert rates.tolist() == exact.tolist()
+        assert not np.signbit(rates).any()
+        assert (rates == 0.0).all() or not zero
+        if zero:
+            assert all(engine.backflow_rate(weights_of(v)) == 0.0
+                       for v in values)
+
+
+@pytest.mark.parametrize("ctx", ["sweep_ctx", "reduced_ctx", "coarse_ctx"])
+def test_envelope_columns_hold_the_density_peak(request, ctx):
+    # The columns a rule's density peak is read on hold every peak column
+    # whose line a_j + s b_j comes within the slack of the upper envelope
+    # anywhere in s = sin(theta) in [0, 1] (checked on 4,001 values of s),
+    # and a column 1e-15 below the top column's line everywhere.  The
+    # engine's density scalars of 5,001 rows equal those over every peak
+    # column bit for bit.
+    state = request.getfixturevalue(ctx).state
+    engine = SweepEngine(state)
+    kernel = engine.kernel
+    s = np.linspace(0.0, 1.0, 4001)[:, np.newaxis]
+    for weights_of, hi in RULES:
+        parts = FAMILIES[weights_of][1]
+        kept = envelope_columns(kernel, parts)
+        a, _, b = parts[:, DENSITY] @ kernel.basis[DENSITY, kernel.peak]
+        lines = a + s * b
+        near = (lines >= lines.max(axis=1, keepdims=True)
+                - PEAK_BOUND_SLACK * a.max()).any(axis=0)
+        assert set(np.flatnonzero(near) + kernel.peak.start) <= set(kept)
+        top = int(np.argmax(a)) + kernel.peak.start
+        twin = top + 1 if top + 1 < kernel.peak.stop else top - 1
+        basis = kernel.basis.copy()
+        basis[DENSITY, twin] = basis[DENSITY, top] * (1.0 - 1e-15)
+        assert twin in envelope_columns(replace(kernel, basis=basis), parts)
+        c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
+        got = engine.samples(np.linspace(0.0, hi, 5001), weights_of)[1:]
+        for x, y in zip(got, kernel.density_scalars(c)):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_samples_of_no_values(sweep_engine):
-    scalars = sweep_engine.samples([], canonical_pulse_area_weights)
-    assert [x.shape for x in scalars] == [(0,)] * 3
+    for weights_of, _ in RULES:
+        scalars = sweep_engine.samples([], weights_of)
+        assert [x.shape for x in scalars] == [(0,)] * 3
 
 
 def test_sweep_result_shape_and_refinement(reduced_ctx):
