@@ -12,15 +12,15 @@ end, when a phase becomes the argument of a complex exponential.
 The error-free transformations and the DoubleDouble arithmetic are
 branch-free, so hi and lo may also be numpy arrays of one shape: every
 operation except ``mod_two_pi`` then acts elementwise, with the same
-rounding as the scalar code.  kinematics evaluates a whole pulse
-array's segment phases this way and reduces each ledger with
-:func:`fsum_dd`.
+rounding as the scalar code.  kinematics reduces a whole pulse array's
+ledger rows at once with :func:`sum_products_dd`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+
+import numpy as np
 
 from .model import DomainError
 
@@ -125,17 +125,37 @@ def product(*factors: float) -> DoubleDouble:
     return acc
 
 
-def fsum_dd(terms: list[float]) -> DoubleDouble:
-    """Double-double sum of many floats, accurate to ~2**-106 relative.
+def sum_products_dd(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Double-double sums of rows of products, each row a tuple of one to
+    three float arrays of length n >= 1: the sums' hi and lo arrays.
 
-    math.fsum rounds the exact sum once; a second pass with that total
-    subtracted returns the remainder, itself correctly rounded.  This is
-    an accurate sum in twice the working precision in the sense of
-    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).  A sum
-    that is not finite comes back as NaN, for the caller to refuse.
+    two_prod forms the products, unnormalised.  All rows are summed at
+    once, pairwise (an odd level keeps its middle column): the hi parts
+    by two_sum, its exact errors and the lo parts in floats, as in Sum2
+    of Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).  A sum
+    is off by at most (2 d (d + 2) + 3) u^2 times its row's sum of
+    |products|, d = ceil(log2 n), u = 2**-53; one that is not finite
+    comes back as inf or NaN.
     """
-    try:
-        hi = math.fsum(terms)
-        return DoubleDouble(hi, math.fsum(chain(terms, (-hi,))))
-    except (OverflowError, ValueError):  # inf - inf, or beyond the range
-        return DoubleDouble(math.nan)
+    n = len(rows[0][0])
+    hi, lo, tmp = np.empty((3, n, len(rows)))
+    for i, (product_hi, *factors) in enumerate(rows):
+        product_lo = 0.0
+        for f in factors:
+            product_hi, e = two_prod(product_hi, f)
+            product_lo = product_lo * f + e
+        hi[:, i], lo[:, i] = product_hi, product_lo
+    while n > 1:    # two_sum in place: temporaries cost more than the adds
+        h = (n + 1) // 2
+        a, b, s, bb = hi[:n - h], hi[h:n], tmp[:n - h], tmp[h:n]
+        np.add(a, b, out=s)
+        np.subtract(s, a, out=bb)
+        b -= bb
+        bb -= s
+        a += bb                 # a - (s - bb)
+        a += b                  # the exact error of s
+        lo[:n - h] += lo[h:n]
+        lo[:n - h] += a
+        hi[:n - h] = s
+        n = h
+    return two_sum(hi[0], lo[0])

@@ -3,12 +3,15 @@ session.  The two-level pulse matrix is the reference for the closed-form
 splitting weights, the moments of a sampled field check the propagator,
 finite differences and the FFT spectrum of a sampled field check the
 closed-form flux and momentum spectrum, and a correctly rounded
-trapezoid of the exactly negative flux checks the backflow rates."""
+trapezoid of the exactly negative flux checks the backflow rates.  Two
+passes of math.fsum (fsum_dd) are the exact reference for double-double
+sums."""
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from qbackflow.config import SCHEMA, SweepSpec
 from qbackflow.model import HBAR, DomainError, expansion
 from qbackflow.observables import FLUX
 from qbackflow.oracle import ALIAS_WEIGHT_LIMIT
-from qbackflow.phaseacc import two_prod, two_sum
+from qbackflow.phaseacc import DoubleDouble, two_prod, two_sum
 from qbackflow.presets import preset_config, reduced_scale_config, reference_config
 from qbackflow.pulses import ArmAmplitudes
 from qbackflow.wavefield import (Grid, WaveField, combined_from_state,
@@ -53,6 +56,22 @@ def stack_weights(weights) -> ArmAmplitudes:
     """One array-valued ArmAmplitudes holding a sequence of weight pairs."""
     return ArmAmplitudes(np.array([w.c_b for w in weights], dtype=complex),
                          np.array([w.c_f for w in weights], dtype=complex))
+
+
+def fsum_dd(terms: list[float]) -> DoubleDouble:
+    """Double-double sum of many floats, accurate to ~2**-106 relative.
+
+    math.fsum rounds the exact sum once; a second pass with that total
+    subtracted returns the remainder, itself correctly rounded.  This is
+    an accurate sum in twice the working precision in the sense of
+    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).  A sum
+    that is not finite comes back as NaN.
+    """
+    try:
+        hi = math.fsum(terms)
+        return DoubleDouble(hi, math.fsum(chain(terms, (-hi,))))
+    except (OverflowError, ValueError):  # inf - inf, or beyond the range
+        return DoubleDouble(math.nan)
 
 
 #: Bound on the rounding error of a four-term float dot product, relative

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from conftest import fsum_dd
 from qbackflow.model import DomainError
 from qbackflow.phaseacc import (
     TWO_PI_HI,
     TWO_PI_LO,
     DoubleDouble,
-    fsum_dd,
     product,
+    sum_products_dd,
     two_prod,
     two_sum,
 )
@@ -104,11 +105,81 @@ def test_fsum_dd_of_a_non_finite_sum_is_not_finite(terms):
     assert not math.isfinite(fsum_dd(terms).value())
 
 
+def _sum_bound(n: int) -> float:
+    """sum_products_dd's bound, (2 d (d + 2) + 3) u^2 with d =
+    ceil(log2 n), plus 2 u^2 for rounding the fsum_dd reference."""
+    d = (n - 1).bit_length()
+    return (2 * d * (d + 2) + 5) * 2.0 ** -106
+
+
+def _assert_sums_near_exact(rows):
+    """Each row's sum within _sum_bound of the exact sum, relative to the
+    row's sum of |products|.  two_prod splits each product exactly into
+    floats (no factor here is small enough to underflow), and fsum_dd
+    sums them."""
+    sum_hi, sum_lo = sum_products_dd(rows)
+    for factors, got_hi, got_lo in zip(rows, sum_hi, sum_lo):
+        parts = [factors[0]]
+        for f in factors[1:]:
+            parts = [q for p in parts for q in two_prod(p, f)]
+        exact = fsum_dd(np.concatenate(parts).tolist())
+        size = float(np.abs(np.prod(factors, axis=0)).sum())
+        gap = abs(Fraction(got_hi) + Fraction(got_lo)
+                  - Fraction(exact.hi) - Fraction(exact.lo))
+        assert gap <= Fraction(_sum_bound(len(factors[0])) * size)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 1023, 4096,
+                               8012])
+def test_sum_products_dd_is_near_the_exact_sum(n):
+    # Measured: at most 2.7 u^2 of a row's sum of |products| here, and
+    # 7.2 u^2 on 3,000 random rows of up to 200 columns, against the
+    # bound of 393 u^2 at 8,012 columns.
+    rng = np.random.default_rng(n)
+    mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    # heavy cancellation: pairs x, -x (1 + 2**-40) leave a tiny exact sum
+    half = rng.standard_normal((n + 1) // 2) * 1e12
+    cancel = np.concatenate([half, -half * (1.0 + 2.0 ** -40)])[:n]
+    cancel = cancel[rng.permutation(n)]
+    spread = rng.uniform(0.5, 2.0, (3, n))
+    _assert_sums_near_exact([
+        (mixed,), (cancel,), (mixed, spread[0]), (cancel, spread[0]),
+        (mixed, spread[0], spread[1]), (cancel, spread[1], spread[2]),
+        (np.full(n, 0.1), spread[2], spread[2]), (np.zeros(n), spread[0])])
+
+
+_factor = st.one_of(st.just(0.0), st.floats(1e-60, 1e60),
+                    st.floats(-1e60, -1e-60))
+
+
+@given(st.lists(st.tuples(_factor, _factor, _factor), min_size=1,
+                max_size=70))
+def test_sum_products_dd_of_any_rows(columns):
+    a, b, c = (np.array(col) for col in zip(*columns))
+    _assert_sums_near_exact([(a,), (a, b), (a, b, c), (c[::-1], b, a)])
+
+
+@pytest.mark.parametrize("row", [[math.inf, -math.inf], [math.inf, 1.0],
+                                 [-math.inf, 2.0, 3.0], [1e308, 1e308, -1.0],
+                                 [math.nan, 1.0, 2.0]])
+def test_sum_products_dd_of_a_non_finite_sum_is_refused(row):
+    # Overflow and inf - inf warn in numpy; kinematics reduces its rows
+    # under np.errstate, and refuses the phase when it is reduced mod 2 pi.
+    finite = np.arange(len(row), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = sum_products_dd([(finite,), (np.array(row),)])
+    assert hi[0] + lo[0] == math.fsum(finite)
+    phase = DoubleDouble(hi[1], lo[1])
+    assert not math.isfinite(phase.value())
+    with pytest.raises(DomainError, match="not finite"):
+        phase.mod_two_pi()
+
+
 @given(st.lists(st.tuples(st.floats(-1e30, 1e30), st.floats(-1e30, 1e30),
                           st.floats(0.5, 1e10)), min_size=1, max_size=20))
 def test_array_operands_act_elementwise(rows):
-    # kinematics evaluates whole pulse arrays through the same code; the
-    # rounding must equal the scalar evaluation bit for bit.
+    # The arithmetic on arrays must round as the scalar evaluation does,
+    # bit for bit.
     a, b, c = (np.array(col) for col in zip(*rows))
     arr = product(a, b).add(DoubleDouble(c).neg()).div_float(3.0).mul_float(c)
     for i, (x, y, z) in enumerate(rows):
