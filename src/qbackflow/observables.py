@@ -36,21 +36,11 @@ matrix C with one row per weight pair,
     (n, |c_b|^2, Re w, -Im w | n, 2 Re w, -2 Im w | |c_f|^2 - |c_b|^2),
 
 and a block of profiles of the whole batch is C @ B over that block's
-columns and rows.  :func:`report` and the sweep refinement take the
-rate of one full-grid flux profile, and
-:meth:`WeightKernel.density_scalars` gives the density scalars of a
-batch of rows.
-
-The density is read at its peak and in a window of a few fringes about
-x_c, on columns fixed when the kernel is built.  It is (n + 2|w|
-cos(phi + arg w)) R^2 with n >= 2|w|, and a column within half a fringe
-of x_c lies within phase q dx / 2 of a fringe maximum, so the peak is
-at least (1 + cos(q dx / 2)) / 2 (n + 2|w|) R^2_c, R^2_c the least R^2
-over those columns.  No column exceeds (n + 2|w|) R^2, so the peak lies
-where R^2 >= (1 + cos(q dx / 2)) / 2 R^2_c: the whole grid once q dx >=
-2 pi, else one range about x_c, where the Gaussian R^2 is centred.
-``WeightKernel.peak`` is the least range of columns that holds both
-that range, widened by ``PEAK_BOUND_SLACK`` for rounding, and the window.
+columns and rows.  :func:`report` reads the rate, the density peak and
+the density minimum in a window of a few fringes about x_c from its own
+full-grid profiles; the sweep refinement takes the same one-profile
+rate.  :meth:`WeightKernel.density_scalars` turns rows of density, on
+columns that hold each row's peak, into the two density fractions.
 
 One-angle weight families
 -------------------------
@@ -79,12 +69,16 @@ equal arms, theta = pi/2, where its arc is a point) may count or not,
 which moves the rate by rounding.  A row with no active column, or whose
 sum rounds to >= 0, reads +0.0.
 
-Over the peak columns a rule's density is n R^2_j + s G_j, G_j =
--R^2_j sin(phi_j) or R^2_j cos(phi_j): lines in s in [0, 1], whose peak
-lies on their upper envelope.  :func:`~qbackflow.sweep.envelope_columns`
+On column j a rule's density is n R^2_j + s G_j, G_j = -R^2_j
+sin(phi_j) or R^2_j cos(phi_j): lines in s = sin theta in [0, 1], whose
+peak lies on their upper envelope.  :func:`~qbackflow.sweep.envelope_columns`
 keeps every line within PEAK_BOUND_SLACK times the largest R^2 of it at
-one of its breaks (the line less the convex envelope is concave): on
-fig8 7 and 4 of the 625 peak columns, all in the 49-column window.
+one of its breaks (the line less the convex envelope is concave).  An
+exact prefilter first drops the lines more than that slack below
+max(L_0, L_1), L_0 and L_1 the lines on top at s = 0 and s = 1, at s =
+0, at their crossing s* and at s = 1: the envelope is at least that
+maximum, and a line less it is concave with one break, at s*.  On fig8
+7 and 4 of the 14,295 columns are kept, all in the 49-column window.
 
 The momentum spectrum
 ---------------------
@@ -138,12 +132,8 @@ SPECTRUM_SAMPLES = 16
 PLANE_WAVE_THRESHOLD = 100.0
 SPREADING_THRESHOLD = 0.1
 
-#: Largest number of coefficient rows x columns in one density product
-#: over the peak columns.
-CHUNK_ELEMENTS = 2 ** 16
-
-#: Slack on the density peak bound and on a weight family's density
-#: envelope (module docstring).
+#: Slack on a weight family's density envelope, relative to the largest
+#: R^2 (module docstring).
 PEAK_BOUND_SLACK = 1e-12
 
 #: Column blocks of the coefficient matrix, and row blocks of the kernel
@@ -249,7 +239,6 @@ class WeightKernel:
     rho_base_max: float   # extrema of the critical-density base over the
     rho_base_min: float   # envelope support (NaN if the support is empty)
     window: slice         # +-DENSITY_MIN_WINDOW_FRINGES about x_c
-    peak: slice           # columns that can hold the density peak
     spacing: float        # m
     q: float              # 1/m, beat wavenumber
 
@@ -291,42 +280,24 @@ class WeightKernel:
         bins = min(grid.n_points // 2, max(1, int(reach / grid.spacing)))
         center = grid.n_points // 2
         window = slice(center - bins, center + bins + 1)
-        # Peak columns (module docstring): half a fringe and a step about x_c.
-        step = abs(q) * grid.spacing   # fringe phase per column
-        half = int(math.pi / step) + 1 if step * center > math.pi else center
-        fraction = 0.5 * (1.0 + math.cos(min(0.5 * step, math.pi)))
-        r2c = float(r2[center - half:center + half + 1].min())
-        cols = np.flatnonzero(r2 >= (fraction - PEAK_BOUND_SLACK) * r2c)
-        peak = slice(min(int(cols[0]), window.start),
-                     max(int(cols[-1]) + 1, window.stop))
-        return cls(basis, *extrema, window, peak, grid.spacing, q)
+        return cls(basis, *extrema, window, grid.spacing, q)
 
     def profile(self, coefficients: np.ndarray, block: slice) -> np.ndarray:
         """One profile per coefficient row, for one block of the basis."""
         return coefficients[:, block] @ self.basis[block]
 
-    def density_scalars(self, coefficients: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
+    def density_scalars(self, coefficients: np.ndarray, density: np.ndarray,
+                        window: slice) -> tuple[np.ndarray, np.ndarray]:
         """(rho_crit max fraction, density min fraction) of every
-        coefficient row, over the peak columns (module docstring)."""
-        rows = len(coefficients)
-        columns = self.basis[DENSITY, self.peak]
-        block = max(1, CHUNK_ELEMENTS // columns.shape[1])
-        work = np.empty((min(block, rows), columns.shape[1]))
-        window = slice(self.window.start - self.peak.start,
-                       self.window.stop - self.peak.start)
-        peak, density_min = np.empty((2, rows))
-        for i in range(0, rows, block):
-            c = coefficients[i:i + block]
-            density = np.matmul(c[:, DENSITY], columns, out=work[:len(c)])
-            np.max(density, axis=1, out=peak[i:i + len(c)])
-            density_min[i:i + len(c)] = self._density_min(density[:, window])
+        coefficient row from its density row, on columns that hold the
+        row's peak; the minimum is read on the columns `window` of those."""
+        peak = density.max(axis=1)
         if not (peak > 0.0).all():
             raise DomainError("combined density vanishes everywhere")
         contrast = coefficients[:, RHO_CRIT.start]
         rho_max = contrast * np.where(contrast >= 0.0, self.rho_base_max,
                                       self.rho_base_min)
-        return rho_max / peak, density_min / peak
+        return rho_max / peak, self._density_min(density[:, window]) / peak
 
     @staticmethod
     def _density_min(local: np.ndarray) -> np.ndarray:
@@ -413,8 +384,8 @@ def report(state: EncounterState,
     flux, density, rho = (kernel.profile(coefficients, block)[0]
                           for block in (FLUX, DENSITY, RHO_CRIT))
     rate = float(backflow_rate(flux, kernel.spacing))
-    rho_max, density_min = (float(x[0])
-                            for x in kernel.density_scalars(coefficients))
+    rho_max, density_min = (float(x[0]) for x in kernel.density_scalars(
+        coefficients, density[np.newaxis], kernel.window))
     total = float(_trapezoid(np.abs(flux), kernel.spacing))
     neg = flux < 0.0
     return BackflowReport(

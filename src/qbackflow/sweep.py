@@ -7,9 +7,11 @@ rule maps all values of a sweep to one coefficient matrix.  Both rules
 are one-angle families (:data:`FAMILIES`, observables docstring): per
 sweep the engine sorts the ends of the flux columns' negative arcs once
 (:class:`FluxEvents`), takes each row's rate from prefix sums at its
-angle, and its density peak on the rule's envelope columns.  The
-reported maximum and the refinement take report()'s one-profile rate,
-so they compare exactly.
+angle, and its density fractions from density products, per block of
+rows, over the density-minimum window and the rule's envelope columns
+(:func:`envelope_columns`, found once on the whole grid).  The reported
+maximum and the refinement take report()'s one-profile rate, so they
+compare exactly.
 
 Phase convention for the pulse-area sweep: the splitting pulse's laser
 phase is a free experimental knob that only offsets the beat fringe, so
@@ -21,7 +23,7 @@ exact function of the populations, symmetric about A = pi to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,6 +38,10 @@ from .wavefield import EncounterState
 
 if TYPE_CHECKING:
     from .config import SweepSpec
+
+#: Largest number of coefficient rows x columns in one density product
+#: over a rule's window and envelope columns.
+CHUNK_ELEMENTS = 2 ** 16
 
 #: Golden-section refinement stops when the bracket shrinks below this
 #: fraction of the sweep range.
@@ -158,10 +164,21 @@ class FluxEvents:
 
 
 def envelope_columns(kernel: WeightKernel, parts: np.ndarray) -> np.ndarray:
-    """The peak columns whose density line a_j + s b_j comes within
+    """The grid columns whose density line a_j + s b_j comes within
     PEAK_BOUND_SLACK of the family's upper envelope for some s = sin
     theta in [0, 1] (observables docstring)."""
-    a, _, b = parts[:, DENSITY] @ kernel.basis[DENSITY, kernel.peak]
+    a, _, b = parts[:, DENSITY] @ kernel.basis[DENSITY]
+    slack = PEAK_BOUND_SLACK * a.max()
+    # Exact prefilter (observables docstring): keep the lines within the
+    # slack of max(line t0, line t1), the top lines at s = 0 and s = 1,
+    # at s = 0, at the crossing of those two or at s = 1.
+    t0, t1 = int(np.argmax(a)), int(np.argmax(a + b))
+    rise = b[t1] - b[t0]
+    near = np.zeros(len(a), dtype=bool)
+    for s in (0.0, (a[t0] - a[t1]) / rise if rise > 0.0 else 0.0, 1.0):
+        near |= a + s * b >= max(a[t0] + s * b[t0], a[t1] + s * b[t1]) - slack
+    keep = np.flatnonzero(near)
+    a, b = a[keep], b[keep]
     # Walk the envelope up from s = 0: the next line on top is the first
     # to cross the current one, of those rising faster.
     top, breaks = int(np.argmax(a)), [0.0, 1.0]
@@ -173,9 +190,8 @@ def envelope_columns(kernel: WeightKernel, parts: np.ndarray) -> np.ndarray:
             break
         breaks.append(float(cross[top]))
     lines = a + np.array(breaks)[:, np.newaxis] * b
-    slack = PEAK_BOUND_SLACK * a.max()
     near = lines >= lines.max(axis=1, keepdims=True) - slack
-    return np.flatnonzero(near.any(axis=0)) + kernel.peak.start
+    return keep[near.any(axis=0)]
 
 
 class SweepEngine:
@@ -195,11 +211,18 @@ class SweepEngine:
         rates = FluxEvents(self.kernel, parts).rates(angle(weights), c)
         kernel = self.kernel
         window = np.arange(kernel.window.start, kernel.window.stop)
-        columns = np.append(window, envelope_columns(kernel, parts))
-        return (rates, *replace(
-            kernel, basis=kernel.basis[:, columns],
-            window=slice(0, len(window)), peak=slice(0, len(columns))
-        ).density_scalars(c))
+        columns = kernel.basis[DENSITY][
+            :, np.append(window, envelope_columns(kernel, parts))]
+        block = max(1, CHUNK_ELEMENTS // columns.shape[1])
+        work = np.empty((min(block, len(c)), columns.shape[1]))
+        rho_max, density_min = np.empty((2, len(c)))
+        for i in range(0, len(c), block):
+            chunk = c[i:i + block]
+            density = np.matmul(chunk[:, DENSITY], columns,
+                                out=work[:len(chunk)])
+            rho_max[i:i + block], density_min[i:i + block] = (
+                kernel.density_scalars(chunk, density, slice(0, len(window))))
+        return rates, rho_max, density_min
 
     def backflow_rate(self, weights: ArmAmplitudes) -> float:
         """report()'s rate: the trapezoid of one full-grid flux profile."""

@@ -265,6 +265,12 @@ def sweep_ctx():
 
 
 @pytest.fixture(scope="session")
+def fine_ctx():
+    """paper-fig8a on 60,001 points: 50 samples per fringe."""
+    return build_state(preset_config("paper-fig8a"), grid_points=60001)
+
+
+@pytest.fixture(scope="session")
 def sweep_engine(sweep_ctx):
     from qbackflow.sweep import SweepEngine
     return SweepEngine(sweep_ctx.state)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from qbackflow.model import HBAR, DomainError, expansion, sr88_params
 from qbackflow.observables import (
-    CHUNK_ELEMENTS,
     DENSITY,
     FLUX,
     RHO_CRIT,
@@ -26,9 +25,9 @@ from qbackflow.sweep import (FAMILIES, FluxEvents,
 from qbackflow.wavefield import (Grid, WaveField, com_wavefunction,
                                  combined_from_state)
 
-from conftest import (EVENT_BOUNDS, arm_weights, assert_near_exact,
-                      exact_levels, exact_rates, flux_finite_difference,
-                      momentum_spectrum_fft, stack_weights)
+from conftest import (EVENT_BOUNDS, assert_near_exact, exact_levels,
+                      exact_rates, flux_finite_difference,
+                      momentum_spectrum_fft)
 
 
 def test_flux_identity_on_reduced_state():
@@ -252,52 +251,26 @@ def test_report_density_min_is_nearest_central_minimum(reduced_ctx):
     assert rep.density_min_fraction == d[nearest] / d.max()
 
 
-# -- the scalar routine against every column -------------------------------
+# -- the kernel on four grids ----------------------------------------------
 
 #: One arm only (c_b = 0, c_f = 0) and equal arms, where the density
-#: bound is reached at every fringe maximum and the minima touch zero.
+#: minima touch zero.
 EDGE_WEIGHTS = (real_weights(0.0), real_weights(1.0),
                 ArmAmplitudes(math.sqrt(0.5), 1j * math.sqrt(0.5)))
 
 
-
 @pytest.fixture(scope="module")
-def kernels(sweep_ctx, reduced_ctx):
+def kernels(sweep_ctx, reduced_ctx, fine_ctx):
     """fig8 (12 samples per fringe), reduced and a fig8 grid of 60,001
     points (50 per fringe)."""
-    from qbackflow.cli import build_state
-    from qbackflow.presets import preset_config
-    fine = build_state(preset_config("paper-fig8a"), grid_points=60001)
     return [WeightKernel.from_state(ctx.state)
-            for ctx in (sweep_ctx, reduced_ctx, fine)]
+            for ctx in (sweep_ctx, reduced_ctx, fine_ctx)]
 
 
 @pytest.fixture(scope="module")
 def coarse_kernel(coarse_ctx):
     """paper-0.6pi on 1,001 points: under one sample per fringe."""
     return WeightKernel.from_state(coarse_ctx.state)
-
-
-def _density_block(kernel):
-    return max(1, CHUNK_ELEMENTS // (kernel.peak.stop - kernel.peak.start))
-
-
-def _full_grid_scalars(kernel, weights):
-    """The density scalars on every column, with the rows grouped as the
-    kernel groups them, each block with its own coefficient matrix."""
-    block = _density_block(kernel)
-    rows = []
-    for i in range(0, len(weights), block):
-        c = weight_coefficients(stack_weights(weights[i:i + block]))
-        density = kernel.profile(c, DENSITY)
-        peak = density.max(axis=1)
-        contrast = c[:, RHO_CRIT.start]
-        rho_max = contrast * np.where(contrast >= 0.0, kernel.rho_base_max,
-                                      kernel.rho_base_min)
-        rows.append(np.column_stack([
-            rho_max / peak,
-            kernel._density_min(density[:, kernel.window]) / peak]))
-    return np.concatenate(rows)
 
 
 def _random_weights(rng, rows):
@@ -307,83 +280,10 @@ def _random_weights(rng, rows):
             for cb, a, b in rng.random((rows, 3)) * (1.0, 6.3, 6.3)]
 
 
-def _assert_scalars_match_full_grid(kernel, weights):
-    c = weight_coefficients(stack_weights(weights))
-    np.testing.assert_array_equal(
-        np.column_stack(kernel.density_scalars(c)),
-        _full_grid_scalars(kernel, weights))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(arm_weights, max_size=11))
-def test_kernel_scalars_match_full_grid(kernels, batch):
-    # Reading the density on the peak columns only changes no bit,
-    # whatever the batch size and the row count of the products.
-    for kernel in kernels:
-        _assert_scalars_match_full_grid(kernel, EDGE_WEIGHTS + tuple(batch))
-
-
-def test_kernel_scalars_match_full_grid_past_a_block(kernels):
-    # One row past a density block: the last density product has one row.
-    rng = np.random.default_rng(5)
-    for kernel in kernels:
-        _assert_scalars_match_full_grid(
-            kernel, _random_weights(rng, _density_block(kernel) + 1))
-
-
-def _fringe_maximum_weights(kernel, offsets, cb):
-    """Weights with |c_b| = cb whose density has a fringe maximum at each
-    offset, in steps, from the centre column."""
-    centre = kernel.basis.shape[1] // 2
-    phase = math.atan2(kernel.basis[6, centre], kernel.basis[5, centre])
-    step = kernel.q * kernel.spacing
-    return [ArmAmplitudes(cb * cmath.exp(-1j * (phase + step * offset)),
-                          math.sqrt(1.0 - cb * cb))
-            for offset in offsets]
-
-
-def test_kernel_peak_columns_hold_the_peak(kernels, coarse_kernel):
-    # The columns fixed when the kernel is built hold the window and the
-    # full-grid density peak of equal and unequal arms, wherever the
-    # central fringe maximum falls within half a step of the centre
-    # column; under one sample per fringe they are the whole grid.
-    offsets = np.linspace(-0.5, 0.5, 41)
-    for kernel in kernels + [coarse_kernel]:
-        peak, window = kernel.peak, kernel.window
-        assert peak.start <= window.start and window.stop <= peak.stop
-        for cb in (math.sqrt(0.5), 0.3, 0.6, 0.9):
-            weights = _fringe_maximum_weights(kernel, offsets, cb)
-            c = weight_coefficients(stack_weights(weights))
-            argmax = kernel.profile(c, DENSITY).argmax(axis=1)
-            assert ((peak.start <= argmax) & (argmax < peak.stop)).all()
-            _assert_scalars_match_full_grid(kernel, weights)
-    n_points = coarse_kernel.basis.shape[1]
-    assert coarse_kernel.q * coarse_kernel.spacing >= 2.0 * math.pi
-    assert coarse_kernel.peak == slice(0, n_points)
-
-
-@pytest.mark.parametrize("where", ["left edge", "right edge", "slope"])
-def test_kernel_peak_beyond_an_offset_window(kernels, where):
-    # A window away from x_c, joined with the peak columns by the
-    # kernel's rule, reaches past them: to the grid's ends at the edges,
-    # and down the slope where R^2 is near 0.87 of its maximum.  The
-    # density minimum is then read outside the peak range of x_c.
-    kernel = kernels[0]
-    n_points = kernel.basis.shape[1]
-    start = {"left edge": 0, "right edge": n_points - 3,
-             "slope": n_points // 2 + n_points // 16}[where]
-    window = slice(start, start + 3)
-    peak = slice(min(kernel.peak.start, window.start),
-                 max(kernel.peak.stop, window.stop))
-    assert not (kernel.peak.start <= start and start + 3 <= kernel.peak.stop)
-    offset = replace(kernel, window=window, peak=peak)
-    weights = EDGE_WEIGHTS + tuple(real_weights(cb) for cb in (0.1, 0.5, 0.8))
-    _assert_scalars_match_full_grid(offset, weights)
-
-
 def test_kernel_scalars_refuse_a_vanishing_density(kernels):
+    kernel, c = kernels[1], np.zeros((1, 8))
     with pytest.raises(DomainError, match="vanishes everywhere"):
-        kernels[1].density_scalars(np.zeros((1, 8)))
+        kernel.density_scalars(c, kernel.profile(c, DENSITY), kernel.window)
 
 
 # -- the event sweep on every kernel ----------------------------------------
@@ -510,11 +410,21 @@ def test_backflow_bound_edges(family_events):
 
 
 def test_report_rate_is_the_trapezoid_of_its_flux(reduced_ctx, ref_ctx_06):
-    # report() takes its rate from its own flux profile, bit for bit.
+    # report() takes its rate from its own flux profile, and its density
+    # fractions over the peak of its own density profile, bit for bit:
+    # the minimum is a density of the window.
     weights = EDGE_WEIGHTS + tuple(_random_weights(np.random.default_rng(7),
                                                    6))
     for state in (reduced_ctx.state, ref_ctx_06.state):
+        kernel = WeightKernel.from_state(state)
         for w in (state.weights,) + weights:
             rep = report(state, w)
             assert rep.backflow_rate == float(backflow_rate(
                 rep.flux_profile, state.grid.spacing))
+            density = rep.density_profile
+            contrast = weight_coefficients(w)[0, RHO_CRIT.start]
+            base = (kernel.rho_base_max if contrast >= 0.0
+                    else kernel.rho_base_min)
+            assert rep.rho_crit_max_fraction == contrast * base / density.max()
+            assert rep.density_min_fraction in (density[kernel.window]
+                                                / density.max())

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from qbackflow.config import SweepSpec
 from qbackflow.model import DomainError
 from qbackflow.observables import (DENSITY, FLUX, PEAK_BOUND_SLACK,
-                                   backflow_rate, report,
+                                   RHO_CRIT, backflow_rate, report,
                                    weight_coefficients)
 from qbackflow.phaseacc import two_prod
 from qbackflow.pulses import real_weights
-from qbackflow.sweep import (FAMILIES, FluxEvents, SweepEngine,
-                             canonical_pulse_area_weights, envelope_columns)
+from qbackflow.sweep import (CHUNK_ELEMENTS, FAMILIES, FluxEvents,
+                             SweepEngine, canonical_pulse_area_weights,
+                             envelope_columns)
 
 from conftest import (EVENT_BOUNDS, REPORT_BOUNDS, assert_near_exact,
                       exact_rates)
@@ -103,10 +104,12 @@ def test_engine_samples_match_report(sweep_ctx, sweep_engine, fractions):
     ("fig8b_result", real_weights)], ids=["fig8a", "fig8b"])
 def test_preset_sweep_rows_agree_with_report(request, sweep_ctx, result,
                                              weights_of):
-    # Every row of both preset sweeps is report() at its value up to the
-    # rounding of a many-row product against a one-row product: the
-    # rates within 1e-14 relative, the two fractions within 1e-15, and
-    # a rate is zero exactly where report()'s is.
+    # Every row of both preset sweeps is report() at its value up to
+    # rounding: the rates, summed over FluxEvents, within 1e-14 relative
+    # of report()'s one-profile trapezoid, the two fractions, from
+    # products over the window and envelope columns, within 1e-15 of
+    # those of report()'s full-grid profile, and a rate is zero exactly
+    # where report()'s is.
     res = request.getfixturevalue(result)
     reports = [report(sweep_ctx.state, weights_of(float(v)))
                for v in res.values]
@@ -294,35 +297,95 @@ def test_rates_with_one_arm_only(request, ctx, zero):
                        for v in values)
 
 
-@pytest.mark.parametrize("ctx", ["sweep_ctx", "reduced_ctx", "coarse_ctx"])
+def _near_envelope(a, b, slack, width=1024):
+    """The columns whose line a_j + s b_j comes within slack of the
+    lines' upper envelope at one of 4,001 values of s in [0, 1], by brute
+    force over blocks of columns."""
+    # On [0, 1] a line lies between its values at the ends, and the
+    # envelope nowhere below the largest of the lines' lower ends.
+    ends = np.stack([a, a + b])
+    columns = np.flatnonzero(ends.max(axis=0)
+                             >= ends.min(axis=0).max() - slack)
+    a, b = a[columns], b[columns]
+    s = np.linspace(0.0, 1.0, 4001)[:, np.newaxis]
+    blocks = [slice(j, j + width) for j in range(0, len(a), width)]
+    top = np.max([(a[j] + s * b[j]).max(axis=1) for j in blocks], axis=0)
+    return columns[np.concatenate(
+        [(a[j] + s * b[j] >= top[:, np.newaxis] - slack).any(axis=0)
+         for j in blocks])]
+
+
+def _full_grid_scalars(kernel, c, block, width=1024):
+    """The density scalars of the coefficient rows c from density
+    products over every grid column, taken in row blocks of `block` rows
+    (and in column blocks, which keep each product small)."""
+    n_points = kernel.basis.shape[1]
+    rho_max, density_min = np.empty((2, len(c)))
+    for i in range(0, len(c), block):
+        rows = c[i:i + block]
+        peak = np.max([(rows[:, DENSITY] @ kernel.basis[DENSITY, j:j + width])
+                       .max(axis=1) for j in range(0, n_points, width)],
+                      axis=0)
+        window = rows[:, DENSITY] @ kernel.basis[DENSITY, kernel.window]
+        contrast = rows[:, RHO_CRIT.start]
+        rho_max[i:i + block] = contrast * np.where(
+            contrast >= 0.0, kernel.rho_base_max, kernel.rho_base_min) / peak
+        density_min[i:i + block] = kernel._density_min(window) / peak
+    return rho_max, density_min
+
+
+@pytest.mark.parametrize("ctx", ["sweep_ctx", "reduced_ctx", "coarse_ctx",
+                                 "fine_ctx"])
 def test_envelope_columns_hold_the_density_peak(request, ctx):
-    # The columns a rule's density peak is read on hold every peak column
+    # The columns a rule's density peak is read on hold every grid column
     # whose line a_j + s b_j comes within the slack of the upper envelope
     # anywhere in s = sin(theta) in [0, 1] (checked on 4,001 values of s),
     # and a column 1e-15 below the top column's line everywhere.  The
-    # engine's density scalars of 5,001 rows equal those over every peak
-    # column bit for bit.
-    state = request.getfixturevalue(ctx).state
-    engine = SweepEngine(state)
+    # engine's density scalars of 5,001 rows, and of one row past a
+    # density block, equal bit for bit those of full-grid products taken
+    # in the same row blocks.
+    engine = SweepEngine(request.getfixturevalue(ctx).state)
     kernel = engine.kernel
-    s = np.linspace(0.0, 1.0, 4001)[:, np.newaxis]
     for weights_of, hi in RULES:
         parts = FAMILIES[weights_of][1]
         kept = envelope_columns(kernel, parts)
-        a, _, b = parts[:, DENSITY] @ kernel.basis[DENSITY, kernel.peak]
-        lines = a + s * b
-        near = (lines >= lines.max(axis=1, keepdims=True)
-                - PEAK_BOUND_SLACK * a.max()).any(axis=0)
-        assert set(np.flatnonzero(near) + kernel.peak.start) <= set(kept)
-        top = int(np.argmax(a)) + kernel.peak.start
-        twin = top + 1 if top + 1 < kernel.peak.stop else top - 1
+        a, _, b = parts[:, DENSITY] @ kernel.basis[DENSITY]
+        near = _near_envelope(a, b, PEAK_BOUND_SLACK * a.max())
+        assert set(near) <= set(kept)
+        top = int(np.argmax(a))
+        twin = top + 1 if top + 1 < len(a) else top - 1
         basis = kernel.basis.copy()
         basis[DENSITY, twin] = basis[DENSITY, top] * (1.0 - 1e-15)
         assert twin in envelope_columns(replace(kernel, basis=basis), parts)
-        c = weight_coefficients(weights_of(np.linspace(0.0, hi, 5001)))
-        got = engine.samples(np.linspace(0.0, hi, 5001), weights_of)[1:]
-        for x, y in zip(got, kernel.density_scalars(c)):
-            np.testing.assert_array_equal(x, y)
+        width = kernel.window.stop - kernel.window.start + len(kept)
+        block = max(1, CHUNK_ELEMENTS // width)
+        for rows in (5001, block + 1):
+            values = np.linspace(0.0, hi, rows)
+            c = weight_coefficients(weights_of(values))
+            got = engine.samples(values, weights_of)[1:]
+            for x, y in zip(got, _full_grid_scalars(kernel, c, block)):
+                np.testing.assert_array_equal(x, y)
+
+
+def test_envelope_columns_keep_a_middle_segment_column(sweep_engine):
+    # Density lines on the fig8 grid, 1/2 on every column but three: the
+    # top line at s = 0 on the centre column (1), the top at s = 1 a
+    # quarter of the grid to its left (2 s), and a quarter of the grid to
+    # its right, far from x_c, a line (0.8 + 0.8 s) below both at s = 0
+    # and s = 1 that tops the envelope for s in (1/4, 2/3), over their
+    # crossing at s = 1/2.  Both rules read these lines.
+    kernel = sweep_engine.kernel
+    n_points = kernel.basis.shape[1]
+    left, centre, right = n_points // 4, n_points // 2, 3 * n_points // 4
+    a, b = np.full(n_points, 0.5), np.zeros(n_points)
+    a[[left, centre, right]] = 0.0, 1.0, 0.8
+    b[[left, centre, right]] = 2.0, 0.0, 0.8
+    basis = kernel.basis.copy()
+    basis[4], basis[5], basis[6] = a, b, -b
+    lines = replace(kernel, basis=basis)
+    for _, parts in FAMILIES.values():
+        assert envelope_columns(lines, parts).tolist() == [left, centre,
+                                                           right]
 
 
 def test_samples_of_no_values(sweep_engine):
